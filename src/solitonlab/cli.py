@@ -297,27 +297,10 @@ class _Integrand:
 
 # ----------------------------------------------------------------- commands
 
-def _metric_positivity(ch, x):
-    g = np.empty(x.shape[:-1] + (ch.dim, ch.dim))
-    with np.errstate(all="ignore"):
-        for i in range(ch.dim):
-            for j in range(ch.dim):
-                g[..., i, j] = _value(ch.metric[i][j], x)
-        eigen = np.linalg.eigvalsh(g)
-    bad = ~(eigen[..., 0] > 0.0)
-    if np.any(bad):
-        idx = np.unravel_index(int(np.argmax(bad.ravel())), bad.shape)
-        node = ", ".join(
-            f"{c}={x[idx + (k,)]:.6g}" for k, c in enumerate(ch.coords)
-        )
-        raise GeometryError(f"metric is not positive definite at node ({node})")
-
-
 def cmd_describe(man, grid):
     ch = man.chart
     spec = grid if grid is not None else default_grid(ch)
-    x, w = grid_nodes(ch, spec)
-    _metric_positivity(ch, x)
+    _, w = grid_nodes(ch, spec)
     fr = grid_frame(ch, spec)
     dev = fr.Ric - (fr.r / ch.dim)[..., None, None] * fr.g
     report = {

@@ -1,9 +1,11 @@
 """Least-squares search for gradient soliton data (f, lambda, mu).
 
-The potential is a linear combination of DSL basis terms, so its jets are
-linear combinations of precomputed per-term jets and stay exact to rounding;
-finite differences appear only in the outer Jacobian over the parameter
-vector.  Gauss-Newton steps with Levenberg damping minimize
+The potential is a linear combination of DSL basis terms, so xi = grad f and
+T = L_xi g are the same combinations of per-term arrays computed once per
+grid, and U = L_xi T is bilinear in the coefficients.  The residual is
+therefore quadratic in the parameters and its Jacobian is written down
+exactly; no finite differences appear anywhere.  Gauss-Newton steps with
+Levenberg damping minimize
 
     J = integral of |residual|^2 over the manifold,
 
@@ -16,19 +18,17 @@ through grad f, and leaving the flat direction in would make the normal
 equations singular for no benefit.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .geometry import (
-    ScalarJets,
+    VectorJets,
     gradient_vector_jets,
-    lie_metric_jets,
     lie_sym2,
+    lie_sym2_jet,
     scalar_field,
     scalar_jets,
 )
@@ -119,7 +119,6 @@ class FitOptions:
     step_tol: float = 1e-12
     lam_clamp: float = 1e-3
     damping: float = 1e-3
-    fd_step: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -142,24 +141,36 @@ def _half_grid(ch, grid):
     return GridSpec(counts=counts, rules=grid.rules)
 
 
-def _combine(term_jets, coeffs):
-    def mix(pick):
-        return sum(c * pick(tj) for c, tj in zip(coeffs, term_jets))
-
-    return ScalarJets(
-        f=mix(lambda t: t.f),
-        df=mix(lambda t: t.df),
-        d2f=mix(lambda t: t.d2f),
-        d3f=mix(lambda t: t.d3f),
-        d4f=mix(lambda t: t.d4f),
-    )
+def _term_fields(fr, sj):
+    """(xi, dxi, T, dT) of one basis term: its gradient and T = L_xi g."""
+    vj = gradient_vector_jets(fr, sj)
+    T = lie_sym2(vj, fr.g, fr.dg)
+    dT = lie_sym2_jet(vj, fr.g, fr.dg, fr.d2g)
+    return vj.xi, vj.dxi, T, dT
 
 
-def _worker_count(n_params):
-    env = os.environ.get("SOLITON_THREADS")
-    if env:
-        return max(1, int(env))
-    return max(1, min(4, n_params))
+def _vector(xi, dxi):
+    """Vector jets to first order, enough for lie_sym2."""
+    return VectorJets(xi=xi, dxi=dxi, d2xi=None, d3xi=None)
+
+
+# Per-grid arrays of a fit; the basis term is the leading axis of terms.xi,
+# terms.dxi, T and dT.
+_Stage = namedtuple("_Stage", "fr terms T dT scale chol")
+
+
+def _sum_terms(st, coeffs):
+    """xi, T and dT of the potential sum(c_k * term_k)."""
+    c = np.asarray(coeffs, float)
+    vj = _vector(np.tensordot(c, st.terms.xi, 1), np.tensordot(c, st.terms.dxi, 1))
+    return vj, np.tensordot(c, st.T, 1), np.tensordot(c, st.dT, 1)
+
+
+def _whiten(st, R):
+    """L^{-1} R L^{-T} * sqrt(weight * volume) for g = L L^T, per node."""
+    white = np.linalg.solve(st.chol, R)
+    white = np.linalg.solve(st.chol, np.swapaxes(white, -1, -2))
+    return white * st.scale
 
 
 class FitProblem:
@@ -179,27 +190,19 @@ class FitProblem:
         for tag, gs in (("fit", self.fit_grid), ("full", self.full_grid)):
             x, w = grid_nodes(ch, gs)
             fr = grid_frame(ch, gs)
-            term_jets = tuple(
-                scalar_jets(scalar_field(ch, text), x, order=4)
+            xi, dxi, T, dT = (np.stack(arrays) for arrays in zip(*(
+                _term_fields(fr, scalar_jets(scalar_field(ch, text), x, order=4))
                 for text in self.terms
-            )
+            )))
             scale = np.sqrt(w * fr.sqrtg)[..., None, None]
             chol = np.linalg.cholesky(fr.g)
-            self._stage[tag] = (fr, term_jets, scale, chol)
+            self._stage[tag] = _Stage(fr, _vector(xi, dxi), T, dT, scale, chol)
 
     def residual_stack(self, coeffs, lam, mu, stage="fit"):
-        fr, term_jets, scale, chol = self._stage[stage]
-        sj = _combine(term_jets, coeffs)
-        vj = gradient_vector_jets(fr, sj)
-        T, dT, _ = lie_metric_jets(fr, vj)
-        U = lie_sym2(vj, T, dT)
-        if self.kind == "ricci":
-            R = U + lam * T + fr.Ric - mu * fr.g
-        else:
-            R = U + lam * T - (mu - fr.r)[..., None, None] * fr.g
-        white = np.linalg.solve(chol, R)
-        white = np.linalg.solve(chol, np.swapaxes(white, -1, -2))
-        return (white * scale).ravel()
+        st = self._stage[stage]
+        vj, T, dT = _sum_terms(st, coeffs)
+        R = residual_tensor(self.kind, lam, mu, st.fr, lie_sym2(vj, T, dT), T)
+        return _whiten(st, R).ravel()
 
     def objective(self, coeffs, lam, mu, stage="fit"):
         y = self.residual_stack(coeffs, lam, mu, stage)
@@ -219,17 +222,23 @@ class FitProblem:
         return self.residual_stack(coeffs, lam, mu)
 
     def _jacobian(self, p, y0):
-        cols = len(p)
-        steps = [self.opts.fd_step * max(1.0, abs(p[j])) for j in range(cols)]
+        """Exact columns d residual / d (c_1.., lambda, mu) at p.
 
-        def column(j):
-            q = p.copy()
-            q[j] += steps[j]
-            return (self._stack_at(q) - y0) / steps[j]
-
-        with ThreadPoolExecutor(max_workers=_worker_count(cols)) as pool:
-            columns = list(pool.map(column, range(cols)))
-        return np.stack(columns, axis=1)
+        With U = L_xi T the residual is U + lambda T + (terms in mu and g),
+        so the column of a free c_k is L_{xi_k} T + L_xi T_k + lambda T_k,
+        that of lambda is T and that of mu is -g, for both kinds.
+        """
+        coeffs, lam, _ = self._unpack(p)
+        st = self._stage["fit"]
+        vj, T, dT = _sum_terms(st, coeffs)
+        free = _vector(st.terms.xi[1:], st.terms.dxi[1:])
+        Tk, dTk = st.T[1:], st.dT[1:]
+        columns = np.concatenate([
+            lie_sym2(free, T, dT) + lie_sym2(vj, Tk, dTk) + lam * Tk,
+            T[None],
+            -st.fr.g[None],
+        ])
+        return _whiten(st, columns).reshape(len(p), -1).T
 
     def _clamp_lam(self, p):
         clamp = self.opts.lam_clamp

@@ -24,7 +24,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .geometry import sqrt_det_metric
+from .geometry import _node_label, sqrt_det_metric
 from .jets import JetDomainError
 
 RULES = ("periodic", "legendre", "cosine")
@@ -107,11 +107,6 @@ def grid_nodes(ch, spec):
     return x, w
 
 
-def _node_label(ch, x, flat):
-    coords = x.reshape(-1, ch.dim)[flat]
-    return ", ".join(f"{nm}={v:.6g}" for nm, v in zip(ch.coords, coords))
-
-
 def integrate(fun, ch, spec=None):
     """Integral of ``fun`` against the metric volume of the chart.
 
@@ -128,7 +123,7 @@ def integrate(fun, ch, spec=None):
         except JetDomainError as err:
             flat = err.index if err.index is not None else 0
             raise QuadratureError(
-                f"integrand not defined at node ({_node_label(ch, x, flat)}): {err}"
+                f"integrand not defined at {_node_label(ch, x, flat)}: {err}"
             ) from None
     else:
         values = np.asarray(fun, dtype=float)

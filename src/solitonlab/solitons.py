@@ -185,10 +185,11 @@ class Workspace:
     lap_phi: Optional[np.ndarray] = None
 
 
-def residual_tensor(spec, fr, U, T):
-    if spec.kind == "ricci":
-        return U + spec.lam * T + fr.Ric - spec.mu * fr.g
-    return U + spec.lam * T - (spec.mu - fr.r)[..., None, None] * fr.g
+def residual_tensor(kind, lam, mu, fr, U, T):
+    """The soliton residual from U = L_xi L_xi g and T = L_xi g."""
+    if kind == "ricci":
+        return U + lam * T + fr.Ric - mu * fr.g
+    return U + lam * T - (mu - fr.r)[..., None, None] * fr.g
 
 
 def _phi_laplacian(fr, sj):
@@ -252,7 +253,7 @@ def _workspace(spec, grid):
     )
     divU = div_sym2(fr, U, dU)
     divxi = div_vector(fr, vj.xi, vj.dxi)
-    res = residual_tensor(spec, fr, U, T)
+    res = residual_tensor(spec.kind, spec.lam, spec.mu, fr, U, T)
     ws = Workspace(
         spec=spec, grid=grid, fr=fr, w=w, vj=vj, T=T, dT=dT, U=U, dU=dU,
         traceU=traceU, dtraceU=dtraceU, divU=divU, divxi=divxi, residual=res,
@@ -371,9 +372,9 @@ def identity_trace_lie2(target, grid=None, tol=Tolerances()):
         x, _ = grid_nodes(ch, grid)
         fr = grid_frame(ch, grid)
         vj = vector_jets(target, x)
-        T, dT, d2T = lie_metric_jets(fr, vj)
-        U = lie_sym2(vj, T, dT)
-        lhs = trace_g(fr, U)
+        T = lie_sym2(vj, fr.g, fr.dg)
+        dT = lie_sym2_jet(vj, fr.g, fr.dg, fr.d2g)
+        lhs = trace_g(fr, lie_sym2(vj, T, dT))
     v, dv = cov_accel(fr, vj)
     rhs = 2.0 * (
         nabla_vec_norm2(fr, vj)

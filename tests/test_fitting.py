@@ -131,15 +131,33 @@ def test_lambda_clamp_reported():
     assert abs(res.lam) >= 1e-3
 
 
-def test_threads_do_not_change_results(monkeypatch):
-    results = []
-    for threads in ("1", "3"):
-        monkeypatch.setenv("SOLITON_THREADS", threads)
-        res = small_problem(kind="ricci").fit(FitInit(lam=0.9, mu=0.2))
-        results.append(res)
-    a, b = results
-    assert a.coefficients == b.coefficients
-    assert (a.lam, a.mu, a.objective) == (b.lam, b.mu, b.objective)
+@pytest.mark.parametrize(
+    "builder,kind,family,degree",
+    [
+        (sphere2, "yamabe", "product", 2),
+        (sphere2, "ricci", "product", 2),
+        (torus2, "ricci", "fourier", 1),
+        (torus2, "yamabe", "fourier", 1),
+    ],
+)
+def test_exact_jacobian_matches_central_differences(builder, kind, family,
+                                                    degree):
+    # The residual is quadratic in the parameters, so central differences
+    # are exact up to rounding even with a large step.
+    problem = small_problem(builder(), kind, family, degree)
+    problem._frozen = 0.3
+    rng = np.random.default_rng(5)
+    p = np.concatenate([rng.uniform(-0.2, 0.2, len(problem.terms) - 1),
+                        [0.9, 0.4]])
+    A = problem._jacobian(p, problem._stack_at(p))
+    assert A.shape == (problem._stack_at(p).size, len(p))
+    for j in range(len(p)):
+        h = 1e-3 * max(1.0, abs(p[j]))
+        plus, minus = p.copy(), p.copy()
+        plus[j] += h
+        minus[j] -= h
+        fd = (problem._stack_at(plus) - problem._stack_at(minus)) / (2 * h)
+        assert np.linalg.norm(A[:, j] - fd) <= 1e-9 * np.linalg.norm(fd), j
 
 
 # ---------------------------------------------------------------- the basis

@@ -193,6 +193,8 @@ def test_fit_block_options_and_init():
           "options": {"max_iterations": 0}}, "fit.options.max_iterations"),
         ({"kind": "ricci", "basis": "fourier", "degree": 1,
           "init": {"coefficients": "big"}}, "fit.init.coefficients"),
+        ({"kind": "ricci", "basis": "fourier", "degree": 1,
+          "options": {"fd_step": 1e-6}}, "fit.options.fd_step"),
     ],
 )
 def test_fit_field_errors(block, path):

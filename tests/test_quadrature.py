@@ -206,3 +206,20 @@ def test_integrand_domain_error_reports_node():
     with pytest.raises(QuadratureError) as info:
         integrate(fun, ch, default_grid(ch, (16, 12)))
     assert "th=" in str(info.value)
+
+
+def test_integrand_domain_error_names_its_only_bad_node():
+    # On an 8 x 8 torus grid only node (3, 5) lies in the disk where the
+    # logarithm's argument is negative.
+    ch = torus2()
+    node = parse("log((x - 3*pi/4)^2 + (y - 5*pi/4)^2 - 0.01)", ch.coords)
+
+    def fun(x):
+        return eval_jet(node, x).value
+
+    with pytest.raises(QuadratureError) as info:
+        integrate(fun, ch, default_grid(ch, (8, 8)))
+    assert str(info.value) == (
+        "integrand not defined at node (3, 5) (x=2.35619, y=3.92699): "
+        "log requires a positive value"
+    )
