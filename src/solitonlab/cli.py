@@ -6,10 +6,13 @@ a bundled example):
 * ``describe``  chart summary: coordinate ranges, scalar curvature range,
   Einstein deviation, volume.
 * ``check``     identity and theorem checks on the manifest's soliton block.
-* ``integrate`` quadrature of an expression; beyond the metric DSL it binds
-  ``r`` (scalar curvature), ``f`` (declared gradient potential) and the calls
-  ``ric(v, w)``, ``g(v, w)`` over the vectors {gradf, gradr, xi}, plus
-  ``lap(s)`` and ``norm2_hess(s)`` for scalar expressions s.
+* ``integrate`` quadrature of an integrand in the grammar of
+  ``expr.parse_integrand``: beyond the metric DSL it has ``r`` (scalar
+  curvature), ``f`` (declared gradient potential), ``ric(v, w)`` and
+  ``g(v, w)`` over the vectors {gradf, gradr, xi}, and ``lap(s)`` and
+  ``norm2_hess(s)`` for s = f or an expression in the coordinates.  These
+  names are reserved: a chart whose coordinate is named like one of them
+  cannot be integrated over.
 * ``fit``       least-squares potential fit per the manifest's fit block,
   followed by the full check suite on the fitted soliton.
 
@@ -22,17 +25,18 @@ success (hypothesis-not-met included), 1 if any check verdict is violated,
 import argparse
 import json
 import math
-import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .expr import BinOp, Call, Const, ExprError, Neg, Var, parse
+from .expr import ExprError, Geo, eval_values, parse_integrand
 from .fitting import BasisExpansion, FitError, fit_potential
 from .geometry import (
     GeometryError,
+    ScalarField,
+    _node_label,
     hessian,
     laplacian,
     norm2_sym2,
@@ -111,84 +115,16 @@ def report_dict(rep):
     }
 
 
-# ------------------------------------------------------ expression evaluation
+# ------------------------------------------------------------- integrands
 
-_NUMPY_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp,
-                "log": np.log, "sqrt": np.sqrt}
+def _integrand_values(man, fr, x, source):
+    """Values of the integrand ``source`` at the nodes ``x``, with its
+    geometric names bound to the frame ``fr`` and the manifest's soliton."""
+    ch = man.chart
+    sol = man.soliton
+    jets = {}
 
-
-def _value(node, xs):
-    """Plain values of a parsed expression over stacked columns xs (..., k)."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return xs[..., node.index]
-    if isinstance(node, Neg):
-        return -_value(node.arg, xs)
-    if isinstance(node, Call):
-        return _NUMPY_FUNCS[node.func](_value(node.arg, xs))
-    left, right = _value(node.left, xs), _value(node.right, xs)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
-        return left / right
-    return left ** right
-
-
-_EXT_CALL = re.compile(r"\b(ric|g|lap|norm2_hess)\s*\(")
-_EXT_NAME = re.compile(r"\b(r|f|gradf|gradr|xi)\b")
-
-
-def _match_paren(text, open_idx):
-    depth = 0
-    for k in range(open_idx, len(text)):
-        if text[k] == "(":
-            depth += 1
-        elif text[k] == ")":
-            depth -= 1
-            if depth == 0:
-                return k
-    raise ExprError("unbalanced parentheses", open_idx)
-
-
-def _split_args(text):
-    parts, depth, start = [], 0, 0
-    for k, c in enumerate(text):
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        elif c == "," and depth == 0:
-            parts.append(text[start:k])
-            start = k + 1
-    parts.append(text[start:])
-    return parts
-
-
-class _Integrand:
-    """Rewrites the extended integrand DSL into the metric DSL plus
-    precomputed placeholder columns, then evaluates it on the grid."""
-
-    def __init__(self, man, fr, x):
-        self.man = man
-        self.ch = man.chart
-        self.fr = fr
-        self.x = x
-        self.cols = {}
-        self._jet_cache = {}
-
-    def _placeholder(self, array):
-        name = f"_q{len(self.cols)}"
-        self.cols[name] = np.broadcast_to(np.asarray(array, float),
-                                          self.x.shape[:-1])
-        return name
-
-    def _potential(self):
-        sol = self.man.soliton
+    def potential():
         if sol is None or sol.potential is None:
             raise SolitonError(
                 "integrand references the potential f but the manifest "
@@ -196,103 +132,42 @@ class _Integrand:
             )
         return sol.potential
 
-    def _jets(self, source):
-        if source not in self._jet_cache:
-            field = scalar_field(self.ch, source)
-            self._jet_cache[source] = scalar_jets(field, self.x, order=3)
-        return self._jet_cache[source]
+    def scalar(node):
+        """Order-3 jets of f (``Geo("f")``) or of a coordinate expression."""
+        field = (potential() if node == Geo("f") else
+                 ScalarField(ch, source[node.span[0]:node.span[1]], node))
+        if field.node not in jets:
+            jets[field.node] = scalar_jets(field, x, order=3)
+        return jets[field.node]
 
-    def _vector(self, name):
-        name = name.strip()
+    def vector(name):
         if name == "gradr":
-            return raise_covec(self.fr, self.fr.dr)
+            return raise_covec(fr, fr.dr)
         if name == "gradf":
-            return raise_covec(self.fr, self._jets(self._potential().source).df)
-        if name == "xi":
-            sol = self.man.soliton
-            if sol is None or sol.vector is None:
-                raise SolitonError(
-                    "integrand references xi but the manifest declares "
-                    "no vector potential"
-                )
-            comps = [
-                np.broadcast_to(np.asarray(_value(nd, self.x), float),
-                                self.x.shape[:-1])
-                for nd in sol.vector.nodes
-            ]
-            return np.stack(comps, axis=-1)
-        raise SolitonError(
-            f"ric/g arguments must be one of gradf, gradr, xi; got {name!r}"
-        )
-
-    def _scalar_op(self, func, inner):
-        inner = inner.strip()
-        if inner == "f":
-            source = self._potential().source
-        else:
-            bad = _EXT_CALL.search(inner)
-            if bad is None:
-                for m in _EXT_NAME.finditer(inner):
-                    if m.group(1) not in self.ch.coords:
-                        bad = m
-                        break
-            if bad is not None:
-                raise SolitonError(
-                    f"{func} takes a coordinate expression or the potential "
-                    f"name f, got {inner!r}"
-                )
-            source = inner
-        sj = self._jets(source)
-        if func == "lap":
-            return laplacian(self.fr, sj)
-        return norm2_sym2(self.fr, hessian(self.fr, sj))
-
-    def _rewrite(self, source):
-        text = source
-        while True:
-            m = _EXT_CALL.search(text)
-            if m is None:
-                break
-            func = m.group(1)
-            close = _match_paren(text, m.end() - 1)
-            inner = text[m.end():close]
-            if func in ("ric", "g"):
-                args = _split_args(inner)
-                if len(args) != 2:
-                    raise SolitonError(f"{func} takes exactly two arguments")
-                v, w = self._vector(args[0]), self._vector(args[1])
-                if func == "ric":
-                    array = ric_vv(self.fr, v, w)
-                else:
-                    array = np.einsum("...ab,...a,...b->...", self.fr.g, v, w)
-            else:
-                array = self._scalar_op(func, inner)
-            text = text[:m.start()] + self._placeholder(array) + text[close + 1:]
-
-        def bare(m):
-            name = m.group(1)
-            if name in self.ch.coords:
-                return name
-            if name == "r":
-                return self._placeholder(self.fr.r)
-            if name == "f":
-                pot = self._potential()
-                return self._placeholder(_value(pot.node, self.x))
+            return raise_covec(fr, scalar(Geo("f")).df)
+        if sol is None or sol.vector is None:
             raise SolitonError(
-                f"{name} is only meaningful as an argument of ric(,) or g(,)"
+                "integrand references xi but the manifest declares "
+                "no vector potential"
             )
+        return np.stack([eval_values(nd, x) for nd in sol.vector.nodes], axis=-1)
 
-        return _EXT_NAME.sub(bare, text)
+    def leaf(node):
+        if node.name == "r":
+            return fr.r
+        if node.name == "f":
+            return eval_values(potential().node, x)
+        if node.name == "ric":
+            return ric_vv(fr, *map(vector, node.args))
+        if node.name == "g":
+            v, w = map(vector, node.args)
+            return np.einsum("...ab,...a,...b->...", fr.g, v, w)
+        sj = scalar(node.args[0])
+        if node.name == "lap":
+            return laplacian(fr, sj)
+        return norm2_sym2(fr, hessian(fr, sj))
 
-    def evaluate(self, source):
-        text = self._rewrite(source)
-        names = tuple(self.cols)
-        node = parse(text, self.ch.coords + names)
-        columns = [self.x] + [c[..., None] for c in self.cols.values()]
-        xs = np.concatenate(columns, axis=-1)
-        with np.errstate(all="ignore"):
-            values = _value(node, xs)
-        return np.broadcast_to(np.asarray(values, float), self.x.shape[:-1])
+    return eval_values(parse_integrand(source, ch.coords), x, leaf)
 
 
 # ----------------------------------------------------------------- commands
@@ -368,10 +243,17 @@ def cmd_integrate(man, expression, grid):
     spec = grid if grid is not None else default_grid(ch)
     x, w = grid_nodes(ch, spec)
     fr = grid_frame(ch, spec)
-    values = _Integrand(man, fr, x).evaluate(expression)
+    values = _integrand_values(man, fr, x, expression)
+    finite = np.isfinite(values)
+    if not finite.all():
+        flat = int(np.argmin(finite))
+        raise QuadratureError(
+            f"integrand not defined at {_node_label(ch, x, flat)}: "
+            f"value {float(values.flat[flat])!r}"
+        )
     total = float(np.sum(values * w * fr.sqrtg))
     if not math.isfinite(total):
-        raise ExprError("integrand evaluated to a non-finite value", 0)
+        raise QuadratureError("integral of a finite integrand overflowed")
     report = {
         "command": "integrate",
         "manifest": man.name,

@@ -237,11 +237,41 @@ def test_integrate_errors_exit_2(capsys):
         ("sphere2", "ric(gradr, q)"),
         ("sphere2", "unknown_name + 1"),
         ("sphere2", "sin(th"),
+        ("sphere2", "exp(3^6)*r"),
     ]
     for manifest, expression in cases:
         code, out, err = run(capsys, "integrate", manifest, expression)
         assert code == 2, (manifest, expression)
         assert err.startswith("error:")
+        # Only the first case fails after parsing: sphere2 declares no potential.
+        if expression != "f":
+            assert "at offset" in err, expression
+
+
+def test_integrate_non_finite_names_first_bad_node(capsys):
+    code, out, err = run(capsys, "integrate", "sphere2", "log(cos(th))",
+                         "--grid", "8,8")
+    assert code == 2
+    assert "node (4, 0) (th=1.75528, ph=0)" in err
+
+
+def test_integrand_names_cannot_be_coordinates(tmp_path, capsys):
+    data = {
+        "manifold": {
+            "name": "torus_rf", "dim": 2, "coords": ["r", "f"],
+            "domain": [[0, "2*pi"], [0, "2*pi"]], "periodic": [True, True],
+            "metric": [["1", "0"], ["0", "1"]],
+        },
+        "soliton": {"kind": "ricci", "potential": {"gradient": "sin(r)*cos(f)"},
+                    "lambda": 1, "mu": 0},
+    }
+    path = tmp_path / "torus_rf.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "describe", str(path))
+    assert code == 0, err
+    code, out, err = run(capsys, "integrate", str(path), "r")
+    assert code == 2
+    assert "shadows" in err
 
 
 # ----------------------------------------------------------------------- fit

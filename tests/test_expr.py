@@ -16,14 +16,17 @@ from solitonlab.expr import (
     Call,
     Const,
     ExprError,
+    Geo,
     Neg,
     Var,
     FUNCTIONS,
     eval_jet,
     eval_number,
+    eval_values,
     evaluate,
     free_vars,
     parse,
+    parse_integrand,
     pretty,
 )
 from solitonlab.jets import JetDomainError, seed
@@ -82,6 +85,13 @@ def test_pinned_ast_shapes():
     assert parse("th^ph^2", ("th", "ph")) == BinOp(
         "^", Var("th", 0), BinOp("^", Var("ph", 1), Const(2.0))
     )
+    got = parse_integrand("r*lap(f) - ric(gradf, xi) + norm2_hess(th^2)", ("th", "ph"))
+    assert got == BinOp(
+        "+",
+        BinOp("-", BinOp("*", Geo("r"), Geo("lap", (Geo("f"),))),
+              Geo("ric", ("gradf", "xi"))),
+        Geo("norm2_hess", (BinOp("^", Var("th", 0), Const(2.0)),)),
+    )
 
 
 def test_spans_cover_source():
@@ -103,11 +113,30 @@ def test_spans_cover_source():
         ("sin + 1", 0),
         ("bogus", 0),
         ("1 $ 2", 2),
+        ("r", 0),
+        ("lap(th)", 0),
     ],
 )
 def test_error_offsets(source, offset):
     with pytest.raises(ExprError) as info:
         parse(source, ("th",))
+    assert info.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "source,offset",
+    [
+        ("gradf", 0),
+        ("lap(r)", 4),
+        ("lap(2*f)", 4),
+        ("ric(gradr)", 9),
+        ("ric(gradr, q)", 11),
+        ("g(gradf,gradf,xi)", 13),
+    ],
+)
+def test_integrand_error_offsets(source, offset):
+    with pytest.raises(ExprError) as info:
+        parse_integrand(source, ("th", "ph"))
     assert info.value.offset == offset
 
 
@@ -126,6 +155,9 @@ def test_bad_coordinate_names():
         parse("1", ("sin",))
     with pytest.raises(ValueError):
         parse("1", ("2bad",))
+    assert parse("r", ("r",)) == Var("r", 0)
+    with pytest.raises(ValueError):
+        parse_integrand("1", ("r",))
 
 
 def test_free_vars():
@@ -265,6 +297,22 @@ def test_value_matches_pointwise_oracle(node, t, p):
         # for example sqrt at an isolated zero of a non-constant argument.
         return
     assert j.value == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+@given(ast_strategy(max_leaves=6), st.floats(0.3, 2.5), st.floats(0.3, 2.5))
+def test_values_match_jet_values(node, t, p):
+    x = np.array([t, p])
+    try:
+        j = eval_jet(node, x)
+    except (ExprError, JetDomainError):
+        return
+    # The branches round differently (a jet divides through a reciprocal and
+    # raises to a non-integer power as exp(c log a)), so they agree relative
+    # to the value's scale plus its sensitivity to the coordinates.
+    scale = max(1.0, abs(j.value)) + np.abs(j.gradient()) @ x
+    if not np.isfinite(scale):
+        return
+    assert abs(eval_values(node, x) - j.value) <= 1e-12 * scale
 
 
 @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=40))
