@@ -10,10 +10,9 @@ hypothesis-not-met, which is the honest reading of that landscape.
 import numpy as np
 
 from solitonlab.fitting import BasisExpansion, FitInit, FitOptions, FitProblem
-from solitonlab.geometry import scalar_field
 from solitonlab.manifest import bundled
 from solitonlab.quadrature import default_grid
-from solitonlab.solitons import SolitonSpec, run_check
+from solitonlab.solitons import run_check
 
 
 def show(title, problem, result):
@@ -26,16 +25,6 @@ def show(title, problem, result):
           f"lambda* = {result.lam:.6g}   iterations = {result.iterations}")
     print(f"   converged  {result.converged} ({result.reason}); "
           f"lambda clamp hit: {result.lam_clamped}")
-
-
-def fitted_spec(ch, kind, basis, result):
-    pieces = []
-    for c, term in zip(result.coefficients, basis.terms()):
-        pieces.append(repr(c) if term == "1" else f"({c!r})*{term}")
-    return SolitonSpec(
-        name=ch.name, chart=ch, kind=kind, lam=result.lam, mu=result.mu,
-        potential=scalar_field(ch, " + ".join(pieces)),
-    )
 
 
 def main():
@@ -60,9 +49,8 @@ def main():
                          opts=FitOptions(max_iterations=25))
     result = problem.fit(FitInit(coefficients=(0.0, 0.1, 0.1), lam=1.0, mu=2.0))
     show("warped sphere, Yamabe kind, poly-cos degree 2", problem, result)
-    spec = fitted_spec(ch, "yamabe", basis, result)
     for cid in ("remark_csc", "T-1"):
-        rep = run_check(spec, cid)
+        rep = run_check(result.soliton, cid)
         print(f"   post-fit   {cid:12s} {rep.verdict} "
               f"(max residual {rep.max_residual:.3e})")
 

@@ -26,6 +26,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,6 @@ from .geometry import (
     norm2_sym2,
     raise_covec,
     ric_vv,
-    scalar_field,
     scalar_jets,
 )
 from .manifest import ManifestError, bundled, bundled_names, load_manifest
@@ -51,7 +51,6 @@ from .solitons import (
     CHECK_IDS,
     GRADIENT_ONLY,
     SolitonError,
-    SolitonSpec,
     Tolerances,
     grid_frame,
     run_check,
@@ -140,6 +139,7 @@ def _integrand_values(man, fr, x, source):
             jets[field.node] = scalar_jets(field, x, order=3)
         return jets[field.node]
 
+    @cache
     def vector(name):
         if name == "gradr":
             return raise_covec(fr, fr.dr)
@@ -265,14 +265,6 @@ def cmd_integrate(man, expression, grid):
     return report, 0
 
 
-def _potential_text(coefficients, terms):
-    pieces = []
-    for c, term in zip(coefficients, terms):
-        coef = format(float(c), ".17g")
-        pieces.append(coef if term == "1" else f"({coef})*{term}")
-    return " + ".join(pieces) if pieces else "0"
-
-
 def cmd_fit(man, grid, tol):
     if man.fit is None:
         raise ManifestError("fit", "the fit command needs a fit block")
@@ -282,20 +274,14 @@ def cmd_fit(man, grid, tol):
                            degree=man.fit.degree)
     result = fit_potential(ch, man.fit.kind, basis, init=man.fit.init,
                            grid=spec, opts=man.fit.options)
-    terms = basis.terms()
-    text = _potential_text(result.coefficients, terms)
-    fitted = SolitonSpec(
-        name=man.name, chart=ch, kind=man.fit.kind,
-        lam=result.lam, mu=result.mu, potential=scalar_field(ch, text),
-    )
-    checks = [run_check(fitted, cid, spec, tol) for cid in CHECK_IDS]
+    checks = [run_check(result.soliton, cid, spec, tol) for cid in CHECK_IDS]
     counts = {v: sum(1 for r in checks if r.verdict == v) for v in VERDICTS}
     report = {
         "command": "fit",
         "manifest": man.name,
         "kind": man.fit.kind,
         "basis": {"family": man.fit.family, "degree": man.fit.degree,
-                  "terms": list(terms)},
+                  "terms": list(basis.terms())},
         "result": {
             "coefficients": list(result.coefficients),
             "lambda": result.lam,
@@ -309,7 +295,7 @@ def cmd_fit(man, grid, tol):
             "grid": list(result.grid),
             "fit_grid": list(result.fit_grid),
         },
-        "potential": text,
+        "potential": result.soliton.potential.source,
         "verdict_counts": counts,
         "checks": [report_dict(r) for r in checks],
     }

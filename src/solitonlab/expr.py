@@ -308,19 +308,6 @@ def parse_integrand(source, coords):
     return _parse(source, coords, integrand=True)
 
 
-def free_vars(node):
-    """Set of coordinate indices the expression actually reads."""
-    if isinstance(node, Var):
-        return frozenset((node.index,))
-    if isinstance(node, Neg):
-        return free_vars(node.arg)
-    if isinstance(node, Call):
-        return free_vars(node.arg)
-    if isinstance(node, BinOp):
-        return free_vars(node.left) | free_vars(node.right)
-    return frozenset()
-
-
 def _eval(node, leaf):
     """Value of ``node`` over floats, numpy arrays or jets; ``leaf`` returns
     the value of each Var and Geo node."""

@@ -1,17 +1,21 @@
 """Least-squares search for gradient soliton data (f, lambda, mu).
 
 The potential is a linear combination of DSL basis terms, so xi = grad f and
-T = L_xi g are the same combinations of per-term arrays computed once per
-grid, and U = L_xi T is bilinear in the coefficients.  The residual is
-therefore quadratic in the parameters and its Jacobian is written down
-exactly; no finite differences appear anywhere.  Gauss-Newton steps with
-Levenberg damping minimize
+T = L_xi g are the same combinations of per-term arrays computed once on the
+fit grid (half the full grid per axis), and U = L_xi T is bilinear in the
+coefficients.  The residual is therefore quadratic in the parameters and its
+Jacobian is written down exactly; no finite differences appear anywhere.
+Gauss-Newton steps with Levenberg damping minimize
 
     J = integral of |residual|^2 over the manifold,
 
 realized as the squared norm of a stacked vector of Cholesky-whitened
 residual components scaled by sqrt(weight * volume element), so the normal
 equations see the same metric-invariant objective the reports quote.
+
+The reported objective is J on the full grid of the fitted soliton, read
+from ``solitons.workspace`` of that soliton; FitResult.soliton carries it,
+so checks run on it afterwards reuse the same workspace.
 
 The constant basis coefficient is frozen: f enters the equations only
 through grad f, and leaving the flat direction in would make the normal
@@ -27,13 +31,21 @@ import numpy as np
 from .geometry import (
     VectorJets,
     gradient_vector_jets,
+    lie_metric_jets,
     lie_sym2,
-    lie_sym2_jet,
+    norm2_sym2,
     scalar_field,
     scalar_jets,
 )
 from .quadrature import GridSpec, default_grid, grid_nodes
-from .solitons import KINDS, SolitonError, grid_frame, residual_tensor
+from .solitons import (
+    KINDS,
+    SolitonError,
+    SolitonSpec,
+    grid_frame,
+    residual_tensor,
+    workspace,
+)
 
 FAMILIES = ("fourier", "poly-cos", "product")
 
@@ -134,6 +146,7 @@ class FitResult:
     lam_clamped: bool
     grid: Tuple[int, ...]
     fit_grid: Tuple[int, ...]
+    soliton: SolitonSpec
 
 
 def _half_grid(ch, grid):
@@ -141,12 +154,19 @@ def _half_grid(ch, grid):
     return GridSpec(counts=counts, rules=grid.rules)
 
 
+def _potential_text(coefficients, terms):
+    """DSL text of sum(c_k * term_k), coefficients at 17 significant digits."""
+    pieces = []
+    for c, term in zip(coefficients, terms):
+        coef = format(float(c), ".17g")
+        pieces.append(coef if term == "1" else f"({coef})*{term}")
+    return " + ".join(pieces) if pieces else "0"
+
+
 def _term_fields(fr, sj):
     """(xi, dxi, T, dT) of one basis term: its gradient and T = L_xi g."""
     vj = gradient_vector_jets(fr, sj)
-    T = lie_sym2(vj, fr.g, fr.dg)
-    dT = lie_sym2_jet(vj, fr.g, fr.dg, fr.d2g)
-    return vj.xi, vj.dxi, T, dT
+    return (vj.xi, vj.dxi) + lie_metric_jets(fr, vj)
 
 
 def _vector(xi, dxi):
@@ -154,7 +174,7 @@ def _vector(xi, dxi):
     return VectorJets(xi=xi, dxi=dxi, d2xi=None, d3xi=None)
 
 
-# Per-grid arrays of a fit; the basis term is the leading axis of terms.xi,
+# The fit grid's arrays; the basis term is the leading axis of terms.xi,
 # terms.dxi, T and dT.
 _Stage = namedtuple("_Stage", "fr terms T dT scale chol")
 
@@ -174,7 +194,7 @@ def _whiten(st, R):
 
 
 class FitProblem:
-    """Owns per-grid precomputation; one instance per fit, not shared."""
+    """Owns the fit grid's precomputation; one instance per fit, not shared."""
 
     def __init__(self, ch, kind, basis, grid=None, opts=FitOptions()):
         if kind not in KINDS:
@@ -186,26 +206,24 @@ class FitProblem:
         self.full_grid = grid if grid is not None else default_grid(ch)
         self.fit_grid = _half_grid(ch, self.full_grid)
         self.terms = basis.terms()
-        self._stage = {}
-        for tag, gs in (("fit", self.fit_grid), ("full", self.full_grid)):
-            x, w = grid_nodes(ch, gs)
-            fr = grid_frame(ch, gs)
-            xi, dxi, T, dT = (np.stack(arrays) for arrays in zip(*(
-                _term_fields(fr, scalar_jets(scalar_field(ch, text), x, order=4))
-                for text in self.terms
-            )))
-            scale = np.sqrt(w * fr.sqrtg)[..., None, None]
-            chol = np.linalg.cholesky(fr.g)
-            self._stage[tag] = _Stage(fr, _vector(xi, dxi), T, dT, scale, chol)
+        x, w = grid_nodes(ch, self.fit_grid)
+        fr = grid_frame(ch, self.fit_grid)
+        xi, dxi, T, dT = (np.stack(arrays) for arrays in zip(*(
+            _term_fields(fr, scalar_jets(scalar_field(ch, text), x, order=4))
+            for text in self.terms
+        )))
+        scale = np.sqrt(w * fr.sqrtg)[..., None, None]
+        chol = np.linalg.cholesky(fr.g)
+        self._st = _Stage(fr, _vector(xi, dxi), T, dT, scale, chol)
 
-    def residual_stack(self, coeffs, lam, mu, stage="fit"):
-        st = self._stage[stage]
+    def residual_stack(self, coeffs, lam, mu):
+        st = self._st
         vj, T, dT = _sum_terms(st, coeffs)
         R = residual_tensor(self.kind, lam, mu, st.fr, lie_sym2(vj, T, dT), T)
         return _whiten(st, R).ravel()
 
-    def objective(self, coeffs, lam, mu, stage="fit"):
-        y = self.residual_stack(coeffs, lam, mu, stage)
+    def objective(self, coeffs, lam, mu):
+        y = self.residual_stack(coeffs, lam, mu)
         return float(y @ y)
 
     # ------------------------------------------------------------ optimizer
@@ -229,7 +247,7 @@ class FitProblem:
         that of lambda is T and that of mu is -g, for both kinds.
         """
         coeffs, lam, _ = self._unpack(p)
-        st = self._stage["fit"]
+        st = self._st
         vj, T, dT = _sum_terms(st, coeffs)
         free = _vector(st.terms.xi[1:], st.terms.dxi[1:])
         Tk, dTk = st.T[1:], st.dT[1:]
@@ -313,11 +331,17 @@ class FitProblem:
                 break
 
         coeffs, lam, mu = self._unpack(p)
+        ch = self.chart
+        soliton = SolitonSpec(
+            name=ch.name, chart=ch, kind=self.kind, lam=lam, mu=mu,
+            potential=scalar_field(ch, _potential_text(coeffs, self.terms)),
+        )
+        ws = workspace(soliton, self.full_grid)
         return FitResult(
             coefficients=tuple(float(c) for c in coeffs),
             lam=lam,
             mu=mu,
-            objective=self.objective(coeffs, lam, mu, stage="full"),
+            objective=ws.integral(norm2_sym2(ws.fr, ws.residual)),
             objective_fit_grid=J,
             iterations=iterations,
             converged=converged,
@@ -325,6 +349,7 @@ class FitProblem:
             lam_clamped=lam_clamped,
             grid=tuple(self.full_grid.counts),
             fit_grid=tuple(self.fit_grid.counts),
+            soliton=soliton,
         )
 
 

@@ -54,7 +54,6 @@ __all__ = [
     "lie_sym2",
     "lie_sym2_jet",
     "lie_sym2_jet2",
-    "lie_metric",
     "lie_metric_jets",
     "lie2_metric",
     "cov_accel",
@@ -554,24 +553,16 @@ def lie_sym2_jet2(vj, T, dT, d2T, d3T):
     )
 
 
-def lie_metric(fr, vj):
-    return lie_sym2(vj, fr.g, fr.dg)
-
-
 def lie_metric_jets(fr, vj):
-    """(T, dT, d2T) for T = L_xi g."""
-    T = lie_sym2(vj, fr.g, fr.dg)
-    dT = lie_sym2_jet(vj, fr.g, fr.dg, fr.d2g)
-    d2T = lie_sym2_jet2(vj, fr.g, fr.dg, fr.d2g, fr.d3g)
-    return T, dT, d2T
+    """(T, dT) for T = L_xi g, from xi, dxi and d2xi."""
+    return lie_sym2(vj, fr.g, fr.dg), lie_sym2_jet(vj, fr.g, fr.dg, fr.d2g)
 
 
 def lie2_metric(fr, vj):
     """(U, dU) for U = L_xi L_xi g."""
-    T, dT, d2T = lie_metric_jets(fr, vj)
-    U = lie_sym2(vj, T, dT)
-    dU = lie_sym2_jet(vj, T, dT, d2T)
-    return U, dU
+    T, dT = lie_metric_jets(fr, vj)
+    d2T = lie_sym2_jet2(vj, fr.g, fr.dg, fr.d2g, fr.d3g)
+    return lie_sym2(vj, T, dT), lie_sym2_jet(vj, T, dT, d2T)
 
 
 # --------------------------------------------------------- vector field calcs

@@ -17,10 +17,14 @@ and violated marks a conclusion failing under satisfied hypotheses.
 Structural premises that are not numbers (wrong equation kind for a theorem
 stated for one kind only, or a dimension bound) are encoded as indicator
 hypothesis residuals taking the values 0.0 or 1.0, with an explanatory note.
+
+Every field quantity the checks read has one definition, as a lazily
+computed attribute of ``Workspace``; ``workspace(target, grid)`` caches one
+per soliton or bare field and grid, and computes only what is read.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -35,12 +39,11 @@ from .geometry import (
     frame,
     gradient_vector_jets,
     hessian,
-    hessian_jet,
-    laplacian,
     laplacian_jet,
     lie_metric_jets,
     lie_sym2,
     lie_sym2_jet,
+    lie_sym2_jet2,
     nabla_vec_norm2,
     norm2_covec,
     norm2_sym2,
@@ -50,7 +53,7 @@ from .geometry import (
     trace_g,
     vector_jets,
 )
-from .quadrature import GridSpec, default_grid, grid_nodes
+from .quadrature import default_grid, grid_nodes
 
 KINDS = ("ricci", "yamabe")
 
@@ -157,34 +160,6 @@ class CheckReport:
 # ------------------------------------------------------------ field assembly
 
 
-@dataclass(eq=False)
-class Workspace:
-    """Everything the checks read, assembled once per (spec, grid)."""
-
-    spec: SolitonSpec
-    grid: GridSpec
-    fr: object
-    w: np.ndarray
-    vj: object
-    T: np.ndarray
-    dT: np.ndarray
-    U: np.ndarray
-    dU: np.ndarray
-    traceU: np.ndarray
-    dtraceU: np.ndarray
-    divU: np.ndarray
-    divxi: np.ndarray
-    residual: np.ndarray
-    sj: Optional[object] = None
-    H: Optional[np.ndarray] = None
-    dH: Optional[np.ndarray] = None
-    lap: Optional[np.ndarray] = None
-    dlap: Optional[np.ndarray] = None
-    gfr: Optional[np.ndarray] = None
-    div_cov: Optional[np.ndarray] = None
-    lap_phi: Optional[np.ndarray] = None
-
-
 def residual_tensor(kind, lam, mu, fr, U, T):
     """The soliton residual from U = L_xi L_xi g and T = L_xi g."""
     if kind == "ricci":
@@ -228,60 +203,123 @@ grid_frame.cache_info = _grid_frame.cache_info
 grid_frame.cache_clear = _grid_frame.cache_clear
 
 
-def workspace(spec, grid=None):
-    """Cached field quantities of a soliton on a grid; ``grid=None`` means
-    ``default_grid(spec.chart)`` and shares its cache entry."""
-    return _workspace(spec, default_grid(spec.chart) if grid is None else grid)
+class Workspace:
+    """The field quantities the checks read, for one soliton or one bare
+    ScalarField/VectorField on one grid.  Each is computed the first time it
+    is read; ``residual`` needs a SolitonSpec."""
+
+    def __init__(self, target, grid):
+        self.target = target
+        self.grid = grid
+        if isinstance(target, SolitonSpec):
+            self.field = target.potential if target.is_gradient else target.vector
+        else:
+            self.field = target
+        self.x, self.w = grid_nodes(target.chart, grid)
+        self.fr = grid_frame(target.chart, grid)
+
+    def integral(self, values):
+        """Quadrature of nodal values against the Riemannian volume."""
+        return float(np.sum(values * self.w * self.fr.sqrtg))
+
+    @cached_property
+    def sj(self):
+        return scalar_jets(self.field, self.x, order=4)
+
+    @cached_property
+    def vj(self):
+        if isinstance(self.field, ScalarField):
+            return gradient_vector_jets(self.fr, self.sj)
+        return vector_jets(self.field, self.x)
+
+    @cached_property
+    def Tjets(self):
+        """(T, dT) for T = L_xi g."""
+        return lie_metric_jets(self.fr, self.vj)
+
+    T = property(lambda self: self.Tjets[0])
+    dT = property(lambda self: self.Tjets[1])
+
+    @cached_property
+    def U(self):
+        """L_xi L_xi g."""
+        return lie_sym2(self.vj, self.T, self.dT)
+
+    @cached_property
+    def dU(self):
+        fr, vj = self.fr, self.vj
+        d2T = lie_sym2_jet2(vj, fr.g, fr.dg, fr.d2g, fr.d3g)
+        return lie_sym2_jet(vj, self.T, self.dT, d2T)
+
+    @cached_property
+    def traceU(self):
+        return trace_g(self.fr, self.U)
+
+    @cached_property
+    def dtraceU(self):
+        fr = self.fr
+        return np.einsum("...aij,...ij->...a", fr.dginv, self.U) + np.einsum(
+            "...ij,...aij->...a", fr.ginv, self.dU
+        )
+
+    @cached_property
+    def divU(self):
+        return div_sym2(self.fr, self.U, self.dU)
+
+    @cached_property
+    def divxi(self):
+        return div_vector(self.fr, self.vj.xi, self.vj.dxi)
+
+    @cached_property
+    def residual(self):
+        t = self.target
+        return residual_tensor(t.kind, t.lam, t.mu, self.fr, self.U, self.T)
+
+    @cached_property
+    def H(self):
+        return hessian(self.fr, self.sj)
+
+    @cached_property
+    def lap(self):
+        return trace_g(self.fr, self.H)
+
+    @cached_property
+    def dlap(self):
+        return laplacian_jet(self.fr, self.sj)
+
+    @cached_property
+    def gfr(self):
+        """g(grad f, grad r)."""
+        return np.einsum("...ab,...a,...b->...", self.fr.ginv, self.sj.df,
+                         self.fr.dr)
+
+    @cached_property
+    def div_cov(self):
+        """div(nabla_xi xi)."""
+        return div_vector(self.fr, *cov_accel(self.fr, self.vj))
+
+    @cached_property
+    def lap_phi(self):
+        """lap |grad f|^2."""
+        return _phi_laplacian(self.fr, self.sj)
 
 
-@lru_cache(maxsize=4)
-def _workspace(spec, grid):
-    x, w = grid_nodes(spec.chart, grid)
-    fr = grid_frame(spec.chart, grid)
-    if spec.is_gradient:
-        sj = scalar_jets(spec.potential, x, order=4)
-        vj = gradient_vector_jets(fr, sj)
-    else:
-        sj = None
-        vj = vector_jets(spec.vector, x)
-    T, dT, d2T = lie_metric_jets(fr, vj)
-    U = lie_sym2(vj, T, dT)
-    dU = lie_sym2_jet(vj, T, dT, d2T)
-    traceU = trace_g(fr, U)
-    dtraceU = np.einsum("...aij,...ij->...a", fr.dginv, U) + np.einsum(
-        "...ij,...aij->...a", fr.ginv, dU
-    )
-    divU = div_sym2(fr, U, dU)
-    divxi = div_vector(fr, vj.xi, vj.dxi)
-    res = residual_tensor(spec.kind, spec.lam, spec.mu, fr, U, T)
-    ws = Workspace(
-        spec=spec, grid=grid, fr=fr, w=w, vj=vj, T=T, dT=dT, U=U, dU=dU,
-        traceU=traceU, dtraceU=dtraceU, divU=divU, divxi=divxi, residual=res,
-    )
-    if spec.is_gradient:
-        ws.sj = sj
-        ws.H = hessian(fr, sj)
-        ws.dH = hessian_jet(fr, sj)
-        ws.lap = laplacian(fr, sj)
-        ws.dlap = laplacian_jet(fr, sj)
-        ws.gfr = np.einsum("...ab,...a,...b->...", fr.ginv, sj.df, fr.dr)
-        v, dv = cov_accel(fr, vj)
-        ws.div_cov = div_vector(fr, v, dv)
-        ws.lap_phi = _phi_laplacian(fr, sj)
-    return ws
+def workspace(target, grid=None):
+    """The cached Workspace of a SolitonSpec or a bare field on a grid;
+    ``grid=None`` means ``default_grid(target.chart)`` and shares its cache
+    entry."""
+    return _workspace(target, default_grid(target.chart) if grid is None else grid)
+
+
+_workspace = lru_cache(maxsize=4)(Workspace)
 
 
 workspace.cache_info = _workspace.cache_info
 workspace.cache_clear = _workspace.cache_clear
 
 
-def _integrate(ws, values):
-    return float(np.sum(values * ws.w * ws.fr.sqrtg))
-
-
 def _vol_mean(ws, values):
-    vol = float(np.sum(ws.w * ws.fr.sqrtg))
-    return _integrate(ws, values) / vol
+    return ws.integral(values) / ws.integral(1.0)
 
 
 def _max_sym2(ws, T):
@@ -326,11 +364,12 @@ def _build_report(check_id, grid, tol, conclusions, hypotheses,
     )
 
 
-def _require_gradient(spec, check_id):
-    if not spec.is_gradient:
+def _require_gradient(target, check_id):
+    """A SolitonSpec must carry a potential; a bare field passes through."""
+    if isinstance(target, SolitonSpec) and not target.is_gradient:
         raise SolitonError(
             f"check {check_id!r} needs a gradient potential, and soliton "
-            f"{spec.name!r} carries an explicit vector field"
+            f"{target.name!r} carries an explicit vector field"
         )
 
 
@@ -348,72 +387,38 @@ def _soliton_gates(ws, tol, trace_free=False, const_trace=False, div_free=False)
 
 def killing_residual(target, grid=None):
     """max over nodes of the norm of L_xi g; zero exactly for Killing fields."""
-    if isinstance(target, SolitonSpec):
-        ws = workspace(target, grid)
-        return _max_sym2(ws, ws.T)
-    ch = target.chart
-    if grid is None:
-        grid = default_grid(ch)
-    x, _ = grid_nodes(ch, grid)
-    fr = grid_frame(ch, grid)
-    vj = vector_jets(target, x)
-    T = lie_sym2(vj, fr.g, fr.dg)
-    return float(np.sqrt(np.max(norm2_sym2(fr, T))))
+    ws = workspace(target, grid)
+    return _max_sym2(ws, ws.T)
 
 
 def identity_trace_lie2(target, grid=None, tol=Tolerances()):
     """trace(L_xi L_xi g) = 2(|nabla xi|^2 + div(nabla_xi xi) - Ric(xi, xi))."""
-    if isinstance(target, SolitonSpec):
-        ws = workspace(target, grid)
-        fr, vj, lhs, grid = ws.fr, ws.vj, ws.traceU, ws.grid
-    else:
-        ch = target.chart
-        grid = grid or default_grid(ch)
-        x, _ = grid_nodes(ch, grid)
-        fr = grid_frame(ch, grid)
-        vj = vector_jets(target, x)
-        T = lie_sym2(vj, fr.g, fr.dg)
-        dT = lie_sym2_jet(vj, fr.g, fr.dg, fr.d2g)
-        lhs = trace_g(fr, lie_sym2(vj, T, dT))
-    v, dv = cov_accel(fr, vj)
+    ws = workspace(target, grid)
+    fr, vj = ws.fr, ws.vj
     rhs = 2.0 * (
-        nabla_vec_norm2(fr, vj)
-        + div_vector(fr, v, dv)
-        - ric_vv(fr, vj.xi, vj.xi)
+        nabla_vec_norm2(fr, vj) + ws.div_cov - ric_vv(fr, vj.xi, vj.xi)
     )
     return _build_report(
-        "trace_lie2", grid, tol,
-        conclusions={"trace_formula": (_max_abs(lhs - rhs), tol.pointwise)},
+        "trace_lie2", ws.grid, tol,
+        conclusions={"trace_formula": (_max_abs(ws.traceU - rhs), tol.pointwise)},
         hypotheses={},
     )
 
 
 def identity_bochner(target, grid=None, tol=Tolerances()):
     """(1/2) lap |grad f|^2 = |Hess f|^2 + Ric(grad f, grad f) + g(grad lap f, grad f)."""
-    if isinstance(target, SolitonSpec):
-        _require_gradient(target, "bochner")
-        ws = workspace(target, grid)
-        fr, sj, grid = ws.fr, ws.sj, ws.grid
-        lhs = 0.5 * ws.lap_phi
-        H, dlap = ws.H, ws.dlap
-    else:
-        ch = target.chart
-        grid = grid or default_grid(ch)
-        x, _ = grid_nodes(ch, grid)
-        fr = grid_frame(ch, grid)
-        sj = scalar_jets(target, x)
-        lhs = 0.5 * _phi_laplacian(fr, sj)
-        H = hessian(fr, sj)
-        dlap = laplacian_jet(fr, sj)
+    _require_gradient(target, "bochner")
+    ws = workspace(target, grid)
+    fr, sj = ws.fr, ws.sj
     gradf = raise_covec(fr, sj.df)
     rhs = (
-        norm2_sym2(fr, H)
+        norm2_sym2(fr, ws.H)
         + ric_vv(fr, gradf, gradf)
-        + np.einsum("...ab,...a,...b->...", fr.ginv, dlap, sj.df)
+        + np.einsum("...ab,...a,...b->...", fr.ginv, ws.dlap, sj.df)
     )
     return _build_report(
-        "bochner", grid, tol,
-        conclusions={"bochner": (_max_abs(lhs - rhs), tol.pointwise)},
+        "bochner", ws.grid, tol,
+        conclusions={"bochner": (_max_abs(0.5 * ws.lap_phi - rhs), tol.pointwise)},
         hypotheses={},
     )
 
@@ -601,7 +606,7 @@ def evaluate_theorem(tag, spec, grid=None, tol=Tolerances()):
     if tag == "T-C":
         hypotheses = _soliton_gates(ws, tol, trace_free=True)
         ric_xx = ric_vv(fr, ws.vj.xi, ws.vj.xi)
-        integrals["int_ric_xi_xi"] = _integrate(ws, ric_xx)
+        integrals["int_ric_xi_xi"] = ws.integral(ric_xx)
         hypotheses["int_ric_xi_xi_nonpositive"] = (
             _inequality_gate("int_ric_xi_xi <= 0", 0.0,
                              integrals["int_ric_xi_xi"], tol, notes),
@@ -617,8 +622,8 @@ def evaluate_theorem(tag, spec, grid=None, tol=Tolerances()):
         _kind_gate(spec, wanted, hypotheses, notes)
         coef = n / (2 * spec.lam) if tag == "T-1" else 1.0 / (2 * spec.lam)
         gradf = ws.vj.xi
-        integrals["int_ric_gradf_gradf"] = _integrate(ws, ric_vv(fr, gradf, gradf))
-        integrals["int_g_gradf_gradr"] = _integrate(ws, ws.gfr)
+        integrals["int_ric_gradf_gradf"] = ws.integral(ric_vv(fr, gradf, gradf))
+        integrals["int_g_gradf_gradr"] = ws.integral(ws.gfr)
         hypotheses["ricci_pairing_lower_bound"] = (
             _inequality_gate(
                 "int Ric(grad f, grad f) >= coef int g(grad f, grad r)",
@@ -628,7 +633,7 @@ def evaluate_theorem(tag, spec, grid=None, tol=Tolerances()):
             ),
             tol.slack,
         )
-        integrals["int_hess_norm2"] = _integrate(ws, norm2_sym2(fr, ws.H))
+        integrals["int_hess_norm2"] = ws.integral(norm2_sym2(fr, ws.H))
         r_target = spec.mu if tag == "T-1" else n * spec.mu
         conclusions = {
             "int_hess_norm2": (integrals["int_hess_norm2"], tol.integral),
@@ -642,13 +647,13 @@ def evaluate_theorem(tag, spec, grid=None, tol=Tolerances()):
 
     if tag == "T-COR":
         hypotheses = _soliton_gates(ws, tol, trace_free=True)
-        integrals["lam_int_g_gradf_gradr"] = spec.lam * _integrate(ws, ws.gfr)
+        integrals["lam_int_g_gradf_gradr"] = spec.lam * ws.integral(ws.gfr)
         hypotheses["lam_int_g_gradf_gradr_nonpositive"] = (
             _inequality_gate("lam int g(grad f, grad r) <= 0", 0.0,
                              integrals["lam_int_g_gradf_gradr"], tol, notes),
             tol.slack,
         )
-        integrals["int_hess_norm2"] = _integrate(ws, norm2_sym2(fr, ws.H))
+        integrals["int_hess_norm2"] = ws.integral(norm2_sym2(fr, ws.H))
         conclusions = {"int_hess_norm2": (integrals["int_hess_norm2"], tol.integral)}
         return _build_report("T-COR", ws.grid, tol, conclusions, hypotheses,
                              integrals, info, notes)
@@ -656,15 +661,15 @@ def evaluate_theorem(tag, spec, grid=None, tol=Tolerances()):
     if tag == "T-SQ":
         hypotheses = _soliton_gates(ws, tol, trace_free=True)
         gradf = ws.vj.xi
-        integrals["int_ric_gradf_gradf"] = _integrate(ws, ric_vv(fr, gradf, gradf))
+        integrals["int_ric_gradf_gradf"] = ws.integral(ric_vv(fr, gradf, gradf))
         if spec.kind == "yamabe":
             deficit = (spec.mu - fr.r) ** 2
             coef = n * n / (4 * spec.lam**2)
-            integrals["int_deficit_sq"] = _integrate(ws, deficit)
+            integrals["int_deficit_sq"] = ws.integral(deficit)
         else:
             deficit = (n * spec.mu - fr.r) ** 2
             coef = 1.0 / (4 * spec.lam**2)
-            integrals["int_deficit_sq"] = _integrate(ws, deficit)
+            integrals["int_deficit_sq"] = ws.integral(deficit)
         hypotheses["ricci_pairing_lower_bound"] = (
             _inequality_gate(
                 "int Ric(grad f, grad f) >= coef int deficit^2",
@@ -674,7 +679,7 @@ def evaluate_theorem(tag, spec, grid=None, tol=Tolerances()):
             ),
             tol.slack,
         )
-        integrals["int_hess_norm2"] = _integrate(ws, norm2_sym2(fr, ws.H))
+        integrals["int_hess_norm2"] = ws.integral(norm2_sym2(fr, ws.H))
         conclusions = {"int_hess_norm2": (integrals["int_hess_norm2"], tol.integral)}
         return _build_report("T-SQ", ws.grid, tol, conclusions, hypotheses,
                              integrals, info, notes)
@@ -689,7 +694,7 @@ def evaluate_theorem(tag, spec, grid=None, tol=Tolerances()):
                 f"needs n > 2, chart dimension is {n} "
                 "(indicator hypothesis, 1.0 means failure)"
             )
-        integrals["int_hess_norm2"] = _integrate(ws, norm2_sym2(fr, ws.H))
+        integrals["int_hess_norm2"] = ws.integral(norm2_sym2(fr, ws.H))
         conclusions = {"int_hess_norm2": (integrals["int_hess_norm2"], tol.integral)}
         return _build_report("T-N2", ws.grid, tol, conclusions, hypotheses,
                              integrals, info, notes)
@@ -701,7 +706,7 @@ def evaluate_theorem(tag, spec, grid=None, tol=Tolerances()):
         gradf = ws.vj.xi
         gradr = raise_covec(fr, fr.dr)
         pairing = ric_vv(fr, gradf, gradr)
-        integrals["lam_int_ric_gradf_gradr"] = spec.lam * _integrate(ws, pairing)
+        integrals["lam_int_ric_gradf_gradr"] = spec.lam * ws.integral(pairing)
         hypotheses["lam_int_ric_gradf_gradr_nonpositive"] = (
             _inequality_gate("lam int Ric(grad f, grad r) <= 0", 0.0,
                              integrals["lam_int_ric_gradf_gradr"], tol, notes),

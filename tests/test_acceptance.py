@@ -134,7 +134,7 @@ def test_criterion_3_closed_form_spot_checks(capsys):
         fr = frame(ch, x)
         sj = scalar_jets(f, x, order=4)
         gradf = raise_covec(fr, sj.df)
-        T, dT, _ = lie_metric_jets(fr, gradient_vector_jets(fr, sj))
+        T, dT = lie_metric_jets(fr, gradient_vector_jets(fr, sj))
         lhs = div_sym2(fr, T, dT)[..., 0]
         rhs = (
             2.0 * laplacian_jet(fr, sj)[..., 0]

@@ -7,7 +7,7 @@ import pytest
 
 import solitonlab.cli as cli
 from solitonlab.cli import main, render_json
-from solitonlab.solitons import CHECK_IDS, CheckReport
+from solitonlab.solitons import CHECK_IDS, CheckReport, workspace
 
 
 def run(capsys, *argv):
@@ -228,6 +228,16 @@ def test_integrate_vector_potential(capsys):
     assert rep["value"] == pytest.approx(4 * math.pi ** 2, abs=1e-8)
 
 
+def test_integrand_vector_computed_once(monkeypatch, capsys):
+    calls = []
+    original = cli.raise_covec
+    monkeypatch.setattr(cli, "raise_covec",
+                        lambda *args: calls.append(1) or original(*args))
+    report(capsys, "integrate", "sphere2_nonsoliton_yamabe",
+           "g(gradf,gradf) + ric(gradf,gradf)", "--grid", "16,16")
+    assert len(calls) == 1
+
+
 def test_integrate_errors_exit_2(capsys):
     cases = [
         ("sphere2", "f"),
@@ -287,6 +297,14 @@ def test_fit_command_reports_and_checks(capsys):
     assert float(rep["potential"]) == pytest.approx(0.3, abs=1e-15)
     assert [c["check_id"] for c in rep["checks"]] == list(CHECK_IDS)
     assert rep["verdict_counts"]["violated"] == 0
+
+
+def test_fit_builds_one_workspace(capsys):
+    # The fit's full-grid objective and every post-fit check read one
+    # workspace of the fitted soliton.
+    workspace.cache_clear()
+    report(capsys, "fit", "sphere2_fit_yamabe")
+    assert workspace.cache_info().misses == 1
 
 
 def test_fit_without_fit_block_exits_2(capsys):

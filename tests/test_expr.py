@@ -24,7 +24,6 @@ from solitonlab.expr import (
     eval_number,
     eval_values,
     evaluate,
-    free_vars,
     parse,
     parse_integrand,
     pretty,
@@ -158,11 +157,6 @@ def test_bad_coordinate_names():
     assert parse("r", ("r",)) == Var("r", 0)
     with pytest.raises(ValueError):
         parse_integrand("1", ("r",))
-
-
-def test_free_vars():
-    assert free_vars(parse("sin(th)*ph", ("th", "ph"))) == {0, 1}
-    assert free_vars(parse("2*pi", ("th", "ph"))) == frozenset()
 
 
 # --------------------------------------------------------------- evaluation

@@ -22,6 +22,7 @@ from solitonlab.geometry import (
     scalar_jets,
     vector_field,
 )
+from solitonlab import solitons
 from solitonlab.quadrature import default_grid, grid_nodes
 from solitonlab.solitons import (
     CHECK_IDS,
@@ -136,6 +137,23 @@ def test_trace_lie2_accepts_bare_fields(rng):
     assert rep.verdict == "identity-holds"
 
 
+def test_bare_vector_field_never_builds_d2T(monkeypatch):
+    # Only the derivative of L_xi L_xi g needs d2T; the trace formula and the
+    # Killing residual of a bare field read no such thing.
+    calls = []
+    original = solitons.lie_sym2_jet2
+    monkeypatch.setattr(solitons, "lie_sym2_jet2",
+                        lambda *args: calls.append(1) or original(*args))
+    ch = sphere2()
+    field = vector_field(ch, ("sin(th)*cos(ph)", "cos(th)"))
+    grid = grid_for(ch)
+    assert identity_trace_lie2(field, grid).verdict == "identity-holds"
+    killing_residual(field, grid)
+    assert calls == []
+    workspace(field, grid).dU
+    assert calls == [1]
+
+
 # ------------------------------------------------------------ pinned anchors
 
 
@@ -165,7 +183,7 @@ def test_div_lie_pinned_on_sphere():
     fr = frame(ch, x)
     sj = scalar_jets(scalar_field(ch, "cos(th)"), x, order=4)
     vj = gradient_vector_jets(fr, sj)
-    T, dT, _ = lie_metric_jets(fr, vj)
+    T, dT = lie_metric_jets(fr, vj)
     divT = div_sym2(fr, T, dT)
     th = x[..., 0]
     assert max_abs(divT[..., 0] - 2 * np.sin(th)) < 1e-12
