@@ -26,6 +26,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from functools import cache
 from pathlib import Path
 
@@ -97,21 +98,6 @@ def render_json(obj, indent=0):
     if obj is None:
         return "null"
     raise TypeError(f"cannot render {type(obj).__name__} in a report")
-
-
-def report_dict(rep):
-    return {
-        "check_id": rep.check_id,
-        "verdict": rep.verdict,
-        "max_residual": rep.max_residual,
-        "residuals": dict(rep.residuals),
-        "hypothesis_residuals": dict(rep.hypothesis_residuals),
-        "integrals": dict(rep.integrals),
-        "info": dict(rep.info),
-        "grid": list(rep.grid),
-        "tolerances": dict(rep.tolerances),
-        "notes": list(rep.notes),
-    }
 
 
 # ------------------------------------------------------------- integrands
@@ -231,9 +217,9 @@ def cmd_check(man, ids, grid, tol):
         "manifest": man.name,
         "kind": man.soliton.kind,
         "grid": list(spec.counts),
-        "tolerances": tol.as_dict(),
+        "tolerances": asdict(tol),
         "verdict_counts": counts,
-        "checks": [report_dict(r) for r in reports],
+        "checks": [asdict(r) for r in reports],
     }
     return report, 1 if counts["violated"] else 0
 
@@ -297,7 +283,7 @@ def cmd_fit(man, grid, tol):
         },
         "potential": result.soliton.potential.source,
         "verdict_counts": counts,
-        "checks": [report_dict(r) for r in checks],
+        "checks": [asdict(r) for r in checks],
     }
     return report, 1 if counts["violated"] else 0
 

@@ -35,17 +35,12 @@ __all__ = [
     "scalar_field",
     "VectorField",
     "vector_field",
-    "SymTensorField",
-    "sym_tensor_field",
     "ScalarJets",
     "VectorJets",
     "PointFrame",
     "frame",
     "scalar_jets",
     "vector_jets",
-    "sym_tensor_jets",
-    "sqrt_det_metric",
-    "gradient",
     "hessian",
     "hessian_jet",
     "laplacian",
@@ -55,15 +50,12 @@ __all__ = [
     "lie_sym2_jet",
     "lie_sym2_jet2",
     "lie_metric_jets",
-    "lie2_metric",
     "cov_accel",
     "div_vector",
     "div_sym2",
     "trace_g",
     "norm2_sym2",
-    "norm2_vec",
     "norm2_covec",
-    "lower_vec",
     "raise_covec",
     "ric_vv",
     "nabla_vec_norm2",
@@ -166,23 +158,6 @@ def vector_field(ch, texts):
     return VectorField(ch, texts, tuple(parse(t, ch.coords) for t in texts))
 
 
-@dataclass(frozen=True)
-class SymTensorField:
-    chart: Chart
-    sources: tuple
-    nodes: tuple
-
-
-def sym_tensor_field(ch, rows):
-    rows = tuple(tuple(r) for r in rows)
-    n = ch.dim
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise GeometryError(f"tensor field on {ch.name!r} must be a {n}x{n} table")
-    return SymTensorField(
-        ch, rows, tuple(tuple(parse(e, ch.coords) for e in row) for row in rows)
-    )
-
-
 # ----------------------------------------------------------------- field jets
 
 
@@ -245,21 +220,6 @@ def vector_jets(field, x):
         d2xi[..., a] = jet.hessian()
         d3xi[..., a] = jet.third()
     return VectorJets(xi=xi, dxi=dxi, d2xi=d2xi, d3xi=d3xi)
-
-
-def sym_tensor_jets(field, x):
-    """Values and first derivatives of an explicit symmetric tensor field."""
-    x, seeds = _seeds(field.chart, x)
-    n = field.chart.dim
-    batch = x.shape[:-1]
-    T = np.empty(batch + (n, n))
-    dT = np.empty(batch + (n, n, n))
-    for i in range(n):
-        for j in range(n):
-            jet = evaluate(field.nodes[i][j], seeds)
-            T[..., i, j] = jet.value
-            dT[..., :, i, j] = jet.gradient()
-    return T, dT
 
 
 # --------------------------------------------------------------------- frames
@@ -402,29 +362,7 @@ def frame(ch, x):
     )
 
 
-def sqrt_det_metric(ch, x):
-    """sqrt(det g) at points, without building a full frame."""
-    x, seeds = _seeds(ch, x)
-    n = ch.dim
-    g = np.empty(x.shape[:-1] + (n, n))
-    for i in range(n):
-        for j in range(n):
-            g[..., i, j] = evaluate(ch.metric[i][j], seeds).value
-    det = np.linalg.det(0.5 * (g + np.swapaxes(g, -1, -2)))
-    if np.any(det <= 0.0):
-        flat = int(np.argmin(det.reshape(-1)))
-        raise GeometryError(
-            f"metric of {ch.name!r} is degenerate at " + _node_label(ch, x, flat)
-        )
-    return np.sqrt(det)
-
-
 # ----------------------------------------------------- scalar field operators
-
-
-def gradient(fr, sj):
-    """Contravariant gradient grad f = g^{ab} d_b f."""
-    return np.einsum("...ab,...b->...a", fr.ginv, sj.df)
 
 
 def hessian(fr, sj):
@@ -558,13 +496,6 @@ def lie_metric_jets(fr, vj):
     return lie_sym2(vj, fr.g, fr.dg), lie_sym2_jet(vj, fr.g, fr.dg, fr.d2g)
 
 
-def lie2_metric(fr, vj):
-    """(U, dU) for U = L_xi L_xi g."""
-    T, dT = lie_metric_jets(fr, vj)
-    d2T = lie_sym2_jet2(vj, fr.g, fr.dg, fr.d2g, fr.d3g)
-    return lie_sym2(vj, T, dT), lie_sym2_jet(vj, T, dT, d2T)
-
-
 # --------------------------------------------------------- vector field calcs
 
 
@@ -605,16 +536,8 @@ def norm2_sym2(fr, T):
     return np.einsum("...ik,...jl,...ij,...kl->...", fr.ginv, fr.ginv, T, T)
 
 
-def norm2_vec(fr, v):
-    return np.einsum("...ab,...a,...b->...", fr.g, v, v)
-
-
 def norm2_covec(fr, w):
     return np.einsum("...ab,...a,...b->...", fr.ginv, w, w)
-
-
-def lower_vec(fr, v):
-    return np.einsum("...ab,...b->...a", fr.g, v)
 
 
 def raise_covec(fr, w):

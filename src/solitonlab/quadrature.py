@@ -24,7 +24,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .geometry import _node_label, sqrt_det_metric
+from .geometry import _node_label, frame
 from .jets import JetDomainError
 
 RULES = ("periodic", "legendre", "cosine")
@@ -131,4 +131,4 @@ def integrate(fun, ch, spec=None):
         raise QuadratureError(
             f"integrand values have shape {values.shape}, grid has {w.shape}"
         )
-    return float(np.sum(values * w * sqrt_det_metric(ch, x)))
+    return float(np.sum(values * w * frame(ch, x).sqrtg))

@@ -1,4 +1,4 @@
-"""Soliton residuals, identity checks and theorem verdict evaluators.
+"""Soliton residuals and the catalog of identity and theorem checks.
 
 The two equations handled here, for a metric g, a potential field xi (possibly
 grad f), and reals lambda != 0 and mu, are
@@ -6,26 +6,26 @@ grad f), and reals lambda != 0 and mu, are
     ricci :   L_xi L_xi g + lambda L_xi g + Ric - mu g       = 0
     yamabe:   L_xi L_xi g + lambda L_xi g - (mu - r) g       = 0
 
-Every check returns a CheckReport.  Unconditional identities compare two
-independently assembled sides pointwise on the grid.  Conditional statements
-carry hypothesis residuals (how far the input is from satisfying the premises)
-next to conclusion residuals, and the verdict lattice is fixed:
-identity-holds requires conclusions and hypotheses within tolerance,
-hypothesis-not-met fires whenever some hypothesis residual exceeds tolerance,
-and violated marks a conclusion failing under satisfied hypotheses.
-
-Structural premises that are not numbers (wrong equation kind for a theorem
-stated for one kind only, or a dimension bound) are encoded as indicator
-hypothesis residuals taking the values 0.0 or 1.0, with an explanatory note.
+Every check is one row of an ordered catalog, and ``evaluate_theorem(check_id,
+target, grid, tol)`` turns any row into a CheckReport.  A row says whether the
+check needs a gradient potential, which premises on L_xi L_xi g it gates next
+to the soliton equation (none for the unconditional identities), the equation
+kind and the n > 2 bound a theorem is stated for, encoded as 0/1 indicator
+hypotheses with a note, whether it concludes int |Hess f|^2 = 0, and the
+function computing its own conclusions.  Unconditional identities compare two
+independently assembled sides pointwise on the grid.  The verdict lattice is
+fixed: hypothesis-not-met whenever some hypothesis residual exceeds its
+tolerance, else identity-holds if every conclusion is within tolerance, else
+violated.
 
 Every field quantity the checks read has one definition, as a lazily
 computed attribute of ``Workspace``; ``workspace(target, grid)`` caches one
 per soliton or bare field and grid, and computes only what is read.
 """
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Optional, Tuple
+from dataclasses import asdict, dataclass
+from functools import cached_property, lru_cache, partial
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -57,38 +57,6 @@ from .quadrature import default_grid, grid_nodes
 
 KINDS = ("ricci", "yamabe")
 
-CHECK_IDS = (
-    "trace_lie2",
-    "bochner",
-    "lemma_hessian",
-    "div_lie",
-    "prop_p2",
-    "contracted_trace",
-    "remark_csc",
-    "schur",
-    "T-C",
-    "T-1",
-    "T-2",
-    "T-COR",
-    "T-SQ",
-    "T-N2",
-    "P-CSC",
-)
-
-GRADIENT_ONLY = (
-    "bochner",
-    "lemma_hessian",
-    "div_lie",
-    "prop_p2",
-    "contracted_trace",
-    "T-1",
-    "T-2",
-    "T-COR",
-    "T-SQ",
-    "T-N2",
-    "P-CSC",
-)
-
 
 class SolitonError(ValueError):
     pass
@@ -100,14 +68,6 @@ class Tolerances:
     integral: float = 1e-7
     hypothesis: float = 1e-7
     slack: float = 1e-7
-
-    def as_dict(self):
-        return {
-            "pointwise": self.pointwise,
-            "integral": self.integral,
-            "hypothesis": self.hypothesis,
-            "slack": self.slack,
-        }
 
     @classmethod
     def uniform(cls, tol):
@@ -210,7 +170,6 @@ class Workspace:
 
     def __init__(self, target, grid):
         self.target = target
-        self.grid = grid
         if isinstance(target, SolitonSpec):
             self.field = target.potential if target.is_gradient else target.vector
         else:
@@ -322,12 +281,17 @@ def _vol_mean(ws, values):
     return ws.integral(values) / ws.integral(1.0)
 
 
-def _max_sym2(ws, T):
-    return float(np.sqrt(np.max(norm2_sym2(ws.fr, T))))
+def _deviation(ws, values):
+    """max |values - their volume mean|."""
+    return _max_abs(values - _vol_mean(ws, values))
 
 
-def _max_covec(ws, w):
-    return float(np.sqrt(np.max(norm2_covec(ws.fr, w))))
+def _max_sym2(fr, T):
+    return float(np.sqrt(np.max(norm2_sym2(fr, T))))
+
+
+def _max_covec(fr, w):
+    return float(np.sqrt(np.max(norm2_covec(fr, w))))
 
 
 def _max_abs(values):
@@ -359,56 +323,53 @@ def _build_report(check_id, grid, tol, conclusions, hypotheses,
         integrals=dict(integrals or {}),
         info=dict(info or {}),
         grid=tuple(grid.counts),
-        tolerances=tol.as_dict(),
+        tolerances=asdict(tol),
         notes=tuple(notes),
     )
 
 
-def _require_gradient(target, check_id):
-    """A SolitonSpec must carry a potential; a bare field passes through."""
-    if isinstance(target, SolitonSpec) and not target.is_gradient:
-        raise SolitonError(
-            f"check {check_id!r} needs a gradient potential, and soliton "
-            f"{target.name!r} carries an explicit vector field"
-        )
-
-
-def _soliton_gates(ws, tol, trace_free=False, const_trace=False, div_free=False):
-    """The recurring hypothesis residuals, in display order."""
-    gates = {"soliton_residual": (_max_sym2(ws, ws.residual), tol.hypothesis)}
-    if trace_free:
+def _soliton_gates(ws, tol, premises):
+    """The soliton equation and the named premises on U = L_xi L_xi g
+    (trace_free, const_trace, div_free) as hypotheses, in display order."""
+    gates = {"soliton_residual": (_max_sym2(ws.fr, ws.residual), tol.hypothesis)}
+    if "trace_free" in premises:
         gates["trace_lie2_max"] = (_max_abs(ws.traceU), tol.hypothesis)
-    if const_trace:
-        gates["grad_trace_lie2_max"] = (_max_covec(ws, ws.dtraceU), tol.hypothesis)
-    if div_free:
-        gates["div_lie2_max"] = (_max_covec(ws, ws.divU), tol.hypothesis)
+    if "const_trace" in premises:
+        gates["grad_trace_lie2_max"] = (_max_covec(ws.fr, ws.dtraceU),
+                                        tol.hypothesis)
+    if "div_free" in premises:
+        gates["div_lie2_max"] = (_max_covec(ws.fr, ws.divU), tol.hypothesis)
     return gates
 
 
-def killing_residual(target, grid=None):
-    """max over nodes of the norm of L_xi g; zero exactly for Killing fields."""
-    ws = workspace(target, grid)
-    return _max_sym2(ws, ws.T)
+def _inequality_gate(name, lhs, rhs, tol, notes):
+    """Hypothesis 'lhs >= rhs', violated by max(0, rhs - lhs)."""
+    if abs(lhs - rhs) <= tol.slack:
+        notes.append(f"boundary-case inequality {name}: |lhs - rhs| <= slack")
+    return max(0.0, rhs - lhs), tol.slack
 
 
-def identity_trace_lie2(target, grid=None, tol=Tolerances()):
-    """trace(L_xi L_xi g) = 2(|nabla xi|^2 + div(nabla_xi xi) - Ric(xi, xi))."""
-    ws = workspace(target, grid)
+def _indicator_gate(ok, notes, failure, note):
+    """A structural premise as a 0/1 hypothesis residual."""
+    if not ok:
+        notes.append(f"{note} (indicator hypothesis, 1.0 means {failure})")
+    return 0.0 if ok else 1.0, 0.5
+
+
+# ------------------------------------------------------------ the statements
+# Each takes the Workspace (the frame, for a frame-only check), the tolerances
+# and the notes, which it may append to, and returns the check's own
+# (conclusions, hypotheses, integrals, info), with name -> (value, tolerance).
+
+
+def _trace_lie2(ws, tol, notes):
     fr, vj = ws.fr, ws.vj
-    rhs = 2.0 * (
-        nabla_vec_norm2(fr, vj) + ws.div_cov - ric_vv(fr, vj.xi, vj.xi)
-    )
-    return _build_report(
-        "trace_lie2", ws.grid, tol,
-        conclusions={"trace_formula": (_max_abs(ws.traceU - rhs), tol.pointwise)},
-        hypotheses={},
-    )
+    rhs = 2.0 * (nabla_vec_norm2(fr, vj) + ws.div_cov
+                 - ric_vv(fr, vj.xi, vj.xi))
+    return {"trace_formula": (_max_abs(ws.traceU - rhs), tol.pointwise)}, {}, {}, {}
 
 
-def identity_bochner(target, grid=None, tol=Tolerances()):
-    """(1/2) lap |grad f|^2 = |Hess f|^2 + Ric(grad f, grad f) + g(grad lap f, grad f)."""
-    _require_gradient(target, "bochner")
-    ws = workspace(target, grid)
+def _bochner(ws, tol, notes):
     fr, sj = ws.fr, ws.sj
     gradf = raise_covec(fr, sj.df)
     rhs = (
@@ -416,16 +377,276 @@ def identity_bochner(target, grid=None, tol=Tolerances()):
         + ric_vv(fr, gradf, gradf)
         + np.einsum("...ab,...a,...b->...", fr.ginv, ws.dlap, sj.df)
     )
-    return _build_report(
-        "bochner", ws.grid, tol,
-        conclusions={"bochner": (_max_abs(0.5 * ws.lap_phi - rhs), tol.pointwise)},
-        hypotheses={},
+    return {"bochner": (_max_abs(0.5 * ws.lap_phi - rhs), tol.pointwise)}, {}, {}, {}
+
+
+def _lemma_hessian(ws, tol, notes):
+    spec, fr = ws.target, ws.fr
+    gradf = ws.vj.xi
+    lhs = 0.5 * ws.lap_phi
+    hess2 = norm2_sym2(fr, ws.H)
+    ricff = ric_vv(fr, gradf, gradf)
+    n_or_1 = float(spec.dim if spec.kind == "yamabe" else 1)
+    c = n_or_1 / (2 * spec.lam)
+    glapf = np.einsum("...ab,...a,...b->...", fr.ginv, ws.dlap, ws.sj.df)
+    lines = {
+        "main": lhs - (hess2 + ricff - c * ws.gfr),
+        "even_more_plus_div": lhs - (2 * hess2 + ws.div_cov - c * ws.gfr),
+        "even_more_minus_div": lhs - (2 * ricff - ws.div_cov - c * ws.gfr),
+        "traced_gradient": 2 * spec.lam * glapf + n_or_1 * ws.gfr,
+    }
+    return {k: (_max_abs(v), tol.pointwise) for k, v in lines.items()}, {}, {}, {}
+
+
+def _div_lie(ws, tol, notes):
+    spec, fr = ws.target, ws.fr
+    divT = div_sym2(fr, ws.T, ws.dT)
+    ric_gradf = np.einsum("...jb,...b->...j", fr.Ric, ws.vj.xi)
+    unconditional = divT - 2.0 * ws.dlap - 2.0 * ric_gradf
+    yamabe = spec.kind == "yamabe"
+    coef = (spec.dim - 1) / (2 * spec.lam) if yamabe else 1.0 / (4 * spec.lam)
+    conditional = ric_gradf - coef * fr.dr
+    notes.append(
+        "the divergence formula line is unconditional; only the "
+        "Ric(X, grad f) conclusion relies on the hypotheses"
     )
+    return {
+        "div_lie_formula": (_max_covec(fr, unconditional), tol.pointwise),
+        "ric_gradf_conclusion": (_max_covec(fr, conditional), tol.pointwise),
+    }, {}, {}, {}
 
 
-def _lemma_coef(spec):
+def _prop_p2(ws, tol, notes):
+    spec = ws.target
     n = spec.dim
-    return n / (2 * spec.lam) if spec.kind == "yamabe" else 1.0 / (2 * spec.lam)
+    if spec.kind == "yamabe":
+        rhs = ((n - 2) / (n - 1)) * norm2_sym2(ws.fr, ws.H) - ws.div_cov / (n - 1)
+    else:
+        rhs = -ws.div_cov
+    return {"prop_p2": (_max_abs(0.5 * ws.lap_phi - rhs), tol.pointwise)}, {}, {}, {}
+
+
+def _contracted_trace(ws, tol, notes):
+    spec = ws.target
+    lhs = 2 * spec.lam * ws.lap
+    if spec.kind == "yamabe":
+        rhs = spec.dim * (spec.mu - ws.fr.r)
+    else:
+        rhs = spec.dim * spec.mu - ws.fr.r
+    conclusions = {"contracted_trace": (_max_abs(lhs - rhs), tol.pointwise)}
+    info = {"mean_lhs": _vol_mean(ws, lhs), "mean_rhs": _vol_mean(ws, rhs)}
+    return conclusions, {}, {}, info
+
+
+def _remark_csc(ws, tol, notes):
+    hypotheses = {
+        "div_xi_deviation": (_deviation(ws, ws.divxi), tol.hypothesis),
+        "trace_lie2_deviation": (_deviation(ws, ws.traceU), tol.hypothesis),
+    }
+    r_dev = _deviation(ws, ws.fr.r)
+    return {"scalar_curvature_deviation": (r_dev, tol.pointwise)}, hypotheses, {}, {}
+
+
+def _schur(fr, tol, notes):
+    residual = div_sym2(fr, fr.Ric, fr.dRic) - 0.5 * fr.dr
+    return {"schur": (_max_covec(fr, residual), tol.pointwise)}, {}, {}, {}
+
+
+def _nonpositive(name, label, value, tol, notes):
+    """The hypothesis 'value <= 0' on the integral reported as ``name``."""
+    gate = _inequality_gate(label, 0.0, value, tol, notes)
+    return {f"{name}_nonpositive": gate}, {name: value}
+
+
+def _t_c(ws, tol, notes):
+    """Trace-free L_xi L_xi g and int Ric(xi, xi) <= 0 make xi Killing."""
+    hypotheses, integrals = _nonpositive(
+        "int_ric_xi_xi", "int_ric_xi_xi <= 0",
+        ws.integral(ric_vv(ws.fr, ws.vj.xi, ws.vj.xi)), tol, notes)
+    killing = _max_sym2(ws.fr, ws.T)
+    return {"killing_residual": (killing, tol.pointwise)}, hypotheses, integrals, {}
+
+
+def _ricci_pairing(ws, tol, notes, coef, name, values, label):
+    """The hypothesis int Ric(grad f, grad f) >= coef int values, with the
+    integral of ``values`` reported as ``name`` and written ``label``."""
+    gradf = ws.vj.xi
+    integrals = {
+        "int_ric_gradf_gradf": ws.integral(ric_vv(ws.fr, gradf, gradf)),
+        name: ws.integral(values),
+    }
+    bound = _inequality_gate(
+        f"int Ric(grad f, grad f) >= coef {label}",
+        integrals["int_ric_gradf_gradf"], coef * integrals[name], tol, notes,
+    )
+    return {"ricci_pairing_lower_bound": bound}, integrals
+
+
+def _pairing_triviality(ws, tol, notes, yamabe):
+    """T-1 (yamabe) and T-2 (ricci): trace-free L_xi L_xi g and
+    int Ric(grad f, grad f) >= c int g(grad f, grad r), c = n/(2 lambda)
+    resp. 1/(2 lambda), make the soliton trivial with r = mu resp. n mu."""
+    spec = ws.target
+    n = spec.dim
+    hypotheses, integrals = _ricci_pairing(
+        ws, tol, notes, (n if yamabe else 1.0) / (2 * spec.lam),
+        "int_g_gradf_gradr", ws.gfr, "int g(grad f, grad r)",
+    )
+    r_target = spec.mu if yamabe else n * spec.mu
+    residual = _max_abs(ws.fr.r - r_target)
+    return ({"scalar_curvature_minus_target": (residual, tol.pointwise)},
+            hypotheses, integrals, {"r_target": r_target})
+
+
+def _t_cor(ws, tol, notes):
+    """Trace-free L_xi L_xi g and lambda int g(grad f, grad r) <= 0 make the
+    soliton trivial."""
+    hypotheses, integrals = _nonpositive(
+        "lam_int_g_gradf_gradr", "lam int g(grad f, grad r) <= 0",
+        ws.target.lam * ws.integral(ws.gfr), tol, notes)
+    return {}, hypotheses, integrals, {}
+
+
+def _t_sq(ws, tol, notes):
+    """Trace-free L_xi L_xi g and int Ric(grad f, grad f) >= c int D^2, with
+    D = mu - r, c = n^2/(4 lambda^2) for yamabe and D = n mu - r,
+    c = 1/(4 lambda^2) for ricci, make the soliton trivial."""
+    spec, r = ws.target, ws.fr.r
+    n = spec.dim
+    if spec.kind == "yamabe":
+        deficit, coef = (spec.mu - r) ** 2, n * n / (4 * spec.lam**2)
+    else:
+        deficit, coef = (n * spec.mu - r) ** 2, 1.0 / (4 * spec.lam**2)
+    hypotheses, integrals = _ricci_pairing(
+        ws, tol, notes, coef, "int_deficit_sq", deficit, "int deficit^2")
+    return {}, hypotheses, integrals, {}
+
+
+def _t_n2(ws, tol, notes):
+    """The main theorem: a gradient yamabe soliton of dimension n > 2 with
+    trace-free and divergence-free L_xi L_xi g is trivial."""
+    return {}, {}, {}, {}
+
+
+def _p_csc(ws, tol, notes):
+    """Divergence-free L_xi L_xi g and lambda int Ric(grad f, grad r) <= 0
+    force constant r, via lambda Ric(grad f, grad r) = c |grad r|^2.  The
+    Remark weakens the constant-trace premise, so only divergence-free is
+    gated; the trace deviation is reported as info."""
+    spec, fr = ws.target, ws.fr
+    pairing = ric_vv(fr, ws.vj.xi, raise_covec(fr, fr.dr))
+    hypotheses, integrals = _nonpositive(
+        "lam_int_ric_gradf_gradr", "lam int Ric(grad f, grad r) <= 0",
+        spec.lam * ws.integral(pairing), tol, notes)
+    coef = (spec.dim - 1) / 2.0 if spec.kind == "yamabe" else 0.25
+    identity = spec.lam * pairing - coef * norm2_covec(fr, fr.dr)
+    notes.append("constant-trace is not gated here, only divergence-free; "
+                 "the trace deviation is reported as info")
+    conclusions = {
+        "scalar_curvature_deviation": (_deviation(ws, fr.r), tol.pointwise),
+        "proof_identity": (_max_abs(identity), tol.pointwise),
+    }
+    info = {"trace_lie2_deviation": _deviation(ws, ws.traceU)}
+    return conclusions, hypotheses, integrals, info
+
+
+# ---------------------------------------------------------------- the catalog
+
+
+@dataclass(frozen=True)
+class _Check:
+    """One catalog row; ``gates`` names ``_soliton_gates`` premises, and a
+    ``frame_only`` check reads nothing but the chart's frame."""
+
+    conclude: Callable
+    gradient: bool = False
+    gates: Optional[Tuple[str, ...]] = None
+    kind: Optional[str] = None
+    above_two: bool = False
+    hess_free: bool = False
+    frame_only: bool = False
+
+
+_TF, _TF_DF = ("trace_free",), ("trace_free", "div_free")
+
+_CATALOG = {
+    "trace_lie2": _Check(_trace_lie2),
+    "bochner": _Check(_bochner, gradient=True),
+    "lemma_hessian": _Check(_lemma_hessian, gradient=True, gates=_TF),
+    "div_lie": _Check(_div_lie, gradient=True,
+                      gates=("const_trace", "div_free")),
+    "prop_p2": _Check(_prop_p2, gradient=True, gates=_TF_DF),
+    "contracted_trace": _Check(_contracted_trace, gradient=True, gates=_TF),
+    "remark_csc": _Check(_remark_csc, gates=()),
+    "schur": _Check(_schur, frame_only=True),
+    "T-C": _Check(_t_c, gates=_TF),
+    "T-1": _Check(partial(_pairing_triviality, yamabe=True), gradient=True,
+                  gates=_TF, kind="yamabe", hess_free=True),
+    "T-2": _Check(partial(_pairing_triviality, yamabe=False), gradient=True,
+                  gates=_TF, kind="ricci", hess_free=True),
+    "T-COR": _Check(_t_cor, gradient=True, gates=_TF, hess_free=True),
+    "T-SQ": _Check(_t_sq, gradient=True, gates=_TF, hess_free=True),
+    "T-N2": _Check(_t_n2, gradient=True, gates=_TF_DF, kind="yamabe",
+                   above_two=True, hess_free=True),
+    "P-CSC": _Check(_p_csc, gradient=True, gates=("div_free",)),
+}
+
+CHECK_IDS = tuple(_CATALOG)
+
+GRADIENT_ONLY = tuple(cid for cid, row in _CATALOG.items() if row.gradient)
+
+
+def evaluate_theorem(check_id, target, grid=None, tol=Tolerances()):
+    """Evaluate one catalog entry on a SolitonSpec; the unconditional
+    identities also take a bare ScalarField or VectorField, schur a Chart."""
+    row = _CATALOG.get(check_id)
+    if row is None:
+        raise SolitonError(
+            f"unknown check id {check_id!r}; valid ids: {', '.join(CHECK_IDS)}"
+        )
+    if row.gradient and isinstance(target, SolitonSpec) and not target.is_gradient:
+        raise SolitonError(
+            f"check {check_id!r} needs a gradient potential, and soliton "
+            f"{target.name!r} carries an explicit vector field"
+        )
+    ch = target if isinstance(target, Chart) else target.chart
+    grid = default_grid(ch) if grid is None else grid
+    ws = grid_frame(ch, grid) if row.frame_only else workspace(target, grid)
+    notes = []
+    hypotheses = {} if row.gates is None else _soliton_gates(ws, tol, row.gates)
+    if row.kind is not None:
+        hypotheses["kind"] = _indicator_gate(
+            target.kind == row.kind, notes, "mismatch",
+            f"stated for the {row.kind} equation; spec kind is {target.kind}")
+    if row.above_two:
+        hypotheses["dimension_exceeds_two"] = _indicator_gate(
+            target.dim > 2, notes, "failure",
+            f"needs n > 2, chart dimension is {target.dim}")
+    conclusions, more, integrals, info = row.conclude(ws, tol, notes)
+    if row.hess_free:
+        integrals["int_hess_norm2"] = ws.integral(norm2_sym2(ws.fr, ws.H))
+        conclusions = {"int_hess_norm2": (integrals["int_hess_norm2"],
+                                          tol.integral), **conclusions}
+    return _build_report(check_id, grid, tol, conclusions,
+                         {**hypotheses, **more}, integrals, info, notes)
+
+
+def run_check(spec, check_id, grid=None, tol=Tolerances()):
+    """Uniform entry point used by the command line tool."""
+    return evaluate_theorem(check_id, spec, grid, tol)
+
+
+# ------------------------------------------------------ the named entry points
+
+
+def identity_trace_lie2(target, grid=None, tol=Tolerances()):
+    """trace(L_xi L_xi g) = 2(|nabla xi|^2 + div(nabla_xi xi) - Ric(xi, xi))."""
+    return evaluate_theorem("trace_lie2", target, grid, tol)
+
+
+def identity_bochner(target, grid=None, tol=Tolerances()):
+    """(1/2) lap |grad f|^2 = |Hess f|^2 + Ric(grad f, grad f) + g(grad lap f, grad f)."""
+    return evaluate_theorem("bochner", target, grid, tol)
 
 
 def identity_lemma_hessian(spec, grid=None, tol=Tolerances()):
@@ -439,27 +660,7 @@ def identity_lemma_hessian(spec, grid=None, tol=Tolerances()):
         (1/2) lap phi = 2 Ric(grad f, grad f) - div A - c g(grad f, grad r)
         2 lambda g(grad lap f, grad f) = -(n or 1) g(grad f, grad r)
     """
-    _require_gradient(spec, "lemma_hessian")
-    ws = workspace(spec, grid)
-    fr = ws.fr
-    gradf = ws.vj.xi
-    lhs = 0.5 * ws.lap_phi
-    hess2 = norm2_sym2(fr, ws.H)
-    ricff = ric_vv(fr, gradf, gradf)
-    c = _lemma_coef(spec)
-    glapf = np.einsum("...ab,...a,...b->...", fr.ginv, ws.dlap, ws.sj.df)
-    traced_rhs_coef = float(spec.dim if spec.kind == "yamabe" else 1)
-    lines = {
-        "main": lhs - (hess2 + ricff - c * ws.gfr),
-        "even_more_plus_div": lhs - (2 * hess2 + ws.div_cov - c * ws.gfr),
-        "even_more_minus_div": lhs - (2 * ricff - ws.div_cov - c * ws.gfr),
-        "traced_gradient": 2 * spec.lam * glapf + traced_rhs_coef * ws.gfr,
-    }
-    return _build_report(
-        "lemma_hessian", ws.grid, tol,
-        conclusions={k: (_max_abs(v), tol.pointwise) for k, v in lines.items()},
-        hypotheses=_soliton_gates(ws, tol, trace_free=True),
-    )
+    return evaluate_theorem("lemma_hessian", spec, grid, tol)
 
 
 def identity_div_lie(spec, grid=None, tol=Tolerances()):
@@ -468,296 +669,27 @@ def identity_div_lie(spec, grid=None, tol=Tolerances()):
     coef (n-1)/(2 lambda) for yamabe and 1/(4 lambda) for ricci, gated on the
     soliton equation with constant-trace and divergence-free L_xi L_xi g.
     X runs over the coordinate basis, so the lines compare covectors."""
-    _require_gradient(spec, "div_lie")
-    ws = workspace(spec, grid)
-    fr = ws.fr
-    gradf = ws.vj.xi
-    divT = div_sym2(fr, ws.T, ws.dT)
-    ric_gradf = np.einsum("...jb,...b->...j", fr.Ric, gradf)
-    unconditional = divT - 2.0 * ws.dlap - 2.0 * ric_gradf
-    coef = (
-        (spec.dim - 1) / (2 * spec.lam)
-        if spec.kind == "yamabe"
-        else 1.0 / (4 * spec.lam)
-    )
-    conditional = ric_gradf - coef * fr.dr
-    return _build_report(
-        "div_lie", ws.grid, tol,
-        conclusions={
-            "div_lie_formula": (_max_covec(ws, unconditional), tol.pointwise),
-            "ric_gradf_conclusion": (_max_covec(ws, conditional), tol.pointwise),
-        },
-        hypotheses=_soliton_gates(ws, tol, const_trace=True, div_free=True),
-        notes=(
-            "the divergence formula line is unconditional; only the "
-            "Ric(X, grad f) conclusion relies on the hypotheses",
-        ),
-    )
+    return evaluate_theorem("div_lie", spec, grid, tol)
 
 
 def identity_prop_p2(spec, grid=None, tol=Tolerances()):
     """(1/2) lap |grad f|^2 against the trace-free divergence-free forms:
     ((n-2)/(n-1)) |Hess f|^2 - (1/(n-1)) div A for yamabe, -div A for ricci."""
-    _require_gradient(spec, "prop_p2")
-    ws = workspace(spec, grid)
-    lhs = 0.5 * ws.lap_phi
-    n = spec.dim
-    if spec.kind == "yamabe":
-        rhs = ((n - 2) / (n - 1)) * norm2_sym2(ws.fr, ws.H) - ws.div_cov / (n - 1)
-    else:
-        rhs = -ws.div_cov
-    return _build_report(
-        "prop_p2", ws.grid, tol,
-        conclusions={"prop_p2": (_max_abs(lhs - rhs), tol.pointwise)},
-        hypotheses=_soliton_gates(ws, tol, trace_free=True, div_free=True),
-    )
-
-
-def contracted_trace(spec, grid=None):
-    """Pointwise (2 lambda lap f, n(mu - r)) for yamabe, (.., n mu - r) for
-    ricci; the two agree for solitons with trace-free L_xi L_xi g."""
-    _require_gradient(spec, "contracted_trace")
-    ws = workspace(spec, grid)
-    lhs = 2 * spec.lam * ws.lap
-    if spec.kind == "yamabe":
-        rhs = spec.dim * (spec.mu - ws.fr.r)
-    else:
-        rhs = spec.dim * spec.mu - ws.fr.r
-    return lhs, rhs
+    return evaluate_theorem("prop_p2", spec, grid, tol)
 
 
 def check_contracted_trace(spec, grid=None, tol=Tolerances()):
-    _require_gradient(spec, "contracted_trace")
-    ws = workspace(spec, grid)
-    lhs, rhs = contracted_trace(spec, grid)
-    return _build_report(
-        "contracted_trace", ws.grid, tol,
-        conclusions={"contracted_trace": (_max_abs(lhs - rhs), tol.pointwise)},
-        hypotheses=_soliton_gates(ws, tol, trace_free=True),
-        info={
-            "mean_lhs": _vol_mean(ws, lhs),
-            "mean_rhs": _vol_mean(ws, rhs),
-        },
-    )
+    """Pointwise 2 lambda lap f = n(mu - r) for yamabe, n mu - r for ricci;
+    the two sides agree for solitons with trace-free L_xi L_xi g."""
+    return evaluate_theorem("contracted_trace", spec, grid, tol)
 
 
 def remark_csc(spec, grid=None, tol=Tolerances()):
     """Constant div(xi) and constant trace(L_xi L_xi g) on a soliton force
     constant scalar curvature; deviations are measured from volume means."""
-    ws = workspace(spec, grid)
-    div_dev = _max_abs(ws.divxi - _vol_mean(ws, ws.divxi))
-    trace_dev = _max_abs(ws.traceU - _vol_mean(ws, ws.traceU))
-    r_dev = _max_abs(ws.fr.r - _vol_mean(ws, ws.fr.r))
-    hypotheses = _soliton_gates(ws, tol)
-    hypotheses["div_xi_deviation"] = (div_dev, tol.hypothesis)
-    hypotheses["trace_lie2_deviation"] = (trace_dev, tol.hypothesis)
-    return _build_report(
-        "remark_csc", ws.grid, tol,
-        conclusions={"scalar_curvature_deviation": (r_dev, tol.pointwise)},
-        hypotheses=hypotheses,
-    )
+    return evaluate_theorem("remark_csc", spec, grid, tol)
 
 
 def check_schur(ch, grid=None, tol=Tolerances()):
     """div Ric = dr / 2, the contracted second Bianchi identity."""
-    if grid is None:
-        grid = default_grid(ch)
-    fr = grid_frame(ch, grid)
-    residual = div_sym2(fr, fr.Ric, fr.dRic) - 0.5 * fr.dr
-    value = float(np.sqrt(np.max(norm2_covec(fr, residual))))
-    return _build_report(
-        "schur", grid, tol,
-        conclusions={"schur": (value, tol.pointwise)},
-        hypotheses={},
-    )
-
-
-# ------------------------------------------------------------------ theorems
-
-
-def _inequality_gate(name, lhs, rhs, tol, notes):
-    """Hypothesis 'lhs >= rhs', violated by max(0, rhs - lhs)."""
-    violation = max(0.0, rhs - lhs)
-    if abs(lhs - rhs) <= tol.slack:
-        notes.append(f"boundary-case inequality {name}: |lhs - rhs| <= slack")
-    return violation
-
-
-def _kind_gate(spec, wanted, hypotheses, notes):
-    ok = spec.kind == wanted
-    hypotheses["kind"] = (0.0 if ok else 1.0, 0.5)
-    if not ok:
-        notes.append(
-            f"stated for the {wanted} equation; spec kind is {spec.kind} "
-            "(indicator hypothesis, 1.0 means mismatch)"
-        )
-
-
-def evaluate_theorem(tag, spec, grid=None, tol=Tolerances()):
-    if tag in GRADIENT_ONLY:
-        _require_gradient(spec, tag)
-    ws = workspace(spec, grid)
-    fr = ws.fr
-    n = spec.dim
-    notes = []
-    integrals = {}
-    info = {}
-
-    if tag == "T-C":
-        hypotheses = _soliton_gates(ws, tol, trace_free=True)
-        ric_xx = ric_vv(fr, ws.vj.xi, ws.vj.xi)
-        integrals["int_ric_xi_xi"] = ws.integral(ric_xx)
-        hypotheses["int_ric_xi_xi_nonpositive"] = (
-            _inequality_gate("int_ric_xi_xi <= 0", 0.0,
-                             integrals["int_ric_xi_xi"], tol, notes),
-            tol.slack,
-        )
-        conclusions = {"killing_residual": (_max_sym2(ws, ws.T), tol.pointwise)}
-        return _build_report("T-C", ws.grid, tol, conclusions, hypotheses,
-                             integrals, info, notes)
-
-    if tag in ("T-1", "T-2"):
-        wanted = "yamabe" if tag == "T-1" else "ricci"
-        hypotheses = _soliton_gates(ws, tol, trace_free=True)
-        _kind_gate(spec, wanted, hypotheses, notes)
-        coef = n / (2 * spec.lam) if tag == "T-1" else 1.0 / (2 * spec.lam)
-        gradf = ws.vj.xi
-        integrals["int_ric_gradf_gradf"] = ws.integral(ric_vv(fr, gradf, gradf))
-        integrals["int_g_gradf_gradr"] = ws.integral(ws.gfr)
-        hypotheses["ricci_pairing_lower_bound"] = (
-            _inequality_gate(
-                "int Ric(grad f, grad f) >= coef int g(grad f, grad r)",
-                integrals["int_ric_gradf_gradf"],
-                coef * integrals["int_g_gradf_gradr"],
-                tol, notes,
-            ),
-            tol.slack,
-        )
-        integrals["int_hess_norm2"] = ws.integral(norm2_sym2(fr, ws.H))
-        r_target = spec.mu if tag == "T-1" else n * spec.mu
-        conclusions = {
-            "int_hess_norm2": (integrals["int_hess_norm2"], tol.integral),
-            "scalar_curvature_minus_target": (
-                _max_abs(fr.r - r_target), tol.pointwise,
-            ),
-        }
-        info["r_target"] = r_target
-        return _build_report(tag, ws.grid, tol, conclusions, hypotheses,
-                             integrals, info, notes)
-
-    if tag == "T-COR":
-        hypotheses = _soliton_gates(ws, tol, trace_free=True)
-        integrals["lam_int_g_gradf_gradr"] = spec.lam * ws.integral(ws.gfr)
-        hypotheses["lam_int_g_gradf_gradr_nonpositive"] = (
-            _inequality_gate("lam int g(grad f, grad r) <= 0", 0.0,
-                             integrals["lam_int_g_gradf_gradr"], tol, notes),
-            tol.slack,
-        )
-        integrals["int_hess_norm2"] = ws.integral(norm2_sym2(fr, ws.H))
-        conclusions = {"int_hess_norm2": (integrals["int_hess_norm2"], tol.integral)}
-        return _build_report("T-COR", ws.grid, tol, conclusions, hypotheses,
-                             integrals, info, notes)
-
-    if tag == "T-SQ":
-        hypotheses = _soliton_gates(ws, tol, trace_free=True)
-        gradf = ws.vj.xi
-        integrals["int_ric_gradf_gradf"] = ws.integral(ric_vv(fr, gradf, gradf))
-        if spec.kind == "yamabe":
-            deficit = (spec.mu - fr.r) ** 2
-            coef = n * n / (4 * spec.lam**2)
-            integrals["int_deficit_sq"] = ws.integral(deficit)
-        else:
-            deficit = (n * spec.mu - fr.r) ** 2
-            coef = 1.0 / (4 * spec.lam**2)
-            integrals["int_deficit_sq"] = ws.integral(deficit)
-        hypotheses["ricci_pairing_lower_bound"] = (
-            _inequality_gate(
-                "int Ric(grad f, grad f) >= coef int deficit^2",
-                integrals["int_ric_gradf_gradf"],
-                coef * integrals["int_deficit_sq"],
-                tol, notes,
-            ),
-            tol.slack,
-        )
-        integrals["int_hess_norm2"] = ws.integral(norm2_sym2(fr, ws.H))
-        conclusions = {"int_hess_norm2": (integrals["int_hess_norm2"], tol.integral)}
-        return _build_report("T-SQ", ws.grid, tol, conclusions, hypotheses,
-                             integrals, info, notes)
-
-    if tag == "T-N2":
-        hypotheses = _soliton_gates(ws, tol, trace_free=True, div_free=True)
-        _kind_gate(spec, "yamabe", hypotheses, notes)
-        ok = n > 2
-        hypotheses["dimension_exceeds_two"] = (0.0 if ok else 1.0, 0.5)
-        if not ok:
-            notes.append(
-                f"needs n > 2, chart dimension is {n} "
-                "(indicator hypothesis, 1.0 means failure)"
-            )
-        integrals["int_hess_norm2"] = ws.integral(norm2_sym2(fr, ws.H))
-        conclusions = {"int_hess_norm2": (integrals["int_hess_norm2"], tol.integral)}
-        return _build_report("T-N2", ws.grid, tol, conclusions, hypotheses,
-                             integrals, info, notes)
-
-    if tag == "P-CSC":
-        # The Remark weakens the constant-trace premise, so this gate asks
-        # only for divergence-free; the trace deviation is reported as info.
-        hypotheses = _soliton_gates(ws, tol, div_free=True)
-        gradf = ws.vj.xi
-        gradr = raise_covec(fr, fr.dr)
-        pairing = ric_vv(fr, gradf, gradr)
-        integrals["lam_int_ric_gradf_gradr"] = spec.lam * ws.integral(pairing)
-        hypotheses["lam_int_ric_gradf_gradr_nonpositive"] = (
-            _inequality_gate("lam int Ric(grad f, grad r) <= 0", 0.0,
-                             integrals["lam_int_ric_gradf_gradr"], tol, notes),
-            tol.slack,
-        )
-        coef = (n - 1) / 2.0 if spec.kind == "yamabe" else 0.25
-        norm_gradr = norm2_covec(fr, fr.dr)
-        conclusions = {
-            "scalar_curvature_deviation": (
-                _max_abs(fr.r - _vol_mean(ws, fr.r)), tol.pointwise,
-            ),
-            "proof_identity": (
-                _max_abs(spec.lam * pairing - coef * norm_gradr), tol.pointwise,
-            ),
-        }
-        info["trace_lie2_deviation"] = _max_abs(
-            ws.traceU - _vol_mean(ws, ws.traceU)
-        )
-        notes.append(
-            "constant-trace is not gated here, only divergence-free; "
-            "the trace deviation is reported as info"
-        )
-        return _build_report("P-CSC", ws.grid, tol, conclusions, hypotheses,
-                             integrals, info, notes)
-
-    raise SolitonError(f"unknown theorem tag {tag!r}")
-
-
-# ----------------------------------------------------------------- dispatch
-
-
-def run_check(spec, check_id, grid=None, tol=Tolerances()):
-    """Uniform entry point used by the command line tool."""
-    if check_id == "trace_lie2":
-        return identity_trace_lie2(spec, grid, tol)
-    if check_id == "bochner":
-        return identity_bochner(spec, grid, tol)
-    if check_id == "lemma_hessian":
-        return identity_lemma_hessian(spec, grid, tol)
-    if check_id == "div_lie":
-        return identity_div_lie(spec, grid, tol)
-    if check_id == "prop_p2":
-        return identity_prop_p2(spec, grid, tol)
-    if check_id == "contracted_trace":
-        return check_contracted_trace(spec, grid, tol)
-    if check_id == "remark_csc":
-        return remark_csc(spec, grid, tol)
-    if check_id == "schur":
-        return check_schur(spec.chart, grid, tol)
-    if check_id in ("T-C", "T-1", "T-2", "T-COR", "T-SQ", "T-N2", "P-CSC"):
-        return evaluate_theorem(check_id, spec, grid, tol)
-    raise SolitonError(
-        f"unknown check id {check_id!r}; valid ids: {', '.join(CHECK_IDS)}"
-    )
+    return evaluate_theorem("schur", ch, grid, tol)

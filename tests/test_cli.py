@@ -2,12 +2,18 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 import solitonlab.cli as cli
 from solitonlab.cli import main, render_json
-from solitonlab.solitons import CHECK_IDS, CheckReport, workspace
+from solitonlab.solitons import (
+    CHECK_IDS,
+    GRADIENT_ONLY,
+    CheckReport,
+    workspace,
+)
 
 
 def run(capsys, *argv):
@@ -178,6 +184,16 @@ def test_check_vector_manifest_defaults_to_applicable(capsys):
     ids = [c["check_id"] for c in rep["checks"]]
     assert ids == ["trace_lie2", "remark_csc", "schur", "T-C"]
     assert all(c["verdict"] == "identity-holds" for c in rep["checks"])
+
+
+def test_readme_check_table_matches_catalog():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Checks", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| `")]
+    assert [row[0].strip("`") for row in rows] == list(CHECK_IDS)
+    needs_gradient = [row[0].strip("`") for row in rows if row[-1] == "yes"]
+    assert needs_gradient == list(GRADIENT_ONLY)
 
 
 def test_check_report_carries_tolerances(capsys):

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from solitonlab.geometry import div_vector, frame, vector_field, vector_jets
+from solitonlab.geometry import (
+    GeometryError,
+    chart,
+    div_vector,
+    frame,
+    vector_field,
+    vector_jets,
+)
 from solitonlab.quadrature import (
     GridSpec,
     QuadratureError,
@@ -29,8 +36,6 @@ TAU = 2 * math.pi
 
 
 def torus2():
-    from solitonlab.geometry import chart
-
     return chart(
         "torus2", ("x", "y"), (0, 0), (TAU, TAU), (True, True),
         [["1", "0"], ["0", "1"]], (128, 128),
@@ -194,6 +199,17 @@ def test_grid_validation():
         default_grid(ch, (16, 16, 16))
     with pytest.raises(QuadratureError):
         integrate(np.ones((3, 3)), ch, default_grid(ch, (16, 12)))
+
+
+def test_degenerate_metric_names_its_node():
+    # The volume density comes from the frame, whose Cholesky factorization
+    # rejects a metric that is not positive definite at some node.
+    ch = chart(
+        "degenerate", ("x", "y"), (0, 0), (TAU, TAU), (True, True),
+        [["cos(x)", "0"], ["0", "1"]],
+    )
+    with pytest.raises(GeometryError, match=r"not positive definite.* at node .*x="):
+        integrate(lambda x: np.ones(x.shape[:-1]), ch, default_grid(ch, (8, 8)))
 
 
 def test_integrand_domain_error_reports_node():

@@ -7,7 +7,9 @@ come back identity-holds, and a non-soliton potential must trip the
 hypothesis gates rather than the conclusions.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from solitonlab.geometry import (
     frame,
     gradient_vector_jets,
     lie_metric_jets,
+    norm2_sym2,
     scalar_field,
     scalar_jets,
     vector_field,
@@ -33,7 +36,6 @@ from solitonlab.solitons import (
     _phi_laplacian,
     check_contracted_trace,
     check_schur,
-    contracted_trace,
     evaluate_theorem,
     grid_frame,
     identity_bochner,
@@ -41,7 +43,6 @@ from solitonlab.solitons import (
     identity_lemma_hessian,
     identity_prop_p2,
     identity_trace_lie2,
-    killing_residual,
     remark_csc,
     run_check,
     workspace,
@@ -91,6 +92,17 @@ def trivial(ch, kind, mu, lam=1.0):
 
 def grid_for(ch):
     return default_grid(ch, TEST_COUNTS[ch.name])
+
+
+def killing_residual(field, grid=None):
+    """max over nodes of |L_xi g| for a bare vector field, read from its
+    workspace; zero exactly for Killing fields."""
+    ws = workspace(field, grid)
+    return float(np.sqrt(np.max(norm2_sym2(ws.fr, ws.T))))
+
+
+def tc_killing_residual(spec, grid):
+    return evaluate_theorem("T-C", spec, grid).residuals["killing_residual"]
 
 
 # ------------------------------------------------------- unconditional suite
@@ -192,16 +204,18 @@ def test_div_lie_pinned_on_sphere():
 
 
 def test_contracted_trace_values():
+    # f = cos(th) on the unit sphere: 2 lambda lap f = -4 cos(th) and
+    # n (mu - r) = 0, so the residual is 4 max |cos(th)| over the grid.
     ch = sphere2()
     spec = SolitonSpec(
         name="cos-th", chart=ch, kind="yamabe", lam=1.0, mu=2.0,
         potential=scalar_field(ch, "cos(th)"),
     )
-    lhs, rhs = contracted_trace(spec)
+    rep = check_contracted_trace(spec)
     x, _ = grid_nodes(ch, default_grid(ch))
-    th = x[..., 0]
-    assert max_abs(lhs - (-4 * np.cos(th))) < 1e-10
-    assert max_abs(rhs) < 1e-12
+    expected = 4 * float(np.max(np.abs(np.cos(x[..., 0]))))
+    assert abs(rep.residuals["contracted_trace"] - expected) < 1e-10
+    assert abs(rep.info["mean_rhs"]) < 1e-12
 
 
 # ------------------------------------------------------- residual invariants
@@ -355,7 +369,7 @@ def test_killing_vector_specs():
         vector=vector_field(flat, ("1", "0")),
     )
     grid = grid_for(flat)
-    assert killing_residual(spec, grid) <= 1e-12
+    assert tc_killing_residual(spec, grid) <= 1e-12
     assert remark_csc(spec, grid).verdict == "identity-holds"
     assert evaluate_theorem("T-C", spec, grid).verdict == "identity-holds"
 
@@ -365,7 +379,7 @@ def test_killing_vector_specs():
         vector=vector_field(prod, ("0", "0", "1")),
     )
     grid = grid_for(prod)
-    assert killing_residual(spec, grid) <= 1e-12
+    assert tc_killing_residual(spec, grid) <= 1e-12
     assert remark_csc(spec, grid).verdict == "identity-holds"
 
 
@@ -379,8 +393,8 @@ def test_killing_residual_values():
     grid = default_grid(ch)
     x, _ = grid_nodes(ch, grid)
     expected = 2 * math.sqrt(2) * float(np.max(np.abs(np.cos(x[..., 0]))))
-    assert abs(killing_residual(spec, grid) - expected) < 1e-12
-    assert killing_residual(trivial(ch, "yamabe", 2.0), grid) == 0.0
+    assert abs(tc_killing_residual(spec, grid) - expected) < 1e-12
+    assert tc_killing_residual(trivial(ch, "yamabe", 2.0), grid) == 0.0
 
 
 # ----------------------------------------------------------- report plumbing
@@ -456,3 +470,59 @@ def test_unknown_check_id_lists_valid_ones():
     ch = torus2()
     with pytest.raises(SolitonError, match="T-SQ"):
         run_check(trivial(ch, "yamabe", 0.0), "bogus", grid_for(ch))
+
+
+def test_unknown_check_id_is_rejected_before_any_work():
+    ch = torus2()
+    workspace.cache_clear()
+    grid_frame.cache_clear()
+    with pytest.raises(SolitonError, match="valid ids: trace_lie2, bochner"):
+        evaluate_theorem("bogus", trivial(ch, "yamabe", 0.0))
+    assert grid_frame.cache_info().misses == 0
+    assert workspace.cache_info().misses == 0
+
+
+# ------------------------------------------------------- the tracer contract
+
+
+def load_tracer():
+    """perfbench/tracer.py, imported by path and left as it is."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_check_names_exist():
+    tracer = load_tracer()
+    assert set(tracer.CHECK_IDS) == set(CHECK_IDS)
+    for name in tracer.CHECK_FUNCTIONS.values():
+        assert callable(getattr(solitons, name))
+
+
+def test_run_check_passes_through_a_traced_name(monkeypatch):
+    # The benchmark's tracer rebinds these module attributes and names the
+    # span solitons.check.<id>; evaluate_theorem's span takes the id from its
+    # first argument.  A dispatch that bypasses them goes untraced.
+    tracer = load_tracer()
+    seen = []
+
+    def recorder(original, check_id=None):
+        def record(*args, **kwargs):
+            seen.append(check_id if check_id is not None else args[0])
+            return original(*args, **kwargs)
+        return record
+
+    monkeypatch.setattr(solitons, "evaluate_theorem",
+                        recorder(solitons.evaluate_theorem))
+    for check_id, name in tracer.CHECK_FUNCTIONS.items():
+        monkeypatch.setattr(solitons, name,
+                            recorder(getattr(solitons, name), check_id))
+    ch = torus2()
+    spec = trivial(ch, "yamabe", 0.0)
+    grid = default_grid(ch, (8, 8))
+    for check_id in CHECK_IDS:
+        seen.clear()
+        run_check(spec, check_id, grid)
+        assert check_id in seen, (check_id, seen)
