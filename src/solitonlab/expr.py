@@ -32,8 +32,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .jets import DEFAULT_ORDER, Jet, apply_unary, constant, exp as jet_exp
-from .jets import log as jet_log, powc, seed
+from .jets import Jet, apply_unary, constant, exp as jet_exp
+from .jets import log as jet_log, powc
 
 # Unary functions; math, numpy and jets each have one of every name.
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
@@ -408,14 +408,6 @@ def evaluate(node, jets):
     return constant(ref.dim, out + 0.0 * ref.value, ref.order)
 
 
-def eval_jet(node, x, order=DEFAULT_ORDER):
-    """Evaluate at points ``x`` of shape (..., dim) as an order-``order`` jet."""
-    x = np.asarray(x, dtype=float)
-    dim = x.shape[-1]
-    seeds = [seed(dim, x, i, order) for i in range(dim)]
-    return evaluate(node, seeds)
-
-
 def eval_number(node):
     """Evaluate a constant expression (no coordinates allowed) to a float."""
     return _eval(node, _no_value("a constant expression"))
@@ -432,49 +424,3 @@ def eval_values(node, x, leaf=None):
     with np.errstate(all="ignore"):
         out = _eval(node, values)
     return np.broadcast_to(np.asarray(out, dtype=float), x.shape[:-1])
-
-
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
-
-
-def pretty(node):
-    """Render back to source with the fewest parentheses that re-parse equal."""
-    return _fmt(node, 0)
-
-
-def _fmt(node, ctx):
-    text, level = _fmt_level(node)
-    if level < ctx:
-        return "(" + text + ")"
-    return text
-
-
-def _fmt_number(v):
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
-
-
-def _fmt_level(node):
-    if isinstance(node, Const):
-        if node.value == math.pi:
-            return "pi", _LEVEL_ATOM
-        text = _fmt_number(node.value)
-        return text, (_LEVEL_NEG if text.startswith("-") else _LEVEL_ATOM)
-    if isinstance(node, Var):
-        return node.name, _LEVEL_ATOM
-    if isinstance(node, Neg):
-        return "-" + _fmt(node.arg, _LEVEL_NEG), _LEVEL_NEG
-    if isinstance(node, Call):
-        return f"{node.func}({_fmt(node.arg, 0)})", _LEVEL_ATOM
-    if node.op in "+-":
-        left = _fmt(node.left, _LEVEL_ADD)
-        right = _fmt(node.right, _LEVEL_MUL)
-        return f"{left} {node.op} {right}", _LEVEL_ADD
-    if node.op in "*/":
-        left = _fmt(node.left, _LEVEL_MUL)
-        right = _fmt(node.right, _LEVEL_NEG)
-        return f"{left}{node.op}{right}", _LEVEL_MUL
-    left = _fmt(node.left, _LEVEL_ATOM)
-    right = _fmt(node.right, _LEVEL_NEG)
-    return f"{left}^{right}", _LEVEL_POW

@@ -22,7 +22,6 @@ through grad f, and leaving the flat direction in would make the normal
 equations singular for no benefit.
 """
 
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -174,25 +173,6 @@ def _vector(xi, dxi):
     return VectorJets(xi=xi, dxi=dxi, d2xi=None, d3xi=None)
 
 
-# The fit grid's arrays; the basis term is the leading axis of terms.xi,
-# terms.dxi, T and dT.
-_Stage = namedtuple("_Stage", "fr terms T dT scale chol")
-
-
-def _sum_terms(st, coeffs):
-    """xi, T and dT of the potential sum(c_k * term_k)."""
-    c = np.asarray(coeffs, float)
-    vj = _vector(np.tensordot(c, st.terms.xi, 1), np.tensordot(c, st.terms.dxi, 1))
-    return vj, np.tensordot(c, st.T, 1), np.tensordot(c, st.dT, 1)
-
-
-def _whiten(st, R):
-    """L^{-1} R L^{-T} * sqrt(weight * volume) for g = L L^T, per node."""
-    white = np.linalg.solve(st.chol, R)
-    white = np.linalg.solve(st.chol, np.swapaxes(white, -1, -2))
-    return white * st.scale
-
-
 class FitProblem:
     """Owns the fit grid's precomputation; one instance per fit, not shared."""
 
@@ -207,20 +187,34 @@ class FitProblem:
         self.fit_grid = _half_grid(ch, self.full_grid)
         self.terms = basis.terms()
         x, w = grid_nodes(ch, self.fit_grid)
-        fr = grid_frame(ch, self.fit_grid)
-        xi, dxi, T, dT = (np.stack(arrays) for arrays in zip(*(
-            _term_fields(fr, scalar_jets(scalar_field(ch, text), x, order=4))
+        self.fr = fr = grid_frame(ch, self.fit_grid)
+        # The basis term is the leading axis of term_vj.xi, term_vj.dxi, T
+        # and dT; order-3 jets of each term give all four.
+        xi, dxi, self.T, self.dT = (np.stack(arrays) for arrays in zip(*(
+            _term_fields(fr, scalar_jets(scalar_field(ch, text), x, order=3))
             for text in self.terms
         )))
-        scale = np.sqrt(w * fr.sqrtg)[..., None, None]
-        chol = np.linalg.cholesky(fr.g)
-        self._st = _Stage(fr, _vector(xi, dxi), T, dT, scale, chol)
+        self.term_vj = _vector(xi, dxi)
+        self.scale = np.sqrt(w * fr.sqrtg)[..., None, None]
+        self.chol = np.linalg.cholesky(fr.g)
+
+    def _sum_terms(self, coeffs):
+        """xi, T and dT of the potential sum(c_k * term_k)."""
+        c = np.asarray(coeffs, float)
+        vj = _vector(np.tensordot(c, self.term_vj.xi, 1),
+                     np.tensordot(c, self.term_vj.dxi, 1))
+        return vj, np.tensordot(c, self.T, 1), np.tensordot(c, self.dT, 1)
+
+    def _whiten(self, R):
+        """L^{-1} R L^{-T} * sqrt(weight * volume) for g = L L^T, per node."""
+        white = np.linalg.solve(self.chol, R)
+        white = np.linalg.solve(self.chol, np.swapaxes(white, -1, -2))
+        return white * self.scale
 
     def residual_stack(self, coeffs, lam, mu):
-        st = self._st
-        vj, T, dT = _sum_terms(st, coeffs)
-        R = residual_tensor(self.kind, lam, mu, st.fr, lie_sym2(vj, T, dT), T)
-        return _whiten(st, R).ravel()
+        vj, T, dT = self._sum_terms(coeffs)
+        R = residual_tensor(self.kind, lam, mu, self.fr, lie_sym2(vj, T, dT), T)
+        return self._whiten(R).ravel()
 
     def objective(self, coeffs, lam, mu):
         y = self.residual_stack(coeffs, lam, mu)
@@ -247,16 +241,15 @@ class FitProblem:
         that of lambda is T and that of mu is -g, for both kinds.
         """
         coeffs, lam, _ = self._unpack(p)
-        st = self._st
-        vj, T, dT = _sum_terms(st, coeffs)
-        free = _vector(st.terms.xi[1:], st.terms.dxi[1:])
-        Tk, dTk = st.T[1:], st.dT[1:]
+        vj, T, dT = self._sum_terms(coeffs)
+        free = _vector(self.term_vj.xi[1:], self.term_vj.dxi[1:])
+        Tk, dTk = self.T[1:], self.dT[1:]
         columns = np.concatenate([
             lie_sym2(free, T, dT) + lie_sym2(vj, Tk, dTk) + lam * Tk,
             T[None],
-            -st.fr.g[None],
+            -self.fr.g[None],
         ])
-        return _whiten(st, columns).reshape(len(p), -1).T
+        return self._whiten(columns).reshape(len(p), -1).T
 
     def _clamp_lam(self, p):
         clamp = self.opts.lam_clamp

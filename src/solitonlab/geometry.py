@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .expr import evaluate, parse
-from .jets import seed
+from .jets import JetDomainError, seed
 
 __all__ = [
     "GeometryError",
@@ -44,7 +44,6 @@ __all__ = [
     "hessian",
     "hessian_jet",
     "laplacian",
-    "laplacian_jet",
     "gradient_vector_jets",
     "lie_sym2",
     "lie_sym2_jet",
@@ -54,6 +53,7 @@ __all__ = [
     "div_vector",
     "div_sym2",
     "trace_g",
+    "trace_g_jet",
     "norm2_sym2",
     "norm2_covec",
     "raise_covec",
@@ -179,47 +179,51 @@ class VectorJets:
     xi: np.ndarray
     dxi: np.ndarray
     d2xi: np.ndarray
-    d3xi: np.ndarray
+    d3xi: Optional[np.ndarray]
 
 
-def _seeds(ch, x, order=3):
+def _derivatives(ch, x, nodes, order, what):
+    """[value, d, d^2, ...] up to ``order`` of the expressions ``nodes`` (one
+    expression or nested tuples of them) at the points x.
+
+    The k-th array has shape batch + (n,) * k + shape(nodes): the derivative
+    axes sit between the batch axes and the entry axes.  Entries are read
+    out one at a time, and the outputs are allocated after the first
+    evaluation, so a single expression's evaluation temporaries never meet
+    them.  A point outside a function's domain raises GeometryError naming
+    the grid node.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != ch.dim:
         raise GeometryError(
             f"points have {x.shape[-1]} coordinates, chart {ch.name!r} has {ch.dim}"
         )
-    return x, [seed(ch.dim, x, i, order) for i in range(ch.dim)]
+    seeds = [seed(ch.dim, x, i, order) for i in range(ch.dim)]
+    table = np.array(nodes, dtype=object)
+    out = None
+    for entry in np.ndindex(table.shape):
+        try:
+            jet = evaluate(table[entry], seeds)
+        except JetDomainError as err:
+            raise GeometryError(
+                f"{what} not defined at {_node_label(ch, x, err.index)}: {err}"
+            ) from None
+        if out is None:
+            out = [np.empty(x.shape[:-1] + (ch.dim,) * k + table.shape)
+                   for k in range(order + 1)]
+        for k, arr in enumerate(out):
+            arr[(Ellipsis,) + entry] = jet.derivative(k)
+    return out
 
 
 def scalar_jets(field, x, order=3):
-    x, seeds = _seeds(field.chart, x, order)
-    jet = evaluate(field.node, seeds)
-    return ScalarJets(
-        f=jet.value,
-        df=jet.gradient(),
-        d2f=jet.hessian(),
-        d3f=jet.third(),
-        d4f=jet.fourth() if order >= 4 else None,
-    )
+    return ScalarJets(*_derivatives(field.chart, x, field.node, order,
+                                    repr(field.source)))
 
 
 def vector_jets(field, x):
-    x, seeds = _seeds(field.chart, x)
-    n = field.chart.dim
-    batch = x.shape[:-1]
-    xi = np.empty(batch + (n,))
-    dxi = np.empty(batch + (n, n))
-    d2xi = np.empty(batch + (n, n, n))
-    d3xi = np.empty(batch + (n, n, n, n))
-    # Indexing [..., a] against the trailing component axis leaves the
-    # derivative axes in front, exactly the dxi[..., i, a] layout.
-    for a, node in enumerate(field.nodes):
-        jet = evaluate(node, seeds)
-        xi[..., a] = jet.value
-        dxi[..., a] = jet.gradient()
-        d2xi[..., a] = jet.hessian()
-        d3xi[..., a] = jet.third()
-    return VectorJets(xi=xi, dxi=dxi, d2xi=d2xi, d3xi=d3xi)
+    return VectorJets(*_derivatives(field.chart, x, field.nodes, 3,
+                                    f"vector field on {field.chart.name!r}"))
 
 
 # --------------------------------------------------------------------- frames
@@ -258,20 +262,9 @@ def _node_label(ch, x, flat):
 
 def frame(ch, x):
     """Evaluate the metric with three derivative orders and assemble curvature."""
-    x, seeds = _seeds(ch, x)
+    x = np.asarray(x, dtype=float)
     n = ch.dim
-    batch = x.shape[:-1]
-    g = np.empty(batch + (n, n))
-    dg = np.empty(batch + (n, n, n))
-    d2g = np.empty(batch + (n, n, n, n))
-    d3g = np.empty(batch + (n, n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            jet = evaluate(ch.metric[i][j], seeds)
-            g[..., i, j] = jet.value
-            dg[..., :, i, j] = jet.gradient()
-            d2g[..., :, :, i, j] = jet.hessian()
-            d3g[..., :, :, :, i, j] = jet.third()
+    g, dg, d2g, d3g = _derivatives(ch, x, ch.metric, 3, f"metric of {ch.name!r}")
 
     scale = 1.0 + float(np.max(np.abs(g)))
     skew = np.abs(g - np.swapaxes(g, -1, -2))
@@ -284,10 +277,7 @@ def frame(ch, x):
             + _node_label(ch, x, flat)
         )
     # Average away harmless last-bit asymmetry before factorizing.
-    g = 0.5 * (g + np.swapaxes(g, -1, -2))
-    dg = 0.5 * (dg + np.swapaxes(dg, -1, -2))
-    d2g = 0.5 * (d2g + np.swapaxes(d2g, -1, -2))
-    d3g = 0.5 * (d3g + np.swapaxes(d3g, -1, -2))
+    g, dg, d2g, d3g = (0.5 * (D + np.swapaxes(D, -1, -2)) for D in (g, dg, d2g, d3g))
 
     try:
         chol = np.linalg.cholesky(g)
@@ -308,20 +298,11 @@ def frame(ch, x):
         + np.einsum("...ik,...akl,...blj->...abij", ginv, dg, dginv)
     )
 
-    S = (
-        np.einsum("...ilj->...lij", dg)
-        + np.einsum("...jli->...lij", dg)
-        - dg
-    )
-    dS = (
-        np.einsum("...ailj->...alij", d2g)
-        + np.einsum("...ajli->...alij", d2g)
-        - d2g
-    )
-    d2S = (
-        np.einsum("...abilj->...ablij", d3g)
-        + np.einsum("...abjli->...ablij", d3g)
-        - d3g
+    # S_lij = d_i g_lj + d_j g_li - d_l g_ij and its derivatives; the
+    # ellipsis carries the batch axes and any further derivative axes.
+    S, dS, d2S = (
+        np.einsum("...ilj->...lij", D) + np.einsum("...jli->...lij", D) - D
+        for D in (dg, d2g, d3g)
     )
     Gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, S)
     dGamma = 0.5 * (
@@ -382,20 +363,12 @@ def laplacian(fr, sj):
     return trace_g(fr, hessian(fr, sj))
 
 
-def laplacian_jet(fr, sj):
-    H = hessian(fr, sj)
-    dH = hessian_jet(fr, sj)
-    return np.einsum("...aij,...ij->...a", fr.dginv, H) + np.einsum(
-        "...ij,...aij->...a", fr.ginv, dH
-    )
-
-
 def gradient_vector_jets(fr, sj):
-    """Three derivative orders of grad f; needs fourth partials of f.
+    """Derivatives of grad f; d3xi is None unless sj carries d4f.
 
     The third derivative of g^{ab} d_b f contains d^4 f, which is why scalar
-    fields destined for soliton residuals are evaluated one order deeper than
-    the metric.
+    fields whose iterated Lie derivative is differentiated are evaluated one
+    order deeper than the metric.
 
     The contractions of d2xi and d3xi pass optimize=True.  The term
     d_i d_j d_k g^{ab} d_b f of d3xi is never formed from a five-index third
@@ -405,8 +378,6 @@ def gradient_vector_jets(fr, sj):
     factors first.  The two-operand terms run as batched matrix products,
     several times faster on whole grids than einsum's default loop.
     """
-    if sj.d4f is None:
-        raise GeometryError("gradient vector jets need order-4 scalar jets")
     ginv, dginv, d2ginv = fr.ginv, fr.dginv, fr.d2ginv
     dg, d2g, d3g = fr.dg, fr.d2g, fr.d3g
     df, d2f, d3f, d4f = sj.df, sj.d2f, sj.d3f, sj.d4f
@@ -420,6 +391,8 @@ def gradient_vector_jets(fr, sj):
         + np.einsum("...jab,...ib->...ija", dginv, d2f, optimize=True)
         + np.einsum("...ab,...ijb->...ija", ginv, d3f, optimize=True)
     )
+    if d4f is None:
+        return VectorJets(xi=xi, dxi=dxi, d2xi=d2xi, d3xi=None)
     # d_a d_b d_c g^{ij} d_j f: the nine product-rule terms of the third
     # derivative of -g^{ik} d g_kl g^{lj}, each contracted with df.
     d3ginv_df = -sum(
@@ -530,6 +503,13 @@ def div_sym2(fr, T, dT):
 
 def trace_g(fr, T):
     return np.einsum("...ij,...ij->...", fr.ginv, T)
+
+
+def trace_g_jet(fr, T, dT):
+    """d_a of the g-trace of a 2-tensor T whose derivatives are dT."""
+    return np.einsum("...aij,...ij->...a", fr.dginv, T) + np.einsum(
+        "...ij,...aij->...a", fr.ginv, dT
+    )
 
 
 def norm2_sym2(fr, T):

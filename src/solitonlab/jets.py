@@ -17,12 +17,17 @@ Coefficients live in a dense array whose last axis enumerates multi-indices
 in a fixed degree-major order (see `multi_indices`).  Leading axes are batch
 axes, so a single jet object can carry the expansion of a field at every
 grid node at once.
+
+Derivatives are read back through one rule, d^alpha f = alpha! c_alpha:
+`Jet.derivative(k)` gathers the coefficient of every index tuple's
+multi-index and scales it by alpha!, giving the fully symmetric k-th
+derivative tensor with its k axes after the batch axes (k = 0 is the value).
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -48,8 +53,8 @@ __all__ = [
 class JetDomainError(ValueError):
     """An elementary function was evaluated outside its domain.
 
-    `index` is the flat batch index of the first offending entry (None for
-    unbatched jets) and `value` the offending input value.
+    `index` is the flat batch index of the first offending entry (0 for an
+    unbatched jet) and `value` the offending input value.
     """
 
     def __init__(self, message, index=None, value=None):
@@ -74,12 +79,9 @@ class _Tables:
     """Precomputed index bookkeeping for one (dim, order) pair."""
 
     def __init__(self, dim, order):
-        self.dim = dim
-        self.order = order
         self.alphas = multi_indices(dim, order)
         self.size = len(self.alphas)
         self.index = {a: k for k, a in enumerate(self.alphas)}
-        self.degrees = np.array([sum(a) for a in self.alphas])
 
         # Triples (i, j, k) with alpha_i + alpha_j = alpha_k, sorted by k so a
         # truncated product is one gather-multiply plus a segmented reduction.
@@ -96,51 +98,18 @@ class _Tables:
         self.mul_j = trip[:, 2]
         self.mul_starts = np.searchsorted(self.mul_k, np.arange(self.size))
 
-        def unit(i):
-            e = [0] * dim
-            e[i] = 1
-            return tuple(e)
-
-        def fact(alpha):
-            f = 1
-            for a in alpha:
-                f *= math.factorial(a)
-            return f
-
-        self.grad_pos = np.array([self.index[unit(i)] for i in range(dim)])
-
-        self.hess_pos = np.empty((dim, dim), dtype=int)
-        self.hess_fac = np.empty((dim, dim))
-        for i in range(dim):
-            for j in range(dim):
-                alpha = tuple(unit(i)[t] + unit(j)[t] for t in range(dim))
-                self.hess_pos[i, j] = self.index[alpha]
-                self.hess_fac[i, j] = fact(alpha)
-
-        self.third_pos = np.empty((dim, dim, dim), dtype=int)
-        self.third_fac = np.empty((dim, dim, dim))
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    alpha = tuple(
-                        unit(i)[t] + unit(j)[t] + unit(k)[t] for t in range(dim)
-                    )
-                    self.third_pos[i, j, k] = self.index[alpha]
-                    self.third_fac[i, j, k] = fact(alpha)
-
-        if order >= 4:
-            self.fourth_pos = np.empty((dim,) * 4, dtype=int)
-            self.fourth_fac = np.empty((dim,) * 4)
-            for i in range(dim):
-                for j in range(dim):
-                    for k in range(dim):
-                        for l in range(dim):
-                            alpha = tuple(
-                                unit(i)[t] + unit(j)[t] + unit(k)[t] + unit(l)[t]
-                                for t in range(dim)
-                            )
-                            self.fourth_pos[i, j, k, l] = self.index[alpha]
-                            self.fourth_fac[i, j, k, l] = fact(alpha)
+        # d^k f = k-th derivative tensor = coeffs[..., pos] * fac, where each
+        # entry's multi-index alpha sits at pos and fac = alpha!.
+        self.derivs = []
+        for k in range(order + 1):
+            pos, fac = [], []
+            for axes in product(range(dim), repeat=k):
+                alpha = tuple(axes.count(t) for t in range(dim))
+                pos.append(self.index[alpha])
+                fac.append(math.prod(map(math.factorial, alpha)))
+            shape = (dim,) * k
+            self.derivs.append((np.reshape(pos, shape),
+                                np.reshape(fac, shape).astype(float)))
 
 
 _TABLES: dict[tuple[int, int], _Tables] = {}
@@ -192,40 +161,23 @@ class Jet:
     def _new(self, coeffs):
         return Jet(self.dim, coeffs, self.order)
 
-    def _zeros_like(self):
-        return np.zeros_like(self.coeffs)
-
     # -- derivative extraction ---------------------------------------------
 
-    def gradient(self):
-        """d_i f, shape (..., dim)."""
-        return self.coeffs[..., self._tab.grad_pos]
-
-    def hessian(self):
-        """d_i d_j f, shape (..., dim, dim), symmetric."""
-        tab = self._tab
-        return self.coeffs[..., tab.hess_pos] * tab.hess_fac
-
-    def third(self):
-        """d_i d_j d_k f, shape (..., dim, dim, dim), fully symmetric."""
-        tab = self._tab
-        return self.coeffs[..., tab.third_pos] * tab.third_fac
-
-    def fourth(self):
-        tab = self._tab
-        if tab.order < 4:
-            raise ValueError("fourth derivatives require an order-4 jet")
-        return self.coeffs[..., tab.fourth_pos] * tab.fourth_fac
+    def derivative(self, k):
+        """d^k f as a fully symmetric (..., dim, ..., dim) array with k
+        derivative axes after the batch axes; k = 0 gives the value."""
+        if not 0 <= k <= self.order:
+            raise ValueError(f"an order-{self.order} jet has no derivative {k}")
+        pos, fac = self._tab.derivs[k]
+        return self.coeffs[..., pos] * fac
 
     def partial(self, alpha):
         """d^alpha f for one multi-index, as an array over the batch axes."""
         alpha = tuple(int(a) for a in alpha)
         tab = self._tab
         if alpha not in tab.index:
-            raise KeyError(f"multi-index {alpha} out of range for order {tab.order}")
-        fac = 1.0
-        for a in alpha:
-            fac *= math.factorial(a)
+            raise KeyError(f"multi-index {alpha} out of range for order {self.order}")
+        fac = math.prod(map(math.factorial, alpha))
         return self.coeffs[..., tab.index[alpha]] * fac
 
     # -- ring operations -----------------------------------------------------
@@ -237,26 +189,20 @@ class Jet:
             return other
         if np.isscalar(other) or isinstance(other, np.ndarray):
             return constant(self.dim, other, self.order)
-        return NotImplemented
+        raise TypeError(f"cannot combine a jet with {type(other).__name__}")
 
     def __add__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self._new(self.coeffs + other.coeffs)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self._new(self.coeffs - other.coeffs)
 
     def __rsub__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other.__sub__(self)
 
     def __neg__(self):
@@ -264,8 +210,6 @@ class Jet:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         tab = self._tab
         prod = (
             np.take(self.coeffs, tab.mul_i, axis=-1)
@@ -277,14 +221,10 @@ class Jet:
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self * _reciprocal(other)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other * _reciprocal(self)
 
     def __pow__(self, expo):
@@ -296,13 +236,12 @@ class Jet:
         Exact at the truncation order because the zero-constant part of the
         jet is nilpotent: its k-th power has no terms below degree k.
         """
-        tab = self._tab
         if len(derivs) != self.order + 1:
             raise ValueError("need order+1 derivative values for composition")
         ubar = self.coeffs.copy()
         ubar[..., 0] = 0.0
         ubar = self._new(ubar)
-        out = self._zeros_like()
+        out = np.zeros_like(self.coeffs)
         out[..., 0] = derivs[0]
         power = ubar
         scale = 1.0
@@ -327,7 +266,7 @@ def seed(dim, x, i, order=DEFAULT_ORDER):
         raise ValueError(f"coordinate index {i} out of range for dim {dim}")
     coeffs = np.zeros(x.shape[:-1] + (tab.size,))
     coeffs[..., 0] = x[..., i]
-    coeffs[..., tab.grad_pos[i]] = 1.0
+    coeffs[..., tab.derivs[1][0][i]] = 1.0
     return Jet(dim, coeffs, order)
 
 
@@ -339,16 +278,16 @@ def constant(dim, value, order=DEFAULT_ORDER):
     return Jet(dim, coeffs, order)
 
 
-def _first_bad(mask):
-    idx = np.flatnonzero(np.asarray(mask).ravel())
-    return int(idx[0]) if idx.size else None
+def _check_domain(bad, v, message):
+    """Raise JetDomainError at the first batch entry where ``bad`` holds."""
+    if np.any(bad):
+        i = int(np.flatnonzero(np.ravel(bad))[0])
+        raise JetDomainError(message, index=i, value=float(np.ravel(v)[i]))
 
 
 def _reciprocal(a):
     v = a.value
-    if np.any(v == 0.0):
-        i = _first_bad(v == 0.0)
-        raise JetDomainError("division by a jet with zero value", index=i, value=0.0)
+    _check_domain(v == 0.0, v, "division by a jet with zero value")
     inv = 1.0 / v
     derivs = [inv]
     for k in range(1, a.order + 1):
@@ -375,10 +314,7 @@ def exp(a):
 
 def log(a):
     v = a.value
-    if np.any(v <= 0.0):
-        i = _first_bad(v <= 0.0)
-        bad = float(np.asarray(v).ravel()[i]) if i is not None else float(v)
-        raise JetDomainError("log requires a positive value", index=i, value=bad)
+    _check_domain(v <= 0.0, v, "log requires a positive value")
     inv = 1.0 / v
     derivs = [np.log(v), inv]
     for k in range(2, a.order + 1):
@@ -388,18 +324,10 @@ def log(a):
 
 def sqrt(a):
     v = a.value
-    if np.any(v < 0.0):
-        i = _first_bad(v < 0.0)
-        bad = float(np.asarray(v).ravel()[i]) if i is not None else float(v)
-        raise JetDomainError("sqrt requires a nonnegative value", index=i, value=bad)
+    _check_domain(v < 0.0, v, "sqrt requires a nonnegative value")
     nonconst = np.any(a.coeffs[..., 1:] != 0.0, axis=-1)
-    if np.any((v == 0.0) & nonconst):
-        i = _first_bad((v == 0.0) & nonconst)
-        raise JetDomainError(
-            "sqrt of a vanishing non-constant jet has no Taylor expansion",
-            index=i,
-            value=0.0,
-        )
+    _check_domain((v == 0.0) & nonconst, v,
+                  "sqrt of a vanishing non-constant jet has no Taylor expansion")
     with np.errstate(divide="ignore", invalid="ignore"):
         root = np.sqrt(v)
         derivs = [root]
@@ -435,22 +363,11 @@ def powc(a, expo):
     return exp(log(a) * c)
 
 
-_UNARY = {
-    "sin": sin,
-    "cos": cos,
-    "exp": exp,
-    "log": log,
-    "sqrt": sqrt,
-    "neg": lambda a: -a,
-}
+_UNARY = {"sin": sin, "cos": cos, "exp": exp, "log": log, "sqrt": sqrt}
 
 
-def apply_unary(op, a, exponent=None):
-    """Dispatch an elementary operation by tag; `pow` takes the constant exponent."""
-    if op == "pow":
-        if exponent is None:
-            raise ValueError("pow requires an exponent")
-        return powc(a, exponent)
+def apply_unary(op, a):
+    """Dispatch an elementary function by name."""
     if op not in _UNARY:
         raise ValueError(f"unknown unary operation {op!r}")
     return _UNARY[op](a)

@@ -48,7 +48,9 @@ def _need(block, key, path, kind=None):
     if key not in block:
         raise ManifestError(f"{path}.{key}", "missing field")
     value = block[key]
-    if kind is not None and not isinstance(value, kind):
+    # JSON true and false are ints to Python; they never count as one here.
+    if kind is not None and (not isinstance(value, kind)
+                             or kind is int and isinstance(value, bool)):
         raise ManifestError(
             f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}"
         )

@@ -2,8 +2,8 @@
 
 Periodic axes use the trapezoid rule on equispaced nodes with the right
 endpoint dropped, which integrates trigonometric polynomials below the
-aliasing frequency exactly.  Non-periodic axes default to a Gauss-Legendre
-rule in the variable u = cos(sigma), where sigma rescales the axis to
+aliasing frequency exactly.  Non-periodic axes use the cosine rule, a
+Gauss-Legendre rule in the variable u = cos(sigma), where sigma rescales the axis to
 [0, pi]:
 
     x_k = lo + (hi - lo) * arccos(u_k) / pi
@@ -14,8 +14,11 @@ with P a polynomial of GL-exactness degree.  On charts whose volume element
 supplies the sin(sigma) factor (polar angles do), smooth integrands that are
 polynomial in the cosine of the angle integrate exactly, and, just as
 important here, the nodes stay well away from the coordinate poles where
-inverse-metric derivatives blow up in floating point.  A plain Gauss-Legendre
-rule in x is available under the name "legendre" for comparisons.
+inverse-metric derivatives blow up in floating point.
+
+An integral against the Riemannian volume is sum(values * w * sqrt(det g))
+over the mesh ``x, w = grid_nodes(ch, spec)``, with sqrt(det g) taken from
+the frame on the same nodes (``solitons.grid_frame(ch, spec).sqrtg``).
 """
 
 from dataclasses import dataclass
@@ -24,10 +27,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .geometry import _node_label, frame
-from .jets import JetDomainError
-
-RULES = ("periodic", "legendre", "cosine")
+RULES = ("periodic", "cosine")
 
 
 class QuadratureError(ValueError):
@@ -71,9 +71,6 @@ def axis_rule(rule, lo, hi, m, margin=0.0):
         return lo + step * np.arange(m), np.full(m, step)
     a, b = lo + margin, hi - margin
     u, w = np.polynomial.legendre.leggauss(m)
-    if rule == "legendre":
-        half = 0.5 * (b - a)
-        return 0.5 * (a + b) + half * u, half * w
     # Cosine rule: Gauss-Legendre in u = cos(sigma), sigma affine over [a, b].
     sigma = np.arccos(u)[::-1]
     length = b - a
@@ -105,30 +102,3 @@ def grid_nodes(ch, spec):
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
-
-
-def integrate(fun, ch, spec=None):
-    """Integral of ``fun`` against the metric volume of the chart.
-
-    ``fun`` is either a callable evaluated on the node mesh or an array of
-    values already on it.  The result is sum(w * fun * sqrt(det g)) in fixed
-    C order, so repeated runs give bit-identical values.
-    """
-    if spec is None:
-        spec = default_grid(ch)
-    x, w = grid_nodes(ch, spec)
-    if callable(fun):
-        try:
-            values = np.asarray(fun(x), dtype=float)
-        except JetDomainError as err:
-            flat = err.index if err.index is not None else 0
-            raise QuadratureError(
-                f"integrand not defined at {_node_label(ch, x, flat)}: {err}"
-            ) from None
-    else:
-        values = np.asarray(fun, dtype=float)
-    if values.shape != w.shape:
-        raise QuadratureError(
-            f"integrand values have shape {values.shape}, grid has {w.shape}"
-        )
-    return float(np.sum(values * w * frame(ch, x).sqrtg))

@@ -23,6 +23,7 @@ computed attribute of ``Workspace``; ``workspace(target, grid)`` caches one
 per soliton or bare field and grid, and computes only what is read.
 """
 
+import math
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache, partial
 from typing import Callable, Optional, Tuple
@@ -39,7 +40,7 @@ from .geometry import (
     frame,
     gradient_vector_jets,
     hessian,
-    laplacian_jet,
+    hessian_jet,
     lie_metric_jets,
     lie_sym2,
     lie_sym2_jet,
@@ -51,6 +52,7 @@ from .geometry import (
     ric_vv,
     scalar_jets,
     trace_g,
+    trace_g_jet,
     vector_jets,
 )
 from .quadrature import default_grid, grid_nodes
@@ -68,6 +70,13 @@ class Tolerances:
     integral: float = 1e-7
     hypothesis: float = 1e-7
     slack: float = 1e-7
+
+    def __post_init__(self):
+        for name, value in asdict(self).items():
+            if not (math.isfinite(value) and value >= 0):
+                raise SolitonError(
+                    f"tolerance {name} must be finite and nonnegative, got {value!r}"
+                )
 
     @classmethod
     def uniform(cls, tol):
@@ -216,10 +225,7 @@ class Workspace:
 
     @cached_property
     def dtraceU(self):
-        fr = self.fr
-        return np.einsum("...aij,...ij->...a", fr.dginv, self.U) + np.einsum(
-            "...ij,...aij->...a", fr.ginv, self.dU
-        )
+        return trace_g_jet(self.fr, self.U, self.dU)
 
     @cached_property
     def divU(self):
@@ -244,7 +250,7 @@ class Workspace:
 
     @cached_property
     def dlap(self):
-        return laplacian_jet(self.fr, self.sj)
+        return trace_g_jet(self.fr, self.H, hessian_jet(self.fr, self.sj))
 
     @cached_property
     def gfr(self):

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from conftest import random_scalar, random_vector
+from test_geometry import grad_laplacian
 from solitonlab.fitting import BasisExpansion, FitProblem, fit_potential
 from solitonlab.geometry import (
     div_sym2,
@@ -22,7 +23,6 @@ from solitonlab.geometry import (
     gradient_vector_jets,
     hessian,
     laplacian,
-    laplacian_jet,
     lie_metric_jets,
     norm2_sym2,
     raise_covec,
@@ -125,7 +125,7 @@ def test_criterion_3_closed_form_spot_checks(capsys):
         rhs = (
             norm2_sym2(fr, hessian(fr, sj))
             + ric_vv(fr, gradf, gradf)
-            + np.einsum("...a,...a->...", laplacian_jet(fr, sj), gradf)
+            + np.einsum("...a,...a->...", grad_laplacian(fr, sj), gradf)
         )
         assert abs(float(lhs[0]) - 0.5) <= 1e-10
         assert abs(float(rhs[0]) - 0.5) <= 1e-10
@@ -137,7 +137,7 @@ def test_criterion_3_closed_form_spot_checks(capsys):
         T, dT = lie_metric_jets(fr, gradient_vector_jets(fr, sj))
         lhs = div_sym2(fr, T, dT)[..., 0]
         rhs = (
-            2.0 * laplacian_jet(fr, sj)[..., 0]
+            2.0 * grad_laplacian(fr, sj)[..., 0]
             + 2.0 * np.einsum("...b,...b->...", fr.Ric[..., 0, :], gradf)
         )
         assert abs(float(lhs[0]) - 2.0) <= 1e-10

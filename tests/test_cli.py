@@ -97,6 +97,28 @@ def test_describe_rejects_indefinite_metric(tmp_path, capsys):
     assert "not positive definite" in err and "x=" in err
 
 
+@pytest.mark.parametrize("command,metric_yy,potential", [
+    ("describe", "2 + log(cos(th))", "0"),
+    ("check", "sin(th)^2", "log(cos(th))"),
+])
+def test_out_of_domain_field_names_its_node(tmp_path, capsys, command,
+                                            metric_yy, potential):
+    data = {
+        "manifold": {
+            "name": "sphere2", "dim": 2, "coords": ["th", "ph"],
+            "domain": [[0, "pi"], [0, "2*pi"]], "periodic": [False, True],
+            "metric": [["1", "0"], ["0", metric_yy]],
+        },
+        "soliton": {"kind": "yamabe", "potential": {"gradient": potential},
+                    "lambda": 1, "mu": 2},
+    }
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, command, str(path), "--grid", "8,8")
+    assert code == 2
+    assert "node (4, 0) (th=1.75528, ph=0): log requires a positive value" in err
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_missing_manifest_exits_2(capsys):
@@ -194,6 +216,21 @@ def test_readme_check_table_matches_catalog():
     assert [row[0].strip("`") for row in rows] == list(CHECK_IDS)
     needs_gradient = [row[0].strip("`") for row in rows if row[-1] == "yes"]
     assert needs_gradient == list(GRADIENT_ONLY)
+
+
+def test_readme_python_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-1] == "identity-holds"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_check_rejects_meaningless_tol(capsys, tol):
+    code, out, err = run(capsys, "check", "sphere2_yamabe_trivial", "T-N2",
+                         f"--tol={tol}")
+    assert code == 2 and out == ""
+    assert "tolerance pointwise must be finite and nonnegative" in err
 
 
 def test_check_report_carries_tolerances(capsys):

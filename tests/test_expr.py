@@ -20,18 +20,22 @@ from solitonlab.expr import (
     Neg,
     Var,
     FUNCTIONS,
-    eval_jet,
     eval_number,
     eval_values,
     evaluate,
     parse,
     parse_integrand,
-    pretty,
 )
 from solitonlab.jets import JetDomainError, seed
 
 
 # ----------------------------------------------------------------- oracles
+
+
+def eval_jet(node, x):
+    """Order-3 jet of ``node`` at points x of shape (..., dim)."""
+    x = np.asarray(x, dtype=float)
+    return evaluate(node, [seed(x.shape[-1], x, i) for i in range(x.shape[-1])])
 
 
 def peval(node, env):
@@ -178,22 +182,22 @@ def test_linear_expression_value():
     node = parse("2*pi - th", ("th",))
     j = eval_jet(node, np.array([math.pi]))
     assert j.value == pytest.approx(math.pi)
-    assert j.gradient()[0] == -1.0
+    assert j.derivative(1)[0] == -1.0
 
 
 def test_sin_squared_partials_at_half_pi():
     j = eval_jet(parse("sin(th)^2", ("th",)), np.array([math.pi / 2]))
     assert j.value == pytest.approx(1.0, abs=1e-14)
-    assert j.gradient()[0] == pytest.approx(0.0, abs=1e-14)
-    assert j.hessian()[0, 0] == pytest.approx(-2.0, abs=1e-13)
-    assert j.third()[0, 0, 0] == pytest.approx(0.0, abs=1e-13)
+    assert j.derivative(1)[0] == pytest.approx(0.0, abs=1e-14)
+    assert j.derivative(2)[0, 0] == pytest.approx(-2.0, abs=1e-13)
+    assert j.derivative(3)[0, 0, 0] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_product_of_coordinates():
     j = eval_jet(parse("th*ph", ("th", "ph")), np.array([2.0, 3.0]))
     assert j.value == 6.0
-    assert np.allclose(j.gradient(), [3.0, 2.0])
-    assert np.allclose(j.hessian(), [[0.0, 1.0], [1.0, 0.0]])
+    assert np.allclose(j.derivative(1), [3.0, 2.0])
+    assert np.allclose(j.derivative(2), [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_exp_sin_closed_form_derivatives():
@@ -203,9 +207,9 @@ def test_exp_sin_closed_form_derivatives():
         j = eval_jet(parse("exp(sin(th))", ("th",)), np.array([t]))
         s, c, f = math.sin(t), math.cos(t), math.exp(math.sin(t))
         assert j.value == pytest.approx(f, rel=1e-14)
-        assert j.gradient()[0] == pytest.approx(c * f, rel=1e-13)
-        assert j.hessian()[0, 0] == pytest.approx((c * c - s) * f, rel=1e-12, abs=1e-12)
-        assert j.third()[0, 0, 0] == pytest.approx(
+        assert j.derivative(1)[0] == pytest.approx(c * f, rel=1e-13)
+        assert j.derivative(2)[0, 0] == pytest.approx((c * c - s) * f, rel=1e-12, abs=1e-12)
+        assert j.derivative(3)[0, 0, 0] == pytest.approx(
             (c**3 - 3 * s * c - c) * f, rel=1e-12, abs=1e-12
         )
 
@@ -219,7 +223,7 @@ def test_power_dispatch():
     assert j.value[0] == pytest.approx(0.8**1.3, rel=1e-13)
     j = eval_jet(parse("2^th", ("th", "ph")), grid)
     assert j.value[0] == pytest.approx(2**0.8, rel=1e-13)
-    assert j.gradient()[0, 0] == pytest.approx(math.log(2) * 2**0.8, rel=1e-12)
+    assert j.derivative(1)[0, 0] == pytest.approx(math.log(2) * 2**0.8, rel=1e-12)
     with pytest.raises(ExprError):
         eval_jet(parse("(0 - 2)^th", ("th",)), np.array([1.0]))
 
@@ -239,7 +243,7 @@ def test_evaluate_requires_jets():
     jets = [seed(2, x, i) for i in range(2)]
     out = evaluate(parse("2*pi", ("th", "ph")), jets)
     assert out.value == pytest.approx(2 * math.pi)
-    assert np.allclose(out.gradient(), 0.0)
+    assert np.allclose(out.derivative(1), 0.0)
 
 
 def test_domain_error_carries_node_index():
@@ -250,30 +254,7 @@ def test_domain_error_carries_node_index():
     assert info.value.index == 1
 
 
-# ------------------------------------------------------------ round-tripping
-
-
-@pytest.mark.parametrize(
-    "source,shown",
-    [
-        ("-(th*ph)", "-(th*ph)"),
-        ("(th+ph)*th", "(th + ph)*th"),
-        ("th^(2*ph)", "th^(2*ph)"),
-        ("2*pi - th", "2*pi - th"),
-        ("th^-2", "th^-2"),
-        ("th - (ph - 1)", "th - (ph - 1)"),
-        ("sin(th)^2", "sin(th)^2"),
-        ("(th^2)^2", "(th^2)^2"),
-        ("th/(2*ph)", "th/(2*ph)"),
-    ],
-)
-def test_pretty_pinned(source, shown):
-    assert pretty(parse(source, ("th", "ph"))) == shown
-
-
-@given(ast_strategy())
-def test_pretty_round_trips_structure(node):
-    assert parse(pretty(node), ("th", "ph")) == node
+# ------------------------------------------------------------ random trees
 
 
 @given(ast_strategy(max_leaves=6), st.floats(0.3, 2.5), st.floats(0.3, 2.5))
@@ -303,7 +284,7 @@ def test_values_match_jet_values(node, t, p):
     # The branches round differently (a jet divides through a reciprocal and
     # raises to a non-integer power as exp(c log a)), so they agree relative
     # to the value's scale plus its sensitivity to the coordinates.
-    scale = max(1.0, abs(j.value)) + np.abs(j.gradient()) @ x
+    scale = max(1.0, abs(j.value)) + np.abs(j.derivative(1)) @ x
     if not np.isfinite(scale):
         return
     assert abs(eval_values(node, x) - j.value) <= 1e-12 * scale

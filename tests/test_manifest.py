@@ -108,6 +108,7 @@ def test_unknown_keys_rejected():
         ("grid", [16], "grid"),
         ("grid", [16, True], "grid"),
         ("grid", "fine", "grid"),
+        ("dim", True, "dim: expected int, got bool"),
     ],
 )
 def test_manifold_field_errors(key, value, path):
@@ -195,6 +196,8 @@ def test_fit_block_options_and_init():
           "init": {"coefficients": "big"}}, "fit.init.coefficients"),
         ({"kind": "ricci", "basis": "fourier", "degree": 1,
           "options": {"fd_step": 1e-6}}, "fit.options.fd_step"),
+        ({"kind": "ricci", "basis": "fourier", "degree": True},
+         "fit.degree: expected int, got bool"),
     ],
 )
 def test_fit_field_errors(block, path):
