@@ -322,22 +322,24 @@ def _build_parser():
     )
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
+    parser.set_defaults(tol=None)  # describe and integrate compare nothing
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, tol=False):
         p.add_argument("manifest",
                        help="manifest JSON path or bundled manifest name")
         p.add_argument("--grid",
                        help="node counts per coordinate, e.g. 64,128")
-        p.add_argument("--tol", type=float,
-                       help="uniform tolerance replacing the defaults")
+        if tol:
+            p.add_argument("--tol", type=float,
+                           help="uniform tolerance replacing the defaults")
         p.add_argument("--out", help="also write the report to this file")
 
     p = sub.add_parser("describe", help="chart and curvature summary")
     common(p)
 
     p = sub.add_parser("check", help="run identity and theorem checks")
-    common(p)
+    common(p, tol=True)
     p.add_argument("ids", nargs="*", metavar="check-id",
                    help=f"checks to run (default all applicable); "
                         f"valid: {', '.join(CHECK_IDS)}")
@@ -349,7 +351,7 @@ def _build_parser():
     p.add_argument("expression", help="integrand in the extended DSL")
 
     p = sub.add_parser("fit", help="fit a gradient potential")
-    common(p)
+    common(p, tol=True)
 
     return parser
 

@@ -30,8 +30,8 @@ import numpy as np
 from .geometry import (
     VectorJets,
     gradient_vector_jets,
+    lie_jet,
     lie_metric_jets,
-    lie_sym2,
     norm2_sym2,
     scalar_field,
     scalar_jets,
@@ -168,11 +168,6 @@ def _term_fields(fr, sj):
     return (vj.xi, vj.dxi) + lie_metric_jets(fr, vj)
 
 
-def _vector(xi, dxi):
-    """Vector jets to first order, enough for lie_sym2."""
-    return VectorJets(xi=xi, dxi=dxi, d2xi=None, d3xi=None)
-
-
 class FitProblem:
     """Owns the fit grid's precomputation; one instance per fit, not shared."""
 
@@ -194,15 +189,15 @@ class FitProblem:
             _term_fields(fr, scalar_jets(scalar_field(ch, text), x, order=3))
             for text in self.terms
         )))
-        self.term_vj = _vector(xi, dxi)
+        self.term_vj = VectorJets(xi, dxi)
         self.scale = np.sqrt(w * fr.sqrtg)[..., None, None]
         self.chol = np.linalg.cholesky(fr.g)
 
     def _sum_terms(self, coeffs):
         """xi, T and dT of the potential sum(c_k * term_k)."""
         c = np.asarray(coeffs, float)
-        vj = _vector(np.tensordot(c, self.term_vj.xi, 1),
-                     np.tensordot(c, self.term_vj.dxi, 1))
+        vj = VectorJets(np.tensordot(c, self.term_vj.xi, 1),
+                        np.tensordot(c, self.term_vj.dxi, 1))
         return vj, np.tensordot(c, self.T, 1), np.tensordot(c, self.dT, 1)
 
     def _whiten(self, R):
@@ -213,14 +208,15 @@ class FitProblem:
 
     def residual_stack(self, coeffs, lam, mu):
         vj, T, dT = self._sum_terms(coeffs)
-        R = residual_tensor(self.kind, lam, mu, self.fr, lie_sym2(vj, T, dT), T)
+        U = lie_jet(vj, [T, dT], 0)
+        R = residual_tensor(self.kind, lam, mu, self.fr, U, T)
         return self._whiten(R).ravel()
 
     def objective(self, coeffs, lam, mu):
         y = self.residual_stack(coeffs, lam, mu)
         return float(y @ y)
 
-    # ------------------------------------------------------------ optimizer
+    # ---------------------------------------------------- Levenberg-Marquardt
 
     def _pack(self, coeffs, lam, mu):
         return np.concatenate([np.asarray(coeffs[1:], float), [lam, mu]])
@@ -242,10 +238,10 @@ class FitProblem:
         """
         coeffs, lam, _ = self._unpack(p)
         vj, T, dT = self._sum_terms(coeffs)
-        free = _vector(self.term_vj.xi[1:], self.term_vj.dxi[1:])
+        free = VectorJets(self.term_vj.xi[1:], self.term_vj.dxi[1:])
         Tk, dTk = self.T[1:], self.dT[1:]
         columns = np.concatenate([
-            lie_sym2(free, T, dT) + lie_sym2(vj, Tk, dTk) + lam * Tk,
+            lie_jet(free, [T, dT], 0) + lie_jet(vj, [Tk, dTk], 0) + lam * Tk,
             T[None],
             -self.fr.g[None],
         ])

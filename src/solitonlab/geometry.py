@@ -15,10 +15,18 @@ Index conventions for the arrays built here, with n the chart dimension:
 * For vector fields, ``xi[..., a]`` are contravariant components and
   ``dxi[..., i, a]`` is d_i xi^a; higher derivatives prepend axes likewise.
 
+So every derivative array puts its derivative axes right after the batch
+axes and before the tensor's own.  Derivatives of contractions come from
+``leibniz``, which takes each factor as a list [A, dA, d^2 A, ...] in that
+layout; a list too short for some term of the product rule leaves that term
+out, so a one-element list holds its factor fixed.
+
 Scalar curvature follows the sign convention that makes the unit round
 two-sphere have r = 2.
 """
 
+import itertools
+import string
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -41,13 +49,11 @@ __all__ = [
     "frame",
     "scalar_jets",
     "vector_jets",
+    "leibniz",
     "hessian",
-    "hessian_jet",
     "laplacian",
     "gradient_vector_jets",
-    "lie_sym2",
-    "lie_sym2_jet",
-    "lie_sym2_jet2",
+    "lie_jet",
     "lie_metric_jets",
     "cov_accel",
     "div_vector",
@@ -178,8 +184,8 @@ class VectorJets:
 
     xi: np.ndarray
     dxi: np.ndarray
-    d2xi: np.ndarray
-    d3xi: Optional[np.ndarray]
+    d2xi: Optional[np.ndarray] = None
+    d3xi: Optional[np.ndarray] = None
 
 
 def _derivatives(ch, x, nodes, order, what):
@@ -224,6 +230,38 @@ def scalar_jets(field, x, order=3):
 def vector_jets(field, x):
     return VectorJets(*_derivatives(field.chart, x, field.nodes, 3,
                                     f"vector field on {field.chart.name!r}"))
+
+
+# ---------------------------------------------------------------- product rule
+
+
+def leibniz(subscripts, *operands, k):
+    """d^k of ``np.einsum(subscripts, A, B, ...)`` for operands given as
+    lists [A, dA, d^2 A, ...] in the layout of the module docstring.
+
+    Each way of handing the k new derivative axes to the operands adds one
+    term, and the new axes lead the result's own.  Every subscript term
+    starts with "...".  Each term is added in place and dropped before the
+    next one is formed."""
+    inputs, output = subscripts.split("->")
+    inputs = inputs.split(",")
+    new = "".join(c for c in string.ascii_letters if c not in subscripts)[:k]
+    total = None
+    for owners in itertools.product(range(len(operands)), repeat=k):
+        axes = ["".join(a for a, o in zip(new, owners) if o == p)
+                for p in range(len(operands))]
+        if any(len(ax) >= len(op) for ax, op in zip(axes, operands)):
+            continue
+        spec = ",".join("..." + ax + sub[3:] for ax, sub in zip(axes, inputs))
+        term = np.einsum(f"{spec}->...{new}{output[3:]}",
+                         *(op[len(ax)] for ax, op in zip(axes, operands)),
+                         optimize=True)
+        if total is None:
+            total = term
+        else:
+            total += term
+        del term
+    return total
 
 
 # --------------------------------------------------------------------- frames
@@ -291,54 +329,30 @@ def frame(ch, x):
     sqrtg = np.prod(np.diagonal(chol, axis1=-2, axis2=-1), axis=-1)
     ginv = np.linalg.inv(g)
 
-    dginv = -np.einsum("...ik,...akl,...lj->...aij", ginv, dg, ginv)
-    d2ginv = -(
-        np.einsum("...bik,...akl,...lj->...abij", dginv, dg, ginv)
-        + np.einsum("...ik,...abkl,...lj->...abij", ginv, d2g, ginv)
-        + np.einsum("...ik,...akl,...blj->...abij", ginv, dg, dginv)
-    )
+    # G = [g^-1, d g^-1, d^2 g^-1], each from d g^-1 = -g^-1 dg g^-1.
+    G, DG = [ginv], [dg, d2g, d3g]
+    for k in range(2):
+        G.append(-leibniz("...ik,...akl,...lj->...aij", G, DG, G, k=k))
 
-    # S_lij = d_i g_lj + d_j g_li - d_l g_ij and its derivatives; the
+    # S_lij = d_i g_lj + d_j g_li - d_l g_ij and its derivatives, stored as
+    # S[..., i, j, l] so that einsum's matrix products read S in place; the
     # ellipsis carries the batch axes and any further derivative axes.
-    S, dS, d2S = (
-        np.einsum("...ilj->...lij", D) + np.einsum("...jli->...lij", D) - D
-        for D in (dg, d2g, d3g)
-    )
-    Gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, S)
-    dGamma = 0.5 * (
-        np.einsum("...akl,...lij->...akij", dginv, S)
-        + np.einsum("...kl,...alij->...akij", ginv, dS)
-    )
-    d2Gamma = 0.5 * (
-        np.einsum("...abkl,...lij->...abkij", d2ginv, S)
-        + np.einsum("...akl,...blij->...abkij", dginv, dS)
-        + np.einsum("...bkl,...alij->...abkij", dginv, dS)
-        + np.einsum("...kl,...ablij->...abkij", ginv, d2S)
-    )
-
-    tG = np.einsum("...kkl->...l", Gamma)
-    Ric = (
-        np.einsum("...kkij->...ij", dGamma)
-        - np.einsum("...ikkj->...ij", dGamma)
-        + np.einsum("...l,...lij->...ij", tG, Gamma)
-        - np.einsum("...kil,...lkj->...ij", Gamma, Gamma)
-    )
-    dtG = np.einsum("...akkl->...al", dGamma)
-    dRic = (
-        np.einsum("...akkij->...aij", d2Gamma)
-        - np.einsum("...aikkj->...aij", d2Gamma)
-        + np.einsum("...al,...lij->...aij", dtG, Gamma)
-        + np.einsum("...l,...alij->...aij", tG, dGamma)
-        - np.einsum("...akil,...lkj->...aij", dGamma, Gamma)
-        - np.einsum("...kil,...alkj->...aij", Gamma, dGamma)
-    )
-    r = np.einsum("...ij,...ij->...", ginv, Ric)
-    dr = np.einsum("...aij,...ij->...a", dginv, Ric) + np.einsum(
-        "...ij,...aij->...a", ginv, dRic
-    )
+    S = [np.einsum("...ilj->...ijl", D) + np.einsum("...jli->...ijl", D)
+         - np.einsum("...lij->...ijl", D) for D in DG]
+    Gamma, dGamma, d2Gamma = Gam = [
+        0.5 * leibniz("...kl,...ijl->...kij", G, S, k=k) for k in range(3)
+    ]
+    Ric, dRic = Rics = [
+        leibniz("...kkij->...ij", Gam[1:], k=k)
+        - leibniz("...ikkj->...ij", Gam[1:], k=k)
+        + leibniz("...kkl,...lij->...ij", Gam, Gam, k=k)
+        - leibniz("...kil,...lkj->...ij", Gam, Gam, k=k)
+        for k in range(2)
+    ]
+    r, dr = (leibniz("...ij,...ij->...", G, Rics, k=k) for k in range(2))
     return PointFrame(
         chart=ch, x=x, g=g, ginv=ginv, sqrtg=sqrtg, dg=dg, d2g=d2g, d3g=d3g,
-        dginv=dginv, d2ginv=d2ginv, Gamma=Gamma, dGamma=dGamma,
+        dginv=G[1], d2ginv=G[2], Gamma=Gamma, dGamma=dGamma,
         d2Gamma=d2Gamma, Ric=Ric, dRic=dRic, r=r, dr=dr,
     )
 
@@ -346,17 +360,10 @@ def frame(ch, x):
 # ----------------------------------------------------- scalar field operators
 
 
-def hessian(fr, sj):
-    return sj.d2f - np.einsum("...kij,...k->...ij", fr.Gamma, sj.df)
-
-
-def hessian_jet(fr, sj):
-    """First derivatives d_a Hess(f)_ij of the coordinate Hessian components."""
-    return (
-        sj.d3f
-        - np.einsum("...akij,...k->...aij", fr.dGamma, sj.df)
-        - np.einsum("...kij,...ak->...aij", fr.Gamma, sj.d2f)
-    )
+def hessian(fr, sj, k=0):
+    """Hess(f)_ij for k = 0, its first derivatives d_a Hess(f)_ij for k = 1."""
+    return (sj.d2f, sj.d3f)[k] - leibniz(
+        "...kij,...k->...ij", [fr.Gamma, fr.dGamma], [sj.df, sj.d2f], k=k)
 
 
 def laplacian(fr, sj):
@@ -364,109 +371,50 @@ def laplacian(fr, sj):
 
 
 def gradient_vector_jets(fr, sj):
-    """Derivatives of grad f; d3xi is None unless sj carries d4f.
+    """Derivatives of grad f; d3xi, which contains d^4 f, is None unless sj
+    carries d4f.
 
-    The third derivative of g^{ab} d_b f contains d^4 f, which is why scalar
-    fields whose iterated Lie derivative is differentiated are evaluated one
-    order deeper than the metric.
-
-    The contractions of d2xi and d3xi pass optimize=True.  The term
-    d_i d_j d_k g^{ab} d_b f of d3xi is never formed from a five-index third
-    inverse-metric derivative: each of the nine product-rule terms of
-    d^3 (-g^{-1} dg g^{-1}) carries df as a fourth operand, and the
-    contraction path numpy picks contracts g^{-1} df and the other small
-    factors first.  The two-operand terms run as batched matrix products,
-    several times faster on whole grids than einsum's default loop.
+    xi = g^{-1} df, so d^k xi is g^{-1} times d^(k+1) f less the terms of
+    d^k (g xi) that hold lower derivatives of xi: ``leibniz`` leaves out the
+    one term needing d^k xi, which the list of xi jets does not hold yet.
     """
-    ginv, dginv, d2ginv = fr.ginv, fr.dginv, fr.d2ginv
-    dg, d2g, d3g = fr.dg, fr.d2g, fr.d3g
-    df, d2f, d3f, d4f = sj.df, sj.d2f, sj.d3f, sj.d4f
-    xi = np.einsum("...ab,...b->...a", ginv, df)
-    dxi = np.einsum("...iab,...b->...ia", dginv, df) + np.einsum(
-        "...ab,...ib->...ia", ginv, d2f
-    )
-    d2xi = (
-        np.einsum("...ijab,...b->...ija", d2ginv, df, optimize=True)
-        + np.einsum("...iab,...jb->...ija", dginv, d2f, optimize=True)
-        + np.einsum("...jab,...ib->...ija", dginv, d2f, optimize=True)
-        + np.einsum("...ab,...ijb->...ija", ginv, d3f, optimize=True)
-    )
-    if d4f is None:
-        return VectorJets(xi=xi, dxi=dxi, d2xi=d2xi, d3xi=None)
-    # d_a d_b d_c g^{ij} d_j f: the nine product-rule terms of the third
-    # derivative of -g^{ik} d g_kl g^{lj}, each contracted with df.
-    d3ginv_df = -sum(
-        np.einsum(subscripts, *factors, df, optimize=True)
-        for subscripts, factors in (
-            ("...bcik,...akl,...lj,...j->...abci", (d2ginv, dg, ginv)),
-            ("...bik,...ackl,...lj,...j->...abci", (dginv, d2g, ginv)),
-            ("...bik,...akl,...clj,...j->...abci", (dginv, dg, dginv)),
-            ("...cik,...abkl,...lj,...j->...abci", (dginv, d2g, ginv)),
-            ("...ik,...abckl,...lj,...j->...abci", (ginv, d3g, ginv)),
-            ("...ik,...abkl,...clj,...j->...abci", (ginv, d2g, dginv)),
-            ("...cik,...akl,...blj,...j->...abci", (dginv, dg, dginv)),
-            ("...ik,...ackl,...blj,...j->...abci", (ginv, d2g, dginv)),
-            ("...ik,...akl,...bclj,...j->...abci", (ginv, dg, d2ginv)),
-        )
-    )
-    d3xi = (
-        d3ginv_df
-        + np.einsum("...ijab,...kb->...ijka", d2ginv, d2f, optimize=True)
-        + np.einsum("...ikab,...jb->...ijka", d2ginv, d2f, optimize=True)
-        + np.einsum("...jkab,...ib->...ijka", d2ginv, d2f, optimize=True)
-        + np.einsum("...iab,...jkb->...ijka", dginv, d3f, optimize=True)
-        + np.einsum("...jab,...ikb->...ijka", dginv, d3f, optimize=True)
-        + np.einsum("...kab,...ijb->...ijka", dginv, d3f, optimize=True)
-        + np.einsum("...ab,...ijkb->...ijka", ginv, d4f, optimize=True)
-    )
-    return VectorJets(xi=xi, dxi=dxi, d2xi=d2xi, d3xi=d3xi)
+    Gs, X = [fr.g, fr.dg, fr.d2g, fr.d3g], []
+    F = [sj.df, sj.d2f, sj.d3f] + ([] if sj.d4f is None else [sj.d4f])
+    for k, dkf in enumerate(F):
+        rest = dkf - leibniz("...ab,...b->...a", Gs, X, k=k) if k else dkf
+        axes = "cde"[:k]
+        X.append(leibniz(f"...ab,...{axes}b->...{axes}a", [fr.ginv], [rest],
+                         k=0))
+    return VectorJets(*X)
 
 
 # ------------------------------------------------------------ Lie derivatives
 
 
-def lie_sym2(vj, T, dT):
-    """(L_xi T)_ij for a symmetric 2-tensor with known first derivatives."""
-    return (
-        np.einsum("...a,...aij->...ij", vj.xi, dT)
-        + np.einsum("...aj,...ia->...ij", T, vj.dxi)
-        + np.einsum("...ia,...ja->...ij", T, vj.dxi)
-    )
+def lie_jet(vj, Ts, k):
+    """d^k (L_xi T)_ij of a symmetric 2-tensor T from Ts = [T, dT, ...],
+    which must reach d^(k+1) T, and xi's jets to order k + 1.
 
-
-def lie_sym2_jet(vj, T, dT, d2T):
-    """d_b (L_xi T)_ij."""
-    return (
-        np.einsum("...ba,...aij->...bij", vj.dxi, dT)
-        + np.einsum("...a,...baij->...bij", vj.xi, d2T)
-        + np.einsum("...baj,...ia->...bij", dT, vj.dxi)
-        + np.einsum("...aj,...bia->...bij", T, vj.d2xi)
-        + np.einsum("...bia,...ja->...bij", dT, vj.dxi)
-        + np.einsum("...ia,...bja->...bij", T, vj.d2xi)
-    )
-
-
-def lie_sym2_jet2(vj, T, dT, d2T, d3T):
-    """d_c d_b (L_xi T)_ij; feeds the derivative of an iterated Lie derivative."""
-    return (
-        np.einsum("...cba,...aij->...cbij", vj.d2xi, dT)
-        + np.einsum("...ba,...caij->...cbij", vj.dxi, d2T)
-        + np.einsum("...ca,...baij->...cbij", vj.dxi, d2T)
-        + np.einsum("...a,...cbaij->...cbij", vj.xi, d3T)
-        + np.einsum("...cbaj,...ia->...cbij", d2T, vj.dxi)
-        + np.einsum("...baj,...cia->...cbij", dT, vj.d2xi)
-        + np.einsum("...caj,...bia->...cbij", dT, vj.d2xi)
-        + np.einsum("...aj,...cbia->...cbij", T, vj.d3xi)
-        + np.einsum("...cbia,...ja->...cbij", d2T, vj.dxi)
-        + np.einsum("...bia,...cja->...cbij", dT, vj.d2xi)
-        + np.einsum("...cia,...bja->...cbij", dT, vj.d2xi)
-        + np.einsum("...ia,...cbja->...cbij", T, vj.d3xi)
-    )
+    (L_xi T)_ij = xi^a d_a T_ij + P_ij + P_ji with P_ij = T_ja d_i xi^a, the
+    last term by the symmetry of T.  Each array contracts over its last
+    index or its first derivative axis, so einsum's matrix products read it
+    in place: d^m d_a T is symmetric in its m + 1 derivative axes, and
+    moving the first of them behind the others changes no value.
+    """
+    X = [vj.xi, vj.dxi, vj.d2xi, vj.d3xi]
+    dTs = [np.moveaxis(D, D.ndim - 3 - m, D.ndim - 3)
+           for m, D in enumerate(Ts[1:])]
+    L = leibniz("...a,...aij->...ij", X, dTs, k=k)
+    P = leibniz("...ja,...ia->...ij", Ts, X[1:], k=k)
+    L += P
+    L += np.swapaxes(P, -1, -2)
+    return L
 
 
 def lie_metric_jets(fr, vj):
     """(T, dT) for T = L_xi g, from xi, dxi and d2xi."""
-    return lie_sym2(vj, fr.g, fr.dg), lie_sym2_jet(vj, fr.g, fr.dg, fr.d2g)
+    Gs = [fr.g, fr.dg, fr.d2g]
+    return lie_jet(vj, Gs, 0), lie_jet(vj, Gs, 1)
 
 
 # --------------------------------------------------------- vector field calcs
@@ -474,16 +422,12 @@ def lie_metric_jets(fr, vj):
 
 def cov_accel(fr, vj):
     """nabla_xi xi and its coordinate derivative."""
-    v = np.einsum("...a,...ak->...k", vj.xi, vj.dxi) + np.einsum(
-        "...kab,...a,...b->...k", fr.Gamma, vj.xi, vj.xi
+    X, Gam = [vj.xi, vj.dxi, vj.d2xi], [fr.Gamma, fr.dGamma]
+    return tuple(
+        leibniz("...a,...ak->...k", X, X[1:], k=k)
+        + leibniz("...kab,...a,...b->...k", Gam, X, X, k=k)
+        for k in range(2)
     )
-    dv = (
-        np.einsum("...ia,...ak->...ik", vj.dxi, vj.dxi)
-        + np.einsum("...a,...iak->...ik", vj.xi, vj.d2xi)
-        + np.einsum("...ikab,...a,...b->...ik", fr.dGamma, vj.xi, vj.xi)
-        + 2.0 * np.einsum("...kab,...ia,...b->...ik", fr.Gamma, vj.dxi, vj.xi)
-    )
-    return v, dv
 
 
 def div_vector(fr, xi, dxi):
@@ -507,9 +451,7 @@ def trace_g(fr, T):
 
 def trace_g_jet(fr, T, dT):
     """d_a of the g-trace of a 2-tensor T whose derivatives are dT."""
-    return np.einsum("...aij,...ij->...a", fr.dginv, T) + np.einsum(
-        "...ij,...aij->...a", fr.ginv, dT
-    )
+    return leibniz("...ij,...ij->...", [fr.ginv, fr.dginv], [T, dT], k=1)
 
 
 def norm2_sym2(fr, T):

@@ -24,7 +24,7 @@ per soliton or bare field and grid, and computes only what is read.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property, lru_cache, partial
 from typing import Callable, Optional, Tuple
 
@@ -33,6 +33,7 @@ import numpy as np
 from .geometry import (
     Chart,
     ScalarField,
+    ScalarJets,
     VectorField,
     cov_accel,
     div_sym2,
@@ -40,11 +41,10 @@ from .geometry import (
     frame,
     gradient_vector_jets,
     hessian,
-    hessian_jet,
+    laplacian,
+    leibniz,
+    lie_jet,
     lie_metric_jets,
-    lie_sym2,
-    lie_sym2_jet,
-    lie_sym2_jet2,
     nabla_vec_norm2,
     norm2_covec,
     norm2_sym2,
@@ -138,20 +138,9 @@ def residual_tensor(kind, lam, mu, fr, U, T):
 
 def _phi_laplacian(fr, sj):
     """Laplacian of |grad f|^2 from order-3 jets of f (uses third partials)."""
-    ginv, dginv, d2ginv = fr.ginv, fr.dginv, fr.d2ginv
-    df, d2f, d3f = sj.df, sj.d2f, sj.d3f
-    dphi = np.einsum("...iab,...a,...b->...i", dginv, df, df) + 2.0 * np.einsum(
-        "...ab,...a,...ib->...i", ginv, df, d2f
-    )
-    d2phi = (
-        np.einsum("...ijab,...a,...b->...ij", d2ginv, df, df)
-        + 2.0 * np.einsum("...iab,...a,...jb->...ij", dginv, df, d2f)
-        + 2.0 * np.einsum("...jab,...a,...ib->...ij", dginv, df, d2f)
-        + 2.0 * np.einsum("...ab,...ia,...jb->...ij", ginv, d2f, d2f)
-        + 2.0 * np.einsum("...ab,...a,...ijb->...ij", ginv, df, d3f)
-    )
-    hess_phi = d2phi - np.einsum("...kij,...k->...ij", fr.Gamma, dphi)
-    return np.einsum("...ij,...ij->...", ginv, hess_phi)
+    G, F = [fr.ginv, fr.dginv, fr.d2ginv], [sj.df, sj.d2f, sj.d3f]
+    dphi, d2phi = (leibniz("...ab,...a,...b->...", G, F, F, k=k) for k in (1, 2))
+    return laplacian(fr, ScalarJets(None, dphi, d2phi, None))
 
 
 def grid_frame(ch, grid=None):
@@ -196,8 +185,9 @@ class Workspace:
 
     @cached_property
     def vj(self):
+        """Vector jets; a gradient's d3xi is left to ``dU``, its only reader."""
         if isinstance(self.field, ScalarField):
-            return gradient_vector_jets(self.fr, self.sj)
+            return gradient_vector_jets(self.fr, replace(self.sj, d4f=None))
         return vector_jets(self.field, self.x)
 
     @cached_property
@@ -211,13 +201,15 @@ class Workspace:
     @cached_property
     def U(self):
         """L_xi L_xi g."""
-        return lie_sym2(self.vj, self.T, self.dT)
+        return lie_jet(self.vj, self.Tjets, 0)
 
     @cached_property
     def dU(self):
         fr, vj = self.fr, self.vj
-        d2T = lie_sym2_jet2(vj, fr.g, fr.dg, fr.d2g, fr.d3g)
-        return lie_sym2_jet(vj, self.T, self.dT, d2T)
+        if isinstance(self.field, ScalarField):
+            vj = replace(vj, d3xi=gradient_vector_jets(fr, self.sj).d3xi)
+        d2T = lie_jet(vj, [fr.g, fr.dg, fr.d2g, fr.d3g], 2)
+        return lie_jet(vj, [self.T, self.dT, d2T], 1)
 
     @cached_property
     def traceU(self):
@@ -250,7 +242,7 @@ class Workspace:
 
     @cached_property
     def dlap(self):
-        return trace_g_jet(self.fr, self.H, hessian_jet(self.fr, self.sj))
+        return trace_g_jet(self.fr, self.H, hessian(self.fr, self.sj, k=1))
 
     @cached_property
     def gfr(self):

@@ -233,6 +233,14 @@ def test_check_rejects_meaningless_tol(capsys, tol):
     assert "tolerance pointwise must be finite and nonnegative" in err
 
 
+@pytest.mark.parametrize("command", [("describe",), ("integrate", "1")])
+def test_tol_is_rejected_where_nothing_reads_it(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], "sphere2", *command[1:], "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_check_report_carries_tolerances(capsys):
     rep = report(capsys, "check", "torus2_ricci_trivial", "schur",
                  "--grid", "16,16", "--tol", "1e-5")

@@ -26,12 +26,10 @@ from solitonlab.geometry import (
     frame,
     gradient_vector_jets,
     hessian,
-    hessian_jet,
     laplacian,
+    leibniz,
+    lie_jet,
     lie_metric_jets,
-    lie_sym2,
-    lie_sym2_jet,
-    lie_sym2_jet2,
     nabla_vec_norm2,
     norm2_covec,
     norm2_sym2,
@@ -293,15 +291,15 @@ def test_gradient_d3xi_matches_fd(builder, f_text):
 
 def grad_laplacian(fr, sj):
     """d_a lap f, the derivative of the g-trace of Hess f."""
-    return trace_g_jet(fr, hessian(fr, sj), hessian_jet(fr, sj))
+    return trace_g_jet(fr, hessian(fr, sj), hessian(fr, sj, k=1))
 
 
 def lie2_metric(fr, vj):
     """(U, dU) for U = L_xi L_xi g, assembled here from the Lie-derivative
     layers, independently of the workspace that the checks read."""
     T, dT = lie_metric_jets(fr, vj)
-    d2T = lie_sym2_jet2(vj, fr.g, fr.dg, fr.d2g, fr.d3g)
-    return lie_sym2(vj, T, dT), lie_sym2_jet(vj, T, dT, d2T)
+    d2T = lie_jet(vj, [fr.g, fr.dg, fr.d2g, fr.d3g], 2)
+    return lie_jet(vj, [T, dT], 0), lie_jet(vj, [T, dT, d2T], 1)
 
 
 def test_lie2_jet_matches_fd():
@@ -328,7 +326,7 @@ def test_hessian_jet_matches_fd():
     x = rng.uniform((0.4, 0.0), (math.pi - 0.4, TAU), size=(4, 2))
     fr = frame(ch, x)
     sj = scalar_jets(f, x)
-    dH = hessian_jet(fr, sj)
+    dH = hessian(fr, sj, k=1)
     dL = grad_laplacian(fr, sj)
     h = 1e-5
     for a in range(2):
@@ -340,6 +338,72 @@ def test_hessian_jet_matches_fd():
         Lp = laplacian(frame(ch, x + e), scalar_jets(f, x + e))
         Lm = laplacian(frame(ch, x - e), scalar_jets(f, x - e))
         assert max_abs((Lp - Lm) / (2 * h) - dL[..., a]) < 2e-6
+
+
+# ------------------------------------------------- the product rule helper
+# The jet oracle differentiates a product expression as a whole; leibniz
+# assembles the same derivatives from the factors' own jets.
+
+LEIBNIZ_FACTORS = ("sin(eta)*cos(x1)", "exp(0.3*cos(x2) + eta)",
+                   "cos(eta - 2*x2)*sin(x1)", "1 + eta*sin(x1 + x2)")
+
+
+def jet_list(field, x):
+    return list(vars(scalar_jets(field, x)).values())[:4]
+
+
+def scattered(ch):
+    """A 4 x 5 batch of points inside the chart, off every grid symmetry."""
+    rng = np.random.default_rng(11)
+    return rng.uniform(np.array(ch.lo) + 0.2, np.array(ch.hi) - 0.2,
+                       size=(4, 5, ch.dim))
+
+
+@pytest.mark.parametrize("count", [2, 3, 4])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_leibniz_matches_jets_of_scalar_products(count, k):
+    ch = sphere3_hopf()
+    x = scattered(ch)
+    texts = LEIBNIZ_FACTORS[:count]
+    factors = [jet_list(scalar_field(ch, t), x) for t in texts]
+    product = scalar_field(ch, "*".join(f"({t})" for t in texts))
+    want = jet_list(product, x)[k]
+    got = leibniz(",".join(["..."] * count) + "->...", *factors, k=k)
+    assert got.shape == want.shape
+    assert max_abs(got - want) < 1e-12 * (1.0 + max_abs(want))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_leibniz_matches_jets_of_matrix_times_vector(k):
+    # M is not symmetric, so a swapped matrix index shows up.
+    ch = sphere3_hopf()
+    x = scattered(ch)
+    rows = (("cos(eta)", "sin(x1)", "eta*x2"),
+            ("exp(sin(x2))", "1", "cos(x1 + eta)"),
+            ("x1", "sin(eta)*cos(x2)", "2"))
+    vec = ("sin(x1)*cos(x2)", "eta^2", "cos(eta + x1)")
+    M = [np.stack(arrays, axis=-2) for arrays in zip(*(
+        vars(vector_jets(vector_field(ch, row), x)).values() for row in rows))]
+    v = list(vars(vector_jets(vector_field(ch, vec), x)).values())
+    got = leibniz("...ab,...b->...a", M, v, k=k)
+    for a, row in enumerate(rows):
+        text = " + ".join(f"({m})*({w})" for m, w in zip(row, vec))
+        want = jet_list(scalar_field(ch, text), x)[k]
+        assert max_abs(got[..., a] - want) < 1e-12 * (1.0 + max_abs(want))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_leibniz_holds_a_one_element_list_fixed(k):
+    # Holding B fixed drops exactly the terms that differentiate it: what is
+    # left is the derivative of A C times B.
+    ch = sphere3_hopf()
+    x = scattered(ch)
+    A, B, C = (jet_list(scalar_field(ch, t), x) for t in LEIBNIZ_FACTORS[:3])
+    got = leibniz("...,...,...->...", A, [B[0]], C, k=k)
+    want = leibniz("...,...->...", A, C, k=k) * B[0][(...,) + (None,) * k]
+    assert max_abs(got - want) < 1e-13 * (1.0 + max_abs(want))
+    full = leibniz("...,...,...->...", A, B, C, k=k)
+    assert (k == 0) == (max_abs(full - got) < 1e-3)
 
 
 # ------------------------------------------------------------ field algebra
@@ -366,7 +430,7 @@ def test_lie_metric_closed_forms():
     assert max_abs(lie_metric_jets(fr, killing)[0]) < 1e-13
     radial = vector_jets(vector_field(ch, ("1", "0")), x)
     T, dT = lie_metric_jets(fr, radial)
-    d2T = lie_sym2_jet2(radial, fr.g, fr.dg, fr.d2g, fr.d3g)
+    d2T = lie_jet(radial, [fr.g, fr.dg, fr.d2g, fr.d3g], 2)
     th = x[..., 0]
     assert max_abs(T[..., 0, 0]) < 1e-13
     assert max_abs(T[..., 0, 1]) < 1e-13

@@ -153,9 +153,14 @@ def test_bare_vector_field_never_builds_d2T(monkeypatch):
     # Only the derivative of L_xi L_xi g needs d2T; the trace formula and the
     # Killing residual of a bare field read no such thing.
     calls = []
-    original = solitons.lie_sym2_jet2
-    monkeypatch.setattr(solitons, "lie_sym2_jet2",
-                        lambda *args: calls.append(1) or original(*args))
+    original = solitons.lie_jet
+
+    def counting(vj, Ts, k):
+        if k == 2:
+            calls.append(1)
+        return original(vj, Ts, k)
+
+    monkeypatch.setattr(solitons, "lie_jet", counting)
     ch = sphere2()
     field = vector_field(ch, ("sin(th)*cos(ph)", "cos(th)"))
     grid = grid_for(ch)
@@ -164,6 +169,19 @@ def test_bare_vector_field_never_builds_d2T(monkeypatch):
     assert calls == []
     workspace(field, grid).dU
     assert calls == [1]
+
+
+def test_gradient_d3xi_is_built_only_for_dU():
+    # d3xi feeds only the derivative of L_xi L_xi g, so the workspace's
+    # vector jets never carry it, even after a check that reads dU.
+    ch = sphere2()
+    spec = SolitonSpec(name="cos-th", chart=ch, kind="yamabe", lam=1.0,
+                       mu=2.0, potential=scalar_field(ch, "cos(th)"))
+    grid = grid_for(ch)
+    for check in (identity_trace_lie2, identity_bochner, identity_div_lie):
+        check(spec, grid)
+    ws = workspace(spec, grid)
+    assert "dU" in vars(ws) and ws.vj.d3xi is None
 
 
 # ------------------------------------------------------------ pinned anchors
