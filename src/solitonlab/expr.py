@@ -197,6 +197,8 @@ class _Parser:
     def atom(self):
         kind, text, pos = self.advance()
         if kind == "num":
+            if not math.isfinite(float(text)):
+                raise ExprError(f"number {text} overflows", pos)
             return Const(float(text), (pos, pos + len(text)))
         if kind == "name":
             nxt_kind, nxt_text, _ = self.peek()
@@ -322,18 +324,23 @@ def _eval(node, leaf):
     left = _eval(node.left, leaf)
     right = _eval(node.right, leaf)
     op = node.op
+    if op == "^":
+        return _power(left, right, node.span[0])
     try:
         if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            return left / right
+            out = left + right
+        elif op == "-":
+            out = left - right
+        elif op == "*":
+            out = left * right
+        else:
+            out = left / right
     except ZeroDivisionError:
         raise ExprError("division by zero", node.span[0]) from None
-    return _power(left, right, node.span[0])
+    # Only constants are Python floats; arrays and jets may hold nan or inf.
+    if type(out) is float and not math.isfinite(out):
+        raise ExprError("constant overflows", node.span[0])
+    return out
 
 
 _ARRAY = (np.ndarray, np.generic)

@@ -33,7 +33,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .expr import evaluate, parse
-from .jets import JetDomainError, seed
+from .jets import JetDomainError, check_finite, seed
 
 __all__ = [
     "GeometryError",
@@ -196,8 +196,8 @@ def _derivatives(ch, x, nodes, order, what):
     axes sit between the batch axes and the entry axes.  Entries are read
     out one at a time, and the outputs are allocated after the first
     evaluation, so a single expression's evaluation temporaries never meet
-    them.  A point outside a function's domain raises GeometryError naming
-    the grid node.
+    them.  A point outside a function's domain, or one where a value or
+    derivative is not finite, raises GeometryError naming the grid node.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != ch.dim:
@@ -209,7 +209,9 @@ def _derivatives(ch, x, nodes, order, what):
     out = None
     for entry in np.ndindex(table.shape):
         try:
-            jet = evaluate(table[entry], seeds)
+            with np.errstate(over="ignore", invalid="ignore"):
+                jet = evaluate(table[entry], seeds)
+            check_finite(jet)
         except JetDomainError as err:
             raise GeometryError(
                 f"{what} not defined at {_node_label(ch, x, err.index)}: {err}"

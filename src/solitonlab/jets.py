@@ -13,10 +13,17 @@ divergence of a twice Lie-dragged metric along a gradient field reaches the
 fourth derivative of the potential; only scalar potentials are ever
 evaluated at that order.
 
-Coefficients live in a dense array whose last axis enumerates multi-indices
-in a fixed degree-major order (see `multi_indices`).  Leading axes are batch
-axes, so a single jet object can carry the expansion of a field at every
-grid node at once.
+Coefficients live in a dense array of shape (size, *batch): the first axis
+enumerates multi-indices in a fixed degree-major order (see
+`multi_indices`) and the axes behind it are batch axes, so a single jet
+object can carry the expansion of a field at every grid node at once.  Each
+coefficient is then one contiguous row over the batch, and the truncated
+product is, for each output coefficient k, one sum of row products over the
+pairs (i, j) with alpha_i + alpha_j = alpha_k (a Cauchy convolution;
+Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
+Batch axes are right-aligned behind the coefficient axis: jets whose batch
+shapes differ, an unbatched jet or a constant included, broadcast as numpy
+arrays of those batch shapes would.
 
 Derivatives are read back through one rule, d^alpha f = alpha! c_alpha:
 `Jet.derivative(k)` gathers the coefficient of every index tuple's
@@ -37,6 +44,7 @@ DEFAULT_ORDER = 3
 __all__ = [
     "Jet",
     "JetDomainError",
+    "check_finite",
     "seed",
     "constant",
     "apply_unary",
@@ -83,22 +91,17 @@ class _Tables:
         self.size = len(self.alphas)
         self.index = {a: k for k, a in enumerate(self.alphas)}
 
-        # Triples (i, j, k) with alpha_i + alpha_j = alpha_k, sorted by k so a
-        # truncated product is one gather-multiply plus a segmented reduction.
-        triples = []
+        # For each output index k, the row pairs (i, j) with
+        # alpha_i + alpha_j = alpha_k, i ascending: coefficient k of a
+        # product is the sum of a[i] * b[j] over them.
+        self.mul_pairs = [[] for _ in self.alphas]
         for i, ai in enumerate(self.alphas):
             for j, aj in enumerate(self.alphas):
                 if sum(ai) + sum(aj) <= order:
                     k = self.index[tuple(x + y for x, y in zip(ai, aj))]
-                    triples.append((k, i, j))
-        triples.sort()
-        trip = np.array(triples)
-        self.mul_k = trip[:, 0]
-        self.mul_i = trip[:, 1]
-        self.mul_j = trip[:, 2]
-        self.mul_starts = np.searchsorted(self.mul_k, np.arange(self.size))
+                    self.mul_pairs[k].append((i, j))
 
-        # d^k f = k-th derivative tensor = coeffs[..., pos] * fac, where each
+        # d^k f = k-th derivative tensor = coeffs[pos] * fac, where each
         # entry's multi-index alpha sits at pos and fac = alpha!.
         self.derivs = []
         for k in range(order + 1):
@@ -129,9 +132,9 @@ def _tables(dim, order):
 class Jet:
     """Dense truncated Taylor expansion; arithmetic closes over the truncation.
 
-    `coeffs` has shape (..., size) with the last axis indexed by
-    `multi_indices(dim, order)`.  Batch axes broadcast through every
-    operation.
+    `coeffs` has shape (size, *batch) with the first axis indexed by
+    `multi_indices(dim, order)`.  Batch axes are right-aligned behind it and
+    broadcast through every operation.
     """
 
     __slots__ = ("dim", "order", "coeffs")
@@ -139,10 +142,10 @@ class Jet:
     def __init__(self, dim, coeffs, order=DEFAULT_ORDER):
         tab = _tables(dim, order)
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape[-1] != tab.size:
+        if coeffs.ndim == 0 or coeffs.shape[0] != tab.size:
             raise ValueError(
                 f"expected {tab.size} coefficients for dim {dim} order {order}, "
-                f"got {coeffs.shape[-1]}"
+                f"got shape {coeffs.shape}"
             )
         self.dim = dim
         self.order = order
@@ -156,7 +159,7 @@ class Jet:
 
     @property
     def value(self):
-        return self.coeffs[..., 0]
+        return self.coeffs[0]
 
     def _new(self, coeffs):
         return Jet(self.dim, coeffs, self.order)
@@ -165,11 +168,14 @@ class Jet:
 
     def derivative(self, k):
         """d^k f as a fully symmetric (..., dim, ..., dim) array with k
-        derivative axes after the batch axes; k = 0 gives the value."""
+        derivative axes after the batch axes; k = 0 gives the value.  The
+        result is a transposed view of a new array, not a contiguous one."""
         if not 0 <= k <= self.order:
             raise ValueError(f"an order-{self.order} jet has no derivative {k}")
         pos, fac = self._tab.derivs[k]
-        return self.coeffs[..., pos] * fac
+        nb = self.coeffs.ndim - 1
+        d = self.coeffs[pos] * fac.reshape(fac.shape + (1,) * nb)
+        return np.moveaxis(d, range(k), range(nb, nb + k))
 
     def partial(self, alpha):
         """d^alpha f for one multi-index, as an array over the batch axes."""
@@ -178,7 +184,7 @@ class Jet:
         if alpha not in tab.index:
             raise KeyError(f"multi-index {alpha} out of range for order {self.order}")
         fac = math.prod(map(math.factorial, alpha))
-        return self.coeffs[..., tab.index[alpha]] * fac
+        return self.coeffs[tab.index[alpha]] * fac
 
     # -- ring operations -----------------------------------------------------
 
@@ -191,15 +197,23 @@ class Jet:
             return constant(self.dim, other, self.order)
         raise TypeError(f"cannot combine a jet with {type(other).__name__}")
 
+    def _aligned(self, other):
+        """Both coefficient arrays with as many batch axes, the shorter
+        batch padded on the left (views, no copies)."""
+        a, b = self.coeffs, self._coerce(other).coeffs
+        nd = max(a.ndim, b.ndim)
+        return (a.reshape(a.shape[:1] + (1,) * (nd - a.ndim) + a.shape[1:]),
+                b.reshape(b.shape[:1] + (1,) * (nd - b.ndim) + b.shape[1:]))
+
     def __add__(self, other):
-        other = self._coerce(other)
-        return self._new(self.coeffs + other.coeffs)
+        a, b = self._aligned(other)
+        return self._new(a + b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return self._new(self.coeffs - other.coeffs)
+        a, b = self._aligned(other)
+        return self._new(a - b)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -209,13 +223,17 @@ class Jet:
         return self._new(-self.coeffs)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        tab = self._tab
-        prod = (
-            np.take(self.coeffs, tab.mul_i, axis=-1)
-            * np.take(other.coeffs, tab.mul_j, axis=-1)
-        )
-        return self._new(np.add.reduceat(prod, tab.mul_starts, axis=-1))
+        a, b = self._aligned(other)
+        out = np.empty((a.shape[0],) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+        tmp = np.empty(out.shape[1:])
+        for k, pairs in enumerate(self._tab.mul_pairs):
+            row = out[k, ...]
+            (i, j), *rest = pairs
+            np.multiply(a[i, ...], b[j, ...], out=row)
+            for i, j in rest:
+                np.multiply(a[i, ...], b[j, ...], out=tmp)
+                np.add(row, tmp, out=row)
+        return self._new(out)
 
     __rmul__ = __mul__
 
@@ -234,20 +252,24 @@ class Jet:
         """Faa di Bruno for phi(f): derivs = [phi(v), phi'(v), ...] at v = value.
 
         Exact at the truncation order because the zero-constant part of the
-        jet is nilpotent: its k-th power has no terms below degree k.
+        jet is nilpotent: its k-th power has no terms below degree k, so
+        only the rows of degree k and up take its term.
         """
         if len(derivs) != self.order + 1:
             raise ValueError("need order+1 derivative values for composition")
         ubar = self.coeffs.copy()
-        ubar[..., 0] = 0.0
+        ubar[0] = 0.0
         ubar = self._new(ubar)
         out = np.zeros_like(self.coeffs)
-        out[..., 0] = derivs[0]
+        out[0] = derivs[0]
+        term = np.empty_like(out)
         power = ubar
         scale = 1.0
         for k in range(1, self.order + 1):
             scale /= k
-            out = out + derivs[k][..., None] * scale * power.coeffs
+            rows = slice(math.comb(self.dim + k - 1, self.dim), None)
+            np.multiply(derivs[k] * scale, power.coeffs[rows], out=term[rows])
+            out[rows] += term[rows]
             if k < self.order:
                 power = power * ubar
         return self._new(out)
@@ -264,17 +286,17 @@ def seed(dim, x, i, order=DEFAULT_ORDER):
         raise ValueError(f"point has {x.shape[-1]} components, chart has {dim}")
     if not 0 <= i < dim:
         raise ValueError(f"coordinate index {i} out of range for dim {dim}")
-    coeffs = np.zeros(x.shape[:-1] + (tab.size,))
-    coeffs[..., 0] = x[..., i]
-    coeffs[..., tab.derivs[1][0][i]] = 1.0
+    coeffs = np.zeros((tab.size,) + x.shape[:-1])
+    coeffs[0] = x[..., i]
+    coeffs[tab.derivs[1][0][i]] = 1.0
     return Jet(dim, coeffs, order)
 
 
 def constant(dim, value, order=DEFAULT_ORDER):
     tab = _tables(dim, order)
     value = np.asarray(value, dtype=float)
-    coeffs = np.zeros(value.shape + (tab.size,))
-    coeffs[..., 0] = value
+    coeffs = np.zeros((tab.size,) + value.shape)
+    coeffs[0] = value
     return Jet(dim, coeffs, order)
 
 
@@ -283,6 +305,13 @@ def _check_domain(bad, v, message):
     if np.any(bad):
         i = int(np.flatnonzero(np.ravel(bad))[0])
         raise JetDomainError(message, index=i, value=float(np.ravel(v)[i]))
+
+
+def check_finite(a):
+    """Raise JetDomainError at the first batch entry whose value or a
+    derivative is nan or infinite."""
+    _check_domain(~np.isfinite(a.coeffs).all(axis=0), a.value,
+                  "non-finite value or derivative")
 
 
 def _reciprocal(a):
@@ -296,14 +325,14 @@ def _reciprocal(a):
 
 
 def sin(a):
-    v = a.value
-    table = [np.sin(v), np.cos(v), -np.sin(v), -np.cos(v)]
+    s, c = np.sin(a.value), np.cos(a.value)
+    table = [s, c, -s, -c]
     return a.compose([table[k % 4] for k in range(a.order + 1)])
 
 
 def cos(a):
-    v = a.value
-    table = [np.cos(v), -np.sin(v), -np.cos(v), np.sin(v)]
+    s, c = np.sin(a.value), np.cos(a.value)
+    table = [c, -s, -c, s]
     return a.compose([table[k % 4] for k in range(a.order + 1)])
 
 
@@ -325,7 +354,7 @@ def log(a):
 def sqrt(a):
     v = a.value
     _check_domain(v < 0.0, v, "sqrt requires a nonnegative value")
-    nonconst = np.any(a.coeffs[..., 1:] != 0.0, axis=-1)
+    nonconst = np.any(a.coeffs[1:] != 0.0, axis=0)
     _check_domain((v == 0.0) & nonconst, v,
                   "sqrt of a vanishing non-constant jet has no Taylor expansion")
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -119,6 +119,42 @@ def test_out_of_domain_field_names_its_node(tmp_path, capsys, command,
     assert "node (4, 0) (th=1.75528, ph=0): log requires a positive value" in err
 
 
+def torus_manifest(tmp_path, metric_yy, potential):
+    data = {
+        "manifold": {
+            "name": "torus2", "dim": 2, "coords": ["x", "y"],
+            "domain": [[0, "2*pi"], [0, "2*pi"]], "periodic": [True, True],
+            "metric": [["1", "0"], ["0", metric_yy]],
+        },
+        "soliton": {"kind": "yamabe", "potential": {"gradient": potential},
+                    "lambda": 1, "mu": 2},
+    }
+    path = tmp_path / "torus2.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command,metric_yy,potential,offset", [
+    ("check", "1", "1 + 0.1*sin(x)^(1e308*10)", 16),
+    ("check", "1", "1 + 0.1*sin(x)^(0*(1e308*10))", 19),
+    ("describe", "1 + 0*(1e308*10)", "0", 7),
+])
+def test_overflowing_constant_exits_2_at_its_offset(tmp_path, capsys, command,
+                                                    metric_yy, potential, offset):
+    path = torus_manifest(tmp_path, metric_yy, potential)
+    code, out, err = run(capsys, command, path, "--grid", "8,8")
+    assert code == 2
+    assert f"constant overflows at offset {offset}" in err
+
+
+def test_non_finite_field_names_its_node(tmp_path, capsys):
+    # The constants are finite, but the potential's derivatives overflow.
+    path = torus_manifest(tmp_path, "1", "(1+0.1*sin(x))^1e300")
+    code, out, err = run(capsys, "check", path, "--grid", "8,8")
+    assert code == 2
+    assert "node (0, 0) (x=0, y=0): non-finite value or derivative" in err
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_missing_manifest_exits_2(capsys):

@@ -118,11 +118,16 @@ def test_spans_cover_source():
         ("1 $ 2", 2),
         ("r", 0),
         ("lap(th)", 0),
+        ("1e308*10", 0),
+        ("2 - 1e308/1e-10", 4),
+        ("1 + 0*(1e308*10)", 7),
+        ("1e400", 0),
     ],
 )
 def test_error_offsets(source, offset):
+    # A constant that overflows fails when it is evaluated, at its offset.
     with pytest.raises(ExprError) as info:
-        parse(source, ("th",))
+        eval_number(parse(source, ("th",)))
     assert info.value.offset == offset
 
 

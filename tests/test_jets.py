@@ -54,17 +54,17 @@ def poly_shift(p, x):
     return out
 
 
-def poly_eval_jet(p, dim):
+def poly_eval_jet(p, dim, order=3):
     """Evaluate a polynomial through jet arithmetic (the system under test)."""
 
     def at(x):
         x = np.asarray(x, dtype=float)
-        acc = constant(dim, np.zeros(x.shape[:-1]))
+        acc = constant(dim, np.zeros(x.shape[:-1]), order)
         for alpha, c in sorted(p.items()):
-            term = constant(dim, np.full(x.shape[:-1], c))
+            term = constant(dim, np.full(x.shape[:-1], c), order)
             for i, ai in enumerate(alpha):
                 for _ in range(ai):
-                    term = term * seed(dim, x, i)
+                    term = term * seed(dim, x, i, order)
             acc = acc + term
         return acc
 
@@ -76,11 +76,14 @@ def jet_coeffs_from_poly(p, x, order=3):
     return {a: c for a, c in shifted.items() if sum(a) <= order}
 
 
-def assert_jet_matches_poly(jet, p, x, tol=1e-10):
-    want = jet_coeffs_from_poly(p, x)
+def assert_jet_matches_poly(jet, p, x, tol=1e-10, order=3):
+    """Compare every Taylor coefficient d^alpha f / alpha! of an unbatched
+    jet with the oracle's, truncated at ``order``."""
+    assert jet.order == order
+    want = jet_coeffs_from_poly(p, x, order)
     scale = max(1.0, max(abs(c) for c in want.values()) if want else 1.0)
-    for k, alpha in enumerate(multi_indices(jet.dim)):
-        got = float(jet.coeffs[k])
+    for alpha in multi_indices(jet.dim, order):
+        got = jet.partial(alpha) / math.prod(map(math.factorial, alpha))
         expect = want.get(alpha, 0.0)
         assert abs(got - expect) <= tol * scale, (alpha, got, expect)
 
@@ -239,16 +242,21 @@ def test_random_point_fd_sweep(rng):
 # ring properties against the polynomial oracle
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_poly_sum_product_match_oracle(dim, rng):
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_poly_sum_product_match_oracle(dim, order, rng):
+    # Products of degree-`order` polynomials reach degree 2 * order, so the
+    # truncation itself is under test.
     for _ in range(8):
-        p = random_poly(rng, dim)
-        q = random_poly(rng, dim)
+        p = random_poly(rng, dim, max_deg=order)
+        q = random_poly(rng, dim, max_deg=order)
         x = rng.uniform(-1.5, 1.5, size=dim)
-        jp = poly_eval_jet(p, dim)(x)
-        jq = poly_eval_jet(q, dim)(x)
-        assert_jet_matches_poly(jp + jq, poly_add(p, q), x)
-        assert_jet_matches_poly(jp * jq, poly_mul(p, q), x)
+        jp = poly_eval_jet(p, dim, order)(x)
+        jq = poly_eval_jet(q, dim, order)(x)
+        assert_jet_matches_poly(jp + jq, poly_add(p, q), x, order=order)
+        assert_jet_matches_poly(jp - jq, poly_add(p, {a: -c for a, c in q.items()}),
+                                x, order=order)
+        assert_jet_matches_poly(jp * jq, poly_mul(p, q), x, order=order)
 
 
 def test_poly_composition_matches_oracle(rng):
@@ -301,7 +309,48 @@ def test_batched_matches_pointwise(rng):
     batched = jets.sin(seed(2, xs, 0)) * jets.exp(seed(2, xs, 1) * 0.3)
     for i, x in enumerate(xs):
         single = jets.sin(seed(2, x, 0)) * jets.exp(seed(2, x, 1) * 0.3)
-        assert np.allclose(batched.coeffs[i], single.coeffs, rtol=0, atol=1e-15)
+        for k in range(batched.order + 1):
+            assert np.allclose(batched.derivative(k)[i], single.derivative(k),
+                               rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_broadcast_products_match_pointwise(order, rng):
+    # A 2-D batch against an unbatched jet, a constant array and a jet whose
+    # batch is only the trailing axis: batch axes align on the right.
+    dim = 3
+    xs = rng.uniform(0.2, 2.0, size=(3, 4, dim))
+    x0 = rng.uniform(0.2, 2.0, size=dim)
+    scale = rng.uniform(-1.0, 1.0, size=4)
+
+    def grid(x):
+        return jets.sin(seed(dim, x, 0, order)) * seed(dim, x, 2, order)
+
+    def row(x):
+        return jets.cos(seed(dim, x, 1, order))
+
+    u = jets.exp(seed(dim, x0, 1, order) * 0.5) + seed(dim, x0, 0, order)
+    a, r = grid(xs), row(xs[0])
+    # (batched jet, its batch shape, the same jet at node (p, q))
+    cases = [
+        (a * u, (3, 4), lambda p, q: grid(xs[p, q]) * u),
+        (u * a, (3, 4), lambda p, q: u * grid(xs[p, q])),
+        (a * r, (3, 4), lambda p, q: grid(xs[p, q]) * row(xs[0, q])),
+        (r * a, (3, 4), lambda p, q: row(xs[0, q]) * grid(xs[p, q])),
+        (a + u, (3, 4), lambda p, q: grid(xs[p, q]) + u),
+        (u - a, (3, 4), lambda p, q: u - grid(xs[p, q])),
+        (a - r, (3, 4), lambda p, q: grid(xs[p, q]) - row(xs[0, q])),
+        (a * scale, (3, 4), lambda p, q: grid(xs[p, q]) * scale[q]),
+        (u * scale, (4,), lambda p, q: u * scale[q]),
+    ]
+    for batched, shape, at in cases:
+        assert batched.value.shape == shape
+        for p, q in np.ndindex(3, 4):
+            single = at(p, q)
+            for k in range(order + 1):
+                got = np.broadcast_to(batched.derivative(k), (3, 4) + (dim,) * k)
+                assert np.allclose(got[p, q], single.derivative(k),
+                                   rtol=1e-15, atol=1e-15)
 
 
 def test_log_domain_error_reports_offender():
