@@ -197,9 +197,10 @@ class _Parser:
     def atom(self):
         kind, text, pos = self.advance()
         if kind == "num":
-            if not math.isfinite(float(text)):
+            value = float(text)
+            if not math.isfinite(value):
                 raise ExprError(f"number {text} overflows", pos)
-            return Const(float(text), (pos, pos + len(text)))
+            return Const(value, (pos, pos + len(text)))
         if kind == "name":
             nxt_kind, nxt_text, _ = self.peek()
             if nxt_kind == "op" and nxt_text == "(":
