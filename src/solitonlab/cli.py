@@ -39,12 +39,9 @@ from .geometry import (
     GeometryError,
     ScalarField,
     _node_label,
-    hessian,
-    laplacian,
     norm2_sym2,
     raise_covec,
     ric_vv,
-    scalar_jets,
 )
 from .manifest import ManifestError, bundled, bundled_names, load_manifest
 from .quadrature import QuadratureError, default_grid, grid_nodes
@@ -55,6 +52,7 @@ from .solitons import (
     Tolerances,
     grid_frame,
     run_check,
+    workspace,
 )
 
 VERDICTS = ("identity-holds", "hypothesis-not-met", "violated")
@@ -102,35 +100,34 @@ def render_json(obj, indent=0):
 
 # ------------------------------------------------------------- integrands
 
-def _integrand_values(man, fr, x, source):
-    """Values of the integrand ``source`` at the nodes ``x``, with its
-    geometric names bound to the frame ``fr`` and the manifest's soliton."""
-    ch = man.chart
-    sol = man.soliton
-    jets = {}
+def _integrand_values(man, grid, source):
+    """Values of the integrand ``source`` on the nodes of ``grid``; ``lap``,
+    ``norm2_hess`` and ``gradf`` read the Workspace the checks read, so f's
+    is the one ``check`` caches in this process."""
+    ch, sol = man.chart, man.soliton
+    x, _ = grid_nodes(ch, grid)
+    fr = grid_frame(ch, grid)
 
-    def potential():
+    def gradient_spec():
         if sol is None or sol.potential is None:
             raise SolitonError(
                 "integrand references the potential f but the manifest "
                 "declares no gradient potential"
             )
-        return sol.potential
+        return sol
 
-    def scalar(node):
-        """Order-3 jets of f (``Geo("f")``) or of a coordinate expression."""
-        field = (potential() if node == Geo("f") else
-                 ScalarField(ch, source[node.span[0]:node.span[1]], node))
-        if field.node not in jets:
-            jets[field.node] = scalar_jets(field, x, order=3)
-        return jets[field.node]
+    def field(node):
+        """The Workspace of f (``Geo("f")``) or of a coordinate expression."""
+        if node == Geo("f"):
+            return workspace(gradient_spec(), grid)
+        return workspace(ScalarField(ch, source[slice(*node.span)], node), grid)
 
     @cache
     def vector(name):
         if name == "gradr":
             return raise_covec(fr, fr.dr)
         if name == "gradf":
-            return raise_covec(fr, scalar(Geo("f")).df)
+            return field(Geo("f")).vj.xi
         if sol is None or sol.vector is None:
             raise SolitonError(
                 "integrand references xi but the manifest declares "
@@ -142,16 +139,14 @@ def _integrand_values(man, fr, x, source):
         if node.name == "r":
             return fr.r
         if node.name == "f":
-            return eval_values(potential().node, x)
+            return eval_values(gradient_spec().potential.node, x)
         if node.name == "ric":
             return ric_vv(fr, *map(vector, node.args))
         if node.name == "g":
             v, w = map(vector, node.args)
             return np.einsum("...ab,...a,...b->...", fr.g, v, w)
-        sj = scalar(node.args[0])
-        if node.name == "lap":
-            return laplacian(fr, sj)
-        return norm2_sym2(fr, hessian(fr, sj))
+        ws = field(node.args[0])
+        return ws.lap if node.name == "lap" else ws.hess2
 
     return eval_values(parse_integrand(source, ch.coords), x, leaf)
 
@@ -229,7 +224,7 @@ def cmd_integrate(man, expression, grid):
     spec = grid if grid is not None else default_grid(ch)
     x, w = grid_nodes(ch, spec)
     fr = grid_frame(ch, spec)
-    values = _integrand_values(man, fr, x, expression)
+    values = _integrand_values(man, spec, expression)
     finite = np.isfinite(values)
     if not finite.all():
         flat = int(np.argmin(finite))

@@ -32,7 +32,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .expr import evaluate, parse
+from .expr import ExprError, evaluate, parse
 from .jets import JetDomainError, check_finite, seed
 
 __all__ = [
@@ -197,7 +197,8 @@ def _derivatives(ch, x, nodes, order, what):
     out one at a time, and the outputs are allocated after the first
     evaluation, so a single expression's evaluation temporaries never meet
     them.  A point outside a function's domain, or one where a value or
-    derivative is not finite, raises GeometryError naming the grid node.
+    derivative is not finite, raises GeometryError naming the grid node; an
+    ExprError raised on the grid becomes one naming ``what`` and the entry.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != ch.dim:
@@ -216,6 +217,9 @@ def _derivatives(ch, x, nodes, order, what):
             raise GeometryError(
                 f"{what} not defined at {_node_label(ch, x, err.index)}: {err}"
             ) from None
+        except ExprError as err:
+            at = " entry " + "".join(f"[{i}]" for i in entry) if entry else ""
+            raise GeometryError(f"{what}{at}: {err}") from None
         if out is None:
             out = [np.empty(x.shape[:-1] + (ch.dim,) * k + table.shape)
                    for k in range(order + 1)]

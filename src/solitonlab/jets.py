@@ -177,15 +177,6 @@ class Jet:
         d = self.coeffs[pos] * fac.reshape(fac.shape + (1,) * nb)
         return np.moveaxis(d, range(k), range(nb, nb + k))
 
-    def partial(self, alpha):
-        """d^alpha f for one multi-index, as an array over the batch axes."""
-        alpha = tuple(int(a) for a in alpha)
-        tab = self._tab
-        if alpha not in tab.index:
-            raise KeyError(f"multi-index {alpha} out of range for order {self.order}")
-        fac = math.prod(map(math.factorial, alpha))
-        return self.coeffs[tab.index[alpha]] * fac
-
     # -- ring operations -----------------------------------------------------
 
     def _coerce(self, other):
@@ -370,9 +361,11 @@ def sqrt(a):
 def powc(a, expo):
     """a**c for a constant exponent.
 
-    Integer exponents go through repeated multiplication and are valid
-    wherever the base is (negative integers need a nonzero value).  Other
-    exponents use exp(c log a) and need a positive value.
+    Integer exponents go through repeated squaring and are valid wherever
+    the base is (negative integers need a nonzero value).  The highest bit
+    multiplies the last square into the result, so a square that is not
+    finite raises at once what ``check_finite`` would raise at the end.
+    Other exponents use exp(c log a) and need a positive value.
     """
     if isinstance(expo, Jet):
         raise TypeError("exponent must be a constant, not a jet")
@@ -386,7 +379,9 @@ def powc(a, expo):
         while n:
             if n & 1:
                 out = out * base
-            base = base * base if n > 1 else base
+            if n > 1:
+                base = base * base
+                check_finite(base)
             n >>= 1
         return out
     return exp(log(a) * c)

@@ -162,9 +162,9 @@ grid_frame.cache_clear = _grid_frame.cache_clear
 
 
 class Workspace:
-    """The field quantities the checks read, for one soliton or one bare
-    ScalarField/VectorField on one grid.  Each is computed the first time it
-    is read; ``residual`` needs a SolitonSpec."""
+    """The field quantities and gate maxima the checks read, for one soliton
+    or one bare ScalarField/VectorField on one grid.  Each is computed the
+    first time it is read; the residual and its maximum need a SolitonSpec."""
 
     def __init__(self, target, grid):
         self.target = target
@@ -216,12 +216,16 @@ class Workspace:
         return trace_g(self.fr, self.U)
 
     @cached_property
-    def dtraceU(self):
-        return trace_g_jet(self.fr, self.U, self.dU)
+    def trace_lie2_max(self):
+        return _max_abs(self.traceU)
 
     @cached_property
-    def divU(self):
-        return div_sym2(self.fr, self.U, self.dU)
+    def grad_trace_lie2_max(self):
+        return _max_covec(self.fr, trace_g_jet(self.fr, self.U, self.dU))
+
+    @cached_property
+    def div_lie2_max(self):
+        return _max_covec(self.fr, div_sym2(self.fr, self.U, self.dU))
 
     @cached_property
     def divxi(self):
@@ -233,6 +237,15 @@ class Workspace:
         return residual_tensor(t.kind, t.lam, t.mu, self.fr, self.U, self.T)
 
     @cached_property
+    def soliton_residual(self):
+        return _max_sym2(self.fr, self.residual)
+
+    @cached_property
+    def ric_xi(self):
+        """Ric(xi, xi)."""
+        return ric_vv(self.fr, self.vj.xi, self.vj.xi)
+
+    @cached_property
     def H(self):
         return hessian(self.fr, self.sj)
 
@@ -241,8 +254,19 @@ class Workspace:
         return trace_g(self.fr, self.H)
 
     @cached_property
+    def hess2(self):
+        """|Hess f|^2."""
+        return norm2_sym2(self.fr, self.H)
+
+    @cached_property
     def dlap(self):
         return trace_g_jet(self.fr, self.H, hessian(self.fr, self.sj, k=1))
+
+    @cached_property
+    def glapf(self):
+        """g(grad lap f, grad f)."""
+        return np.einsum("...ab,...a,...b->...", self.fr.ginv, self.dlap,
+                         self.sj.df)
 
     @cached_property
     def gfr(self):
@@ -326,18 +350,11 @@ def _build_report(check_id, grid, tol, conclusions, hypotheses,
     )
 
 
-def _soliton_gates(ws, tol, premises):
-    """The soliton equation and the named premises on U = L_xi L_xi g
-    (trace_free, const_trace, div_free) as hypotheses, in display order."""
-    gates = {"soliton_residual": (_max_sym2(ws.fr, ws.residual), tol.hypothesis)}
-    if "trace_free" in premises:
-        gates["trace_lie2_max"] = (_max_abs(ws.traceU), tol.hypothesis)
-    if "const_trace" in premises:
-        gates["grad_trace_lie2_max"] = (_max_covec(ws.fr, ws.dtraceU),
-                                        tol.hypothesis)
-    if "div_free" in premises:
-        gates["div_lie2_max"] = (_max_covec(ws.fr, ws.divU), tol.hypothesis)
-    return gates
+def _soliton_gates(ws, tol, gates):
+    """The soliton equation and the premises ``gates`` on U = L_xi L_xi g as
+    hypotheses, each the Workspace maximum of its name, in display order."""
+    return {name: (getattr(ws, name), tol.hypothesis)
+            for name in ("soliton_residual",) + gates}
 
 
 def _inequality_gate(name, lhs, rhs, tol, notes):
@@ -361,37 +378,25 @@ def _indicator_gate(ok, notes, failure, note):
 
 
 def _trace_lie2(ws, tol, notes):
-    fr, vj = ws.fr, ws.vj
-    rhs = 2.0 * (nabla_vec_norm2(fr, vj) + ws.div_cov
-                 - ric_vv(fr, vj.xi, vj.xi))
+    rhs = 2.0 * (nabla_vec_norm2(ws.fr, ws.vj) + ws.div_cov - ws.ric_xi)
     return {"trace_formula": (_max_abs(ws.traceU - rhs), tol.pointwise)}, {}, {}, {}
 
 
 def _bochner(ws, tol, notes):
-    fr, sj = ws.fr, ws.sj
-    gradf = raise_covec(fr, sj.df)
-    rhs = (
-        norm2_sym2(fr, ws.H)
-        + ric_vv(fr, gradf, gradf)
-        + np.einsum("...ab,...a,...b->...", fr.ginv, ws.dlap, sj.df)
-    )
+    rhs = ws.hess2 + ws.ric_xi + ws.glapf
     return {"bochner": (_max_abs(0.5 * ws.lap_phi - rhs), tol.pointwise)}, {}, {}, {}
 
 
 def _lemma_hessian(ws, tol, notes):
-    spec, fr = ws.target, ws.fr
-    gradf = ws.vj.xi
+    spec, hess2, ricff = ws.target, ws.hess2, ws.ric_xi
     lhs = 0.5 * ws.lap_phi
-    hess2 = norm2_sym2(fr, ws.H)
-    ricff = ric_vv(fr, gradf, gradf)
     n_or_1 = float(spec.dim if spec.kind == "yamabe" else 1)
     c = n_or_1 / (2 * spec.lam)
-    glapf = np.einsum("...ab,...a,...b->...", fr.ginv, ws.dlap, ws.sj.df)
     lines = {
         "main": lhs - (hess2 + ricff - c * ws.gfr),
         "even_more_plus_div": lhs - (2 * hess2 + ws.div_cov - c * ws.gfr),
         "even_more_minus_div": lhs - (2 * ricff - ws.div_cov - c * ws.gfr),
-        "traced_gradient": 2 * spec.lam * glapf + n_or_1 * ws.gfr,
+        "traced_gradient": 2 * spec.lam * ws.glapf + n_or_1 * ws.gfr,
     }
     return {k: (_max_abs(v), tol.pointwise) for k, v in lines.items()}, {}, {}, {}
 
@@ -418,7 +423,7 @@ def _prop_p2(ws, tol, notes):
     spec = ws.target
     n = spec.dim
     if spec.kind == "yamabe":
-        rhs = ((n - 2) / (n - 1)) * norm2_sym2(ws.fr, ws.H) - ws.div_cov / (n - 1)
+        rhs = ((n - 2) / (n - 1)) * ws.hess2 - ws.div_cov / (n - 1)
     else:
         rhs = -ws.div_cov
     return {"prop_p2": (_max_abs(0.5 * ws.lap_phi - rhs), tol.pointwise)}, {}, {}, {}
@@ -460,7 +465,7 @@ def _t_c(ws, tol, notes):
     """Trace-free L_xi L_xi g and int Ric(xi, xi) <= 0 make xi Killing."""
     hypotheses, integrals = _nonpositive(
         "int_ric_xi_xi", "int_ric_xi_xi <= 0",
-        ws.integral(ric_vv(ws.fr, ws.vj.xi, ws.vj.xi)), tol, notes)
+        ws.integral(ws.ric_xi), tol, notes)
     killing = _max_sym2(ws.fr, ws.T)
     return {"killing_residual": (killing, tol.pointwise)}, hypotheses, integrals, {}
 
@@ -468,9 +473,8 @@ def _t_c(ws, tol, notes):
 def _ricci_pairing(ws, tol, notes, coef, name, values, label):
     """The hypothesis int Ric(grad f, grad f) >= coef int values, with the
     integral of ``values`` reported as ``name`` and written ``label``."""
-    gradf = ws.vj.xi
     integrals = {
-        "int_ric_gradf_gradf": ws.integral(ric_vv(ws.fr, gradf, gradf)),
+        "int_ric_gradf_gradf": ws.integral(ws.ric_xi),
         name: ws.integral(values),
     }
     bound = _inequality_gate(
@@ -553,7 +557,8 @@ def _p_csc(ws, tol, notes):
 
 @dataclass(frozen=True)
 class _Check:
-    """One catalog row; ``gates`` names ``_soliton_gates`` premises, and a
+    """One catalog row; ``gates`` names the premise maxima on L_xi L_xi g
+    that ``_soliton_gates`` reads next to the soliton residual, and a
     ``frame_only`` check reads nothing but the chart's frame."""
 
     conclude: Callable
@@ -565,15 +570,15 @@ class _Check:
     frame_only: bool = False
 
 
-_TF, _TF_DF = ("trace_free",), ("trace_free", "div_free")
+_TF, _DF = ("trace_lie2_max",), ("div_lie2_max",)
 
 _CATALOG = {
     "trace_lie2": _Check(_trace_lie2),
     "bochner": _Check(_bochner, gradient=True),
     "lemma_hessian": _Check(_lemma_hessian, gradient=True, gates=_TF),
     "div_lie": _Check(_div_lie, gradient=True,
-                      gates=("const_trace", "div_free")),
-    "prop_p2": _Check(_prop_p2, gradient=True, gates=_TF_DF),
+                      gates=("grad_trace_lie2_max",) + _DF),
+    "prop_p2": _Check(_prop_p2, gradient=True, gates=_TF + _DF),
     "contracted_trace": _Check(_contracted_trace, gradient=True, gates=_TF),
     "remark_csc": _Check(_remark_csc, gates=()),
     "schur": _Check(_schur, frame_only=True),
@@ -584,9 +589,9 @@ _CATALOG = {
                   gates=_TF, kind="ricci", hess_free=True),
     "T-COR": _Check(_t_cor, gradient=True, gates=_TF, hess_free=True),
     "T-SQ": _Check(_t_sq, gradient=True, gates=_TF, hess_free=True),
-    "T-N2": _Check(_t_n2, gradient=True, gates=_TF_DF, kind="yamabe",
+    "T-N2": _Check(_t_n2, gradient=True, gates=_TF + _DF, kind="yamabe",
                    above_two=True, hess_free=True),
-    "P-CSC": _Check(_p_csc, gradient=True, gates=("div_free",)),
+    "P-CSC": _Check(_p_csc, gradient=True, gates=_DF),
 }
 
 CHECK_IDS = tuple(_CATALOG)
@@ -622,7 +627,7 @@ def evaluate_theorem(check_id, target, grid=None, tol=Tolerances()):
             f"needs n > 2, chart dimension is {target.dim}")
     conclusions, more, integrals, info = row.conclude(ws, tol, notes)
     if row.hess_free:
-        integrals["int_hess_norm2"] = ws.integral(norm2_sym2(ws.fr, ws.H))
+        integrals["int_hess_norm2"] = ws.integral(ws.hess2)
         conclusions = {"int_hess_norm2": (integrals["int_hess_norm2"],
                                           tol.integral), **conclusions}
     return _build_report(check_id, grid, tol, conclusions,

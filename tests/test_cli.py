@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import solitonlab.cli as cli
+from solitonlab import geometry, jets
 from solitonlab.cli import main, render_json
+from solitonlab.manifest import bundled
 from solitonlab.solitons import (
     CHECK_IDS,
     GRADIENT_ONLY,
@@ -144,15 +146,26 @@ def test_overflowing_constant_exits_2_at_its_offset(tmp_path, capsys, command,
     path = torus_manifest(tmp_path, metric_yy, potential)
     code, out, err = run(capsys, command, path, "--grid", "8,8")
     assert code == 2
-    assert f"constant overflows at offset {offset}" in err
+    # The offset counts in the metric entry or the potential it names.
+    what = ("metric of 'torus2' entry [1][1]" if command == "describe"
+            else repr(potential))
+    assert f"error: {what}: constant overflows at offset {offset}" in err
 
 
-def test_non_finite_field_names_its_node(tmp_path, capsys):
+def test_non_finite_field_names_its_node(tmp_path, capsys, monkeypatch):
     # The constants are finite, but the potential's derivatives overflow.
+    # The repeated squaring stops at the first square that is not finite,
+    # first at the base's maximum 1.1 at x = pi/2, within far fewer jet
+    # products than the thousand that the 997 bits of 1e300 would take.
+    calls = []
+    original = jets.Jet.__mul__
+    monkeypatch.setattr(jets.Jet, "__mul__",
+                        lambda *args: calls.append(1) or original(*args))
     path = torus_manifest(tmp_path, "1", "(1+0.1*sin(x))^1e300")
     code, out, err = run(capsys, "check", path, "--grid", "8,8")
     assert code == 2
-    assert "node (0, 0) (x=0, y=0): non-finite value or derivative" in err
+    assert "node (2, 0) (x=1.5708, y=0): non-finite value or derivative" in err
+    assert len(calls) < 64
 
 
 # ---------------------------------------------------------------- exit codes
@@ -325,14 +338,23 @@ def test_integrate_vector_potential(capsys):
     assert rep["value"] == pytest.approx(4 * math.pi ** 2, abs=1e-8)
 
 
-def test_integrand_vector_computed_once(monkeypatch, capsys):
-    calls = []
-    original = cli.raise_covec
-    monkeypatch.setattr(cli, "raise_covec",
-                        lambda *args: calls.append(1) or original(*args))
-    report(capsys, "integrate", "sphere2_nonsoliton_yamabe",
-           "g(gradf,gradf) + ric(gradf,gradf)", "--grid", "16,16")
-    assert len(calls) == 1
+def test_check_and_integrate_share_the_field_jets(monkeypatch, capsys):
+    # In one process, an integrand reads f's quantities from the Workspace
+    # that check cached: f's jets are evaluated once, and norm2_hess(f)
+    # integrates to the report's int_hess_norm2 bit for bit.
+    whats = []
+    original = geometry._derivatives
+    monkeypatch.setattr(geometry, "_derivatives",
+                        lambda *args: whats.append(args[4]) or original(*args))
+    workspace.cache_clear()
+    name, grid = "sphere2_nonsoliton_yamabe", ("--grid", "16,16")
+    checks = report(capsys, "check", name, *grid)
+    report(capsys, "integrate", name,
+           "lap(f) + norm2_hess(f) + g(gradf,gradf)", *grid)
+    hess = report(capsys, "integrate", name, "norm2_hess(f)", *grid)
+    assert whats.count(repr(bundled(name).soliton.potential.source)) == 1
+    t1 = next(c for c in checks["checks"] if c["check_id"] == "T-1")
+    assert hess["value"] == t1["integrals"]["int_hess_norm2"]
 
 
 def test_integrate_errors_exit_2(capsys):

@@ -288,6 +288,40 @@ def test_default_grid_spellings_share_one_cache_entry():
     assert grid_frame.cache_info().misses - misses <= 1
 
 
+def test_full_check_computes_each_shared_quantity_once(monkeypatch):
+    # The gate maxima, |Hess f|^2 and Ric(xi, xi) are Workspace attributes:
+    # a full check reads each as often as its rows need, and computes each
+    # once.  The spies keep every argument alive, so `is` cannot alias.
+    seen = []
+
+    def spy(name):
+        original = getattr(solitons, name)
+        monkeypatch.setattr(solitons, name, lambda *args: seen.append(
+            (name, args)) or original(*args))
+
+    for name in ("_max_abs", "_max_covec", "_max_sym2", "norm2_sym2", "ric_vv",
+                 "trace_g_jet", "div_sym2"):
+        spy(name)
+    ch = sphere2()
+    spec = SolitonSpec(name="scratch", chart=ch, kind="yamabe", lam=1.0,
+                       mu=2.0, potential=scalar_field(ch, "cos(th)"))
+    grid = default_grid(ch, (12, 16))
+    workspace.cache_clear()
+    for cid in CHECK_IDS:
+        run_check(spec, cid, grid)
+    repeated = [(name, k) for k, (name, args) in enumerate(seen)
+                if any(n == name and a[-1] is args[-1] for n, a in seen[:k])]
+    assert repeated == []
+    assert workspace.cache_info().misses == 1
+    ws = workspace(spec, grid)
+    once = [(name, args[-1]) for name, args in seen]
+    for name, arg in [("_max_sym2", ws.residual), ("_max_abs", ws.traceU),
+                      ("norm2_sym2", ws.H), ("ric_vv", ws.vj.xi)]:
+        assert sum(n == name and a is arg for n, a in once) == 1, name
+    for name in ("trace_g_jet", "div_sym2"):  # the const_trace, div_free gates
+        assert sum(n == name and args[1] is ws.U for n, args in seen) == 1
+
+
 # -------------------------------------------------------------- the verdicts
 
 
