@@ -1,19 +1,28 @@
-"""Time the jet layer: one truncated product and one composition.
+"""Time the jet layer or the geometry layer, parent and change side by side.
 
-For each case below (dimension, order, node count: the default grids of
-torus2, sphere2 and the 16^3 charts), the script times ``a * b`` for two
-dense jets and ``sin(a)``, which runs ``Jet.compose`` and its powers, and
-records the median of ``--repeats`` runs of each.  A fixed numpy kernel
-that no change to solitonlab can move is timed next to every case, so a
-reader can tell a slow host from slow code.
+``--layer jets`` (``BENCH_1.json``): for each case of ``CASES`` (dimension,
+order, node count: the default grids of torus2, sphere2 and the 16^3
+charts), the script times ``a * b`` for two dense jets and ``sin(a)``, which
+runs ``Jet.compose`` and its powers.
 
-Only the public ``jets`` API (``seed``, ``sin``, ``*``) is used, so the same
-script times any source tree: it imports whichever ``solitonlab`` is on
+``--layer geometry`` (``BENCH_2.json``): for each bundled chart of
+``GEOMETRY_CASES`` on its default grid, the script times ``frame`` and the
+order-4 ``scalar_jets`` of three seeded potentials, each a random
+combination of trigonometric terms in the chart's coordinates.
+
+Each figure is the median of ``--repeats`` runs.  A fixed numpy kernel that
+no change to solitonlab can move is timed next to every case, so a reader
+can tell a slow host from slow code.
+
+Only the public API is used (``jets.seed``, ``jets.sin``, ``*``, the bundled
+manifests, ``grid_nodes``, ``frame``, ``scalar_jets``), so the same script
+times any source tree: it imports whichever ``solitonlab`` is on
 ``PYTHONPATH``.  The set is stored under ``--label`` in ``--out``; sets under
 other labels stay, so two trees sit side by side in one file::
 
     PYTHONPATH=/path/to/parent/src python3 scripts/bench.py --label parent
     PYTHONPATH=src python3 scripts/bench.py --label change
+    PYTHONPATH=src python3 scripts/bench.py --layer geometry --label change
 """
 
 import argparse
@@ -28,6 +37,9 @@ from pathlib import Path
 import numpy as np
 
 from solitonlab import jets
+from solitonlab.geometry import frame, scalar_field, scalar_jets
+from solitonlab.manifest import bundled
+from solitonlab.quadrature import default_grid, grid_nodes
 
 CASES = (  # (dim, order, nodes)
     (2, 4, 16384),
@@ -35,6 +47,16 @@ CASES = (  # (dim, order, nodes)
     (3, 3, 4096),
     (3, 4, 4096),
 )
+
+# (bundled chart, node counts); None is the chart's default grid.
+GEOMETRY_CASES = (
+    ("sphere2", None),
+    ("torus2", None),
+    ("sphere3", None),
+    ("torus3", None),
+    ("product_s2_s1", None),
+)
+POTENTIALS = 3
 
 
 def median_ms(fn, repeats):
@@ -76,8 +98,19 @@ def source_tree():
     return git("rev-parse", "HEAD"), bool(git("status", "--porcelain", "--", "."))
 
 
-def measure(repeats):
-    sha, dirty = source_tree()
+def seeded_potentials(coords, count):
+    """``count`` potentials with random coefficients, each using every
+    coordinate alone and every pair of them."""
+    rng = np.random.default_rng(7)
+    terms = [f"{fn}({c})" for c in coords for fn in ("sin", "cos")]
+    terms += [f"sin({a})*cos({b})" for k, a in enumerate(coords)
+              for b in coords[k + 1:]]
+    return [" + ".join(f"({c:.3f})*{t}" for c, t in
+                       zip(rng.uniform(-1.0, 1.0, len(terms)), terms))
+            for _ in range(count)]
+
+
+def jet_cases(repeats):
     cases = []
     for dim, order, nodes in CASES:
         a, b = dense_jets(dim, order, nodes)
@@ -87,6 +120,42 @@ def measure(repeats):
             "sin_ms": median_ms(lambda: jets.sin(a), repeats),
             "host_kernel_ms": median_ms(host_kernel, repeats),
         })
+    return cases
+
+
+def geometry_cases(repeats):
+    cases = []
+    for name, counts in GEOMETRY_CASES:
+        ch = bundled(name).chart
+        spec = default_grid(ch, counts)
+        x, _ = grid_nodes(ch, spec)
+        fields = [scalar_field(ch, text)
+                  for text in seeded_potentials(ch.coords, POTENTIALS)]
+        cases.append({
+            "chart": name, "grid": list(spec.counts),
+            "nodes": int(np.prod(spec.counts)),
+            "frame_ms": median_ms(lambda: frame(ch, x), repeats),
+            "field_jets_ms": median_ms(
+                lambda: [scalar_jets(f, x, order=4) for f in fields], repeats),
+            "potentials": [f.source for f in fields],
+            "host_kernel_ms": median_ms(host_kernel, repeats),
+        })
+    return cases
+
+
+LAYERS = {  # layer -> (case timer, default output, line per case)
+    "jets": (jet_cases, "BENCH_1.json",
+             lambda c: f"dim {c['dim']} order {c['order']} nodes {c['nodes']}: "
+                       f"mul {c['mul_ms']:.2f} ms, sin {c['sin_ms']:.2f} ms"),
+    "geometry": (geometry_cases, "BENCH_2.json",
+                 lambda c: f"{c['chart']} nodes {c['nodes']}: frame "
+                           f"{c['frame_ms']:.2f} ms, {POTENTIALS} field jets "
+                           f"{c['field_jets_ms']:.2f} ms"),
+}
+
+
+def measure(layer, repeats):
+    sha, dirty = source_tree()
     return {
         "git_sha": sha,
         "git_dirty": dirty,
@@ -94,28 +163,31 @@ def measure(repeats):
         "numpy": np.__version__,
         "python": platform.python_version(),
         "repeats": repeats,
-        "cases": cases,
+        "cases": LAYERS[layer][0](repeats),
     }
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--layer", choices=sorted(LAYERS), default="jets")
     parser.add_argument("--label", required=True,
                         help="name of this set in the file, e.g. parent or change")
-    parser.add_argument("--out", type=Path, default=Path("BENCH_1.json"))
+    parser.add_argument("--out", type=Path,
+                        help="output file; BENCH_1.json for jets, BENCH_2.json "
+                             "for geometry")
     parser.add_argument("--repeats", type=int, default=15)
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data["layer"] = "jets"
+    _, default_out, line = LAYERS[args.layer]
+    out = args.out or Path(default_out)
+    data = json.loads(out.read_text()) if out.exists() else {}
+    data["layer"] = args.layer
     data["unit"] = "ms, median of repeats"
-    data.setdefault("sets", {})[args.label] = measure(args.repeats)
-    args.out.write_text(json.dumps(data, indent=2) + "\n")
+    data.setdefault("sets", {})[args.label] = measure(args.layer, args.repeats)
+    out.write_text(json.dumps(data, indent=2) + "\n")
     for case in data["sets"][args.label]["cases"]:
-        print(f"{args.label}: dim {case['dim']} order {case['order']} "
-              f"nodes {case['nodes']}: mul {case['mul_ms']:.2f} ms, "
-              f"sin {case['sin_ms']:.2f} ms, host {case['host_kernel_ms']:.2f} ms")
+        print(f"{args.label}: {line(case)}, host {case['host_kernel_ms']:.2f} ms")
     return 0
 
 

@@ -11,13 +11,17 @@ is the determinism check.  ``--compare DIR`` checks this run against the
 reports of a previous one instead: it prints, per report, every difference
 in a non-float field and the largest change of a float, and fails when a
 verdict, an exit status or a non-float field differs, or when a float moves
-by more than the smallest of the report's tolerances.
+by more than the smallest of the report's tolerances.  Two strings that
+differ only in the numbers written inside them, such as a fitted potential
+that embeds its coefficients, count as floats: the text around the numbers
+must match exactly, and each number is compared as a float.
 """
 
 import argparse
 import io
 import json
 import math
+import re
 import sys
 from contextlib import redirect_stdout
 from dataclasses import asdict
@@ -83,6 +87,21 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+# A number written in text, with its sign; digits that end a name ("x1") are
+# part of the text.
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _text_change(old, new):
+    """The largest change of a number between two strings that differ only
+    in the numbers written in them; None if the text around them differs."""
+    if _NUMBER.split(old) != _NUMBER.split(new):
+        return None
+    pairs = zip(_NUMBER.findall(old), _NUMBER.findall(new))
+    return max((change for a, b in pairs
+                for *_, change in _differences(float(a), float(b))), default=0.0)
+
+
 def _differences(old, new, path="$"):
     """Yield (path, old, new, float change or None) for every leaf that
     differs; the change is None for a non-float difference.  A float printed
@@ -100,6 +119,8 @@ def _differences(old, new, path="$"):
         if old != new and not (math.isnan(old) and math.isnan(new)):
             change = abs(new - old)
             yield path, old, new, change if math.isfinite(change) else math.inf
+    elif isinstance(old, str) and isinstance(new, str) and old != new:
+        yield path, old, new, _text_change(old, new)
     elif old != new:
         yield path, old, new, None
 

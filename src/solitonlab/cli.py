@@ -229,7 +229,7 @@ def cmd_integrate(man, expression, grid):
     if not finite.all():
         flat = int(np.argmin(finite))
         raise QuadratureError(
-            f"integrand not defined at {_node_label(ch, x, flat)}: "
+            f"integrand not defined at {_node_label(ch, x, flat, values.shape)}: "
             f"value {float(values.flat[flat])!r}"
         )
     total = float(np.sum(values * w * fr.sqrtg))

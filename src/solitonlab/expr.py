@@ -405,7 +405,10 @@ def _coordinates(values, other):
 
 
 def evaluate(node, jets):
-    """Evaluate over coordinate jets (one per coordinate, shared batch shape)."""
+    """Evaluate over coordinate jets (one per coordinate), whose batch shapes
+    broadcast against each other.  The result's batch broadcasts the
+    batches of the coordinates ``node`` uses; a constant gets size-1 batch
+    axes, as many as the coordinate jets have."""
     jets = list(jets)
     if not jets:
         raise ValueError("evaluate needs at least one coordinate jet")
@@ -413,7 +416,7 @@ def evaluate(node, jets):
     if isinstance(out, Jet):
         return out
     ref = jets[0]
-    return constant(ref.dim, out + 0.0 * ref.value, ref.order)
+    return constant(ref.dim, np.full((1,) * ref.value.ndim, out), ref.order)
 
 
 def eval_number(node):

@@ -5,6 +5,14 @@ entrywise as expressions.  Everything numerical happens on batches of points:
 an array of shape (..., n) of coordinates goes in, and every derived tensor
 comes back with the same batch axes in front.
 
+On a tensor mesh, where x[..., i] varies only along batch axis i (every
+quadrature grid is one), each expression is evaluated only over the axes it
+depends on, and ``frame`` runs on the broadcast batch of the metric entries:
+(64, 1) for a metric in the first of two coordinates, (1, 1) for a constant
+one.  ``frame``, ``scalar_jets`` and ``vector_jets`` hand out read-only
+broadcast views of the full batch shape, and error messages name the first
+failing node of the full grid.
+
 Index conventions for the arrays built here, with n the chart dimension:
 
 * ``dg[..., a, i, j]``        is  d_a g_ij, and second and third metric
@@ -188,26 +196,46 @@ class VectorJets:
     d3xi: Optional[np.ndarray] = None
 
 
+def _seeds(ch, x, order):
+    """Coordinate jets at the points x.
+
+    On a tensor mesh, where x[..., i] varies only along batch axis i,
+    coordinate i is seeded with its axis nodes in shape (1, .., m_i, .., 1),
+    so every expression is evaluated only over the axes it depends on.  Any
+    other coordinate is seeded on all of x.
+    """
+    nb = x.ndim - 1
+    seeds = []
+    for i in range(ch.dim):
+        pts = x
+        if nb == ch.dim:
+            axis = x[tuple(slice(None) if a == i else slice(1) for a in range(nb))]
+            if (axis[..., i] == x[..., i]).all():
+                pts = axis
+        seeds.append(seed(ch.dim, pts, i, order))
+    return seeds
+
+
 def _derivatives(ch, x, nodes, order, what):
     """[value, d, d^2, ...] up to ``order`` of the expressions ``nodes`` (one
     expression or nested tuples of them) at the points x.
 
     The k-th array has shape batch + (n,) * k + shape(nodes): the derivative
-    axes sit between the batch axes and the entry axes.  Entries are read
-    out one at a time, and the outputs are allocated after the first
-    evaluation, so a single expression's evaluation temporaries never meet
-    them.  A point outside a function's domain, or one where a value or
-    derivative is not finite, raises GeometryError naming the grid node; an
-    ExprError raised on the grid becomes one naming ``what`` and the entry.
+    axes sit between the batch axes and the entry axes.  The batch is the
+    broadcast of the entries' batches (see ``_seeds``), which broadcasts
+    against x's.  A point outside a function's domain, or one where a value
+    or derivative is not finite, raises GeometryError naming the grid node;
+    an ExprError raised on the grid becomes one naming ``what`` and the
+    entry.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != ch.dim:
         raise GeometryError(
             f"points have {x.shape[-1]} coordinates, chart {ch.name!r} has {ch.dim}"
         )
-    seeds = [seed(ch.dim, x, i, order) for i in range(ch.dim)]
+    seeds = _seeds(ch, x, order)
     table = np.array(nodes, dtype=object)
-    out = None
+    jets = {}
     for entry in np.ndindex(table.shape):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -215,27 +243,37 @@ def _derivatives(ch, x, nodes, order, what):
             check_finite(jet)
         except JetDomainError as err:
             raise GeometryError(
-                f"{what} not defined at {_node_label(ch, x, err.index)}: {err}"
+                f"{what} not defined at "
+                f"{_node_label(ch, x, err.index, err.shape)}: {err}"
             ) from None
         except ExprError as err:
             at = " entry " + "".join(f"[{i}]" for i in entry) if entry else ""
             raise GeometryError(f"{what}{at}: {err}") from None
-        if out is None:
-            out = [np.empty(x.shape[:-1] + (ch.dim,) * k + table.shape)
-                   for k in range(order + 1)]
+        jets[entry] = jet
+    batch = np.broadcast_shapes(*(jet.value.shape for jet in jets.values()))
+    out = [np.empty(batch + (ch.dim,) * k + table.shape) for k in range(order + 1)]
+    for entry in np.ndindex(table.shape):
+        jet = jets.pop(entry)
         for k, arr in enumerate(out):
             arr[(Ellipsis,) + entry] = jet.derivative(k)
     return out
 
 
+def _full(arrays, batch):
+    """Read-only views of ``arrays`` whose leading axes, which broadcast
+    against ``batch``, are expanded to it."""
+    return [np.broadcast_to(a, batch + a.shape[len(batch):]) for a in arrays]
+
+
 def scalar_jets(field, x, order=3):
-    return ScalarJets(*_derivatives(field.chart, x, field.node, order,
-                                    repr(field.source)))
+    return ScalarJets(*_full(_derivatives(field.chart, x, field.node, order,
+                                          repr(field.source)), np.shape(x)[:-1]))
 
 
 def vector_jets(field, x):
-    return VectorJets(*_derivatives(field.chart, x, field.nodes, 3,
-                                    f"vector field on {field.chart.name!r}"))
+    return VectorJets(*_full(
+        _derivatives(field.chart, x, field.nodes, 3,
+                     f"vector field on {field.chart.name!r}"), np.shape(x)[:-1]))
 
 
 # ---------------------------------------------------------------- product rule
@@ -296,19 +334,34 @@ class PointFrame:
     dr: np.ndarray
 
 
-def _node_label(ch, x, flat):
-    batch_shape = x.shape[:-1]
-    idx = np.unravel_index(flat, batch_shape) if batch_shape else ()
-    coords = x.reshape(-1, ch.dim)[flat]
-    where = ", ".join(f"{nm}={v:.6g}" for nm, v in zip(ch.coords, coords))
-    return f"node {tuple(int(i) for i in idx)} ({where})"
+def _node_label(ch, x, flat, shape):
+    """Name the grid node of entry ``flat`` of an array whose batch shape
+    ``shape`` broadcasts against x's batch.  The entry is unravelled in
+    ``shape``, padded on the left, and every size-1 axis keeps index 0, which
+    is the first node in C order of x's batch where the entry's value holds.
+    """
+    idx = np.unravel_index(flat, shape) if shape else ()
+    node = (0,) * (x.ndim - 1 - len(shape)) + tuple(int(i) for i in idx)
+    where = ", ".join(f"{nm}={v:.6g}" for nm, v in zip(ch.coords, x[node]))
+    return f"node {node} ({where})"
 
 
 def frame(ch, x):
-    """Evaluate the metric with three derivative orders and assemble curvature."""
+    """Evaluate the metric with three derivative orders and assemble curvature.
+
+    The work runs on the broadcast batch of the metric entries (see
+    ``_derivatives``); the frame holds read-only views expanded to x's batch.
+    """
     x = np.asarray(x, dtype=float)
     n = ch.dim
     g, dg, d2g, d3g = _derivatives(ch, x, ch.metric, 3, f"metric of {ch.name!r}")
+    # The chain runs on one batch axis, so a mesh and a list of points take
+    # the same einsum paths: with two or more batch axes, einsum's result
+    # can depend on the alignment of its temporaries and so differ between
+    # processes.  A flat index counts in ``batch`` in C order.
+    batch = g.shape[:-2]
+    g, dg, d2g, d3g = (D.reshape((-1,) + D.shape[len(batch):])
+                       for D in (g, dg, d2g, d3g))
 
     scale = 1.0 + float(np.max(np.abs(g)))
     skew = np.abs(g - np.swapaxes(g, -1, -2))
@@ -318,7 +371,7 @@ def frame(ch, x):
         raise GeometryError(
             f"metric of {ch.name!r} is not symmetric: entries [{i}][{j}] and "
             f"[{j}][{i}] differ by {skew.reshape(-1, n, n)[flat, i, j]:.3e} at "
-            + _node_label(ch, x, flat)
+            + _node_label(ch, x, flat, batch)
         )
     # Average away harmless last-bit asymmetry before factorizing.
     g, dg, d2g, d3g = (0.5 * (D + np.swapaxes(D, -1, -2)) for D in (g, dg, d2g, d3g))
@@ -330,7 +383,7 @@ def frame(ch, x):
         flat = int(np.argmin(eigs[:, 0]))
         raise GeometryError(
             f"metric of {ch.name!r} is not positive definite "
-            f"(eigenvalue {eigs[flat, 0]:.3e}) at " + _node_label(ch, x, flat)
+            f"(eigenvalue {eigs[flat, 0]:.3e}) at " + _node_label(ch, x, flat, batch)
         ) from None
     sqrtg = np.prod(np.diagonal(chol, axis1=-2, axis2=-1), axis=-1)
     ginv = np.linalg.inv(g)
@@ -356,11 +409,12 @@ def frame(ch, x):
         for k in range(2)
     ]
     r, dr = (leibniz("...ij,...ij->...", G, Rics, k=k) for k in range(2))
-    return PointFrame(
-        chart=ch, x=x, g=g, ginv=ginv, sqrtg=sqrtg, dg=dg, d2g=d2g, d3g=d3g,
-        dginv=G[1], d2ginv=G[2], Gamma=Gamma, dGamma=dGamma,
-        d2Gamma=d2Gamma, Ric=Ric, dRic=dRic, r=r, dr=dr,
-    )
+    fields = dict(g=g, ginv=ginv, sqrtg=sqrtg, dg=dg, d2g=d2g, d3g=d3g,
+                  dginv=G[1], d2ginv=G[2], Gamma=Gamma, dGamma=dGamma,
+                  d2Gamma=d2Gamma, Ric=Ric, dRic=dRic, r=r, dr=dr)
+    views = _full([a.reshape(batch + a.shape[1:]) for a in fields.values()],
+                  x.shape[:-1])
+    return PointFrame(chart=ch, x=x, **dict(zip(fields, views)))
 
 
 # ----------------------------------------------------- scalar field operators

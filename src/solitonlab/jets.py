@@ -61,14 +61,16 @@ __all__ = [
 class JetDomainError(ValueError):
     """An elementary function was evaluated outside its domain.
 
-    `index` is the flat batch index of the first offending entry (0 for an
-    unbatched jet) and `value` the offending input value.
+    `index` is the flat index of the first offending entry in C order of
+    the jet's batch shape `shape` (0 and () for an unbatched jet), and
+    `value` the offending input value.
     """
 
-    def __init__(self, message, index=None, value=None):
+    def __init__(self, message, index=None, value=None, shape=None):
         super().__init__(message)
         self.index = index
         self.value = value
+        self.shape = shape
 
 
 def multi_indices(dim, order=DEFAULT_ORDER):
@@ -295,7 +297,8 @@ def _check_domain(bad, v, message):
     """Raise JetDomainError at the first batch entry where ``bad`` holds."""
     if np.any(bad):
         i = int(np.flatnonzero(np.ravel(bad))[0])
-        raise JetDomainError(message, index=i, value=float(np.ravel(v)[i]))
+        raise JetDomainError(message, index=i, value=float(np.ravel(v)[i]),
+                             shape=np.shape(bad))
 
 
 def check_finite(a):

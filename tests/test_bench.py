@@ -24,3 +24,23 @@ def test_sets_sit_side_by_side(tmp_path, monkeypatch, capsys):
             (2, 4, 64), (3, 3, 32)]
         assert all(c["mul_ms"] > 0 and c["sin_ms"] > 0 for c in entry["cases"])
     assert "parent: dim 2 order 4 nodes 64" in capsys.readouterr().out
+
+
+def test_geometry_layer_times_frame_and_field_jets(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench, "GEOMETRY_CASES",
+                        (("sphere2", (8, 12)), ("torus3", (8, 8, 10))))
+    out = tmp_path / "BENCH_2.json"
+    for label in ("parent", "change"):
+        assert bench.main(["--layer", "geometry", "--label", label, "--out",
+                           str(out), "--repeats", "1"]) == 0
+    data = json.loads(out.read_text())
+    assert data["layer"] == "geometry"
+    assert set(data["sets"]) == {"parent", "change"}
+    for entry in data["sets"].values():
+        assert {"git_sha", "git_dirty", "nproc", "numpy", "python"} <= set(entry)
+        assert [(c["chart"], c["grid"], c["nodes"]) for c in entry["cases"]] == [
+            ("sphere2", [8, 12], 96), ("torus3", [8, 8, 10], 640)]
+        for case in entry["cases"]:
+            assert case["frame_ms"] > 0 and case["field_jets_ms"] > 0
+            assert len(case["potentials"]) == bench.POTENTIALS
+    assert "change: torus3 nodes 640: frame" in capsys.readouterr().out

@@ -97,6 +97,33 @@ def test_describe_rejects_indefinite_metric(tmp_path, capsys):
     code, out, err = run(capsys, "describe", str(path))
     assert code == 2
     assert "not positive definite" in err and "x=" in err
+    assert "at node (64, 0) (x=3.14159, y=0)" in err
+
+
+@pytest.mark.parametrize("metric,grid,label", [
+    # The bad entry depends on the second coordinate of a two-axis mesh...
+    ([["2 + cos(y)", "0"], ["0", "cos(y)"]], [],
+     "(eigenvalue -1.000e+00) at node (0, 64) (x=0, y=3.14159)"),
+    # ...and on the second axis of a three-axis mesh.
+    ([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "0.5 + cos(y)"]],
+     ["--grid", "8,10,12"],
+     "(eigenvalue -5.000e-01) at node (0, 5, 0) (x=0, y=3.14159, z=0)"),
+])
+def test_describe_names_the_first_failing_node(tmp_path, capsys, metric, grid,
+                                               label):
+    dim = len(metric)
+    data = {
+        "manifold": {
+            "name": "bad", "dim": dim, "coords": ["x", "y", "z"][:dim],
+            "domain": [[0, "2*pi"]] * dim, "periodic": [True] * dim,
+            "metric": metric,
+        }
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "describe", str(path), *grid)
+    assert code == 2
+    assert f"not positive definite {label}\n" in err
 
 
 @pytest.mark.parametrize("command,metric_yy,potential", [

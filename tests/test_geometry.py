@@ -42,6 +42,8 @@ from solitonlab.geometry import (
     vector_field,
     vector_jets,
 )
+from solitonlab.manifest import bundled
+from solitonlab.quadrature import default_grid, grid_nodes
 
 TAU = 2 * math.pi
 
@@ -513,6 +515,41 @@ def test_gradient_vector_jets_dual_route(builder, f_text, grad_texts):
     assert max_abs(got.d3xi - want.d3xi) < 1e-9
 
 
+BASE_CHARTS = ("sphere2", "warped_sphere", "product_s2_s1", "sphere3", "torus2",
+               "torus3")
+FRAME_FIELDS = ("g", "ginv", "sqrtg", "dg", "d2g", "d3g", "dginv", "d2ginv",
+                "Gamma", "dGamma", "d2Gamma", "Ric", "dRic", "r", "dr")
+
+
+@pytest.mark.parametrize("name", BASE_CHARTS + ("generic_torus",))
+def test_mesh_evaluation_matches_point_list(name):
+    # On a mesh each expression runs only over the axes it depends on; the
+    # same points as a flat list take every coordinate on all points.  Both
+    # must give the same bits.
+    ch = generic_torus() if name == "generic_torus" else bundled(name).chart
+    x, _ = grid_nodes(ch, default_grid(ch))
+    pts = x.reshape(-1, ch.dim)
+    c = ch.coords
+    f = scalar_field(ch, f"cos({c[0]})*sin({c[-1]}) + 0.3*sin({c[0]} + {c[1]})^2")
+    v = vector_field(ch, [f"sin({c[0]})*cos({c[k]}) + 0.2*{c[k]}" for k in range(ch.dim)])
+    on_mesh = frame(ch, x)
+    on_points = frame(ch, pts)
+    pairs = [(getattr(on_mesh, k), getattr(on_points, k)) for k in FRAME_FIELDS]
+    for order in (3, 4):
+        pairs += zip(vars(scalar_jets(f, x, order=order)).values(),
+                     vars(scalar_jets(f, pts, order=order)).values())
+    pairs += zip(vars(vector_jets(v, x)).values(), vars(vector_jets(v, pts)).values())
+    for got, want in pairs:
+        if want is None:
+            assert got is None
+            continue
+        assert got.shape == x.shape[:-1] + want.shape[1:]
+        assert np.array_equal(got.reshape(want.shape), want)
+    for key in FRAME_FIELDS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(on_mesh, key)[...] = 0.0
+
+
 def test_gradient_vector_jets_requires_order_four():
     # d3xi needs d^4 f; order-3 jets give grad f with two derivatives only.
     ch = sphere2()
@@ -566,6 +603,7 @@ def test_metric_symmetry_violation_is_reported():
     with pytest.raises(GeometryError) as info:
         frame(ch, mesh(ch, (6, 6)))
     assert "not symmetric" in str(info.value)
+    assert str(info.value).endswith("at node (5, 0) (x=5.23599, y=0)")
 
 
 def test_metric_positivity_violation_is_reported():
@@ -577,6 +615,49 @@ def test_metric_positivity_violation_is_reported():
         frame(ch, mesh(ch, (8, 4)))
     assert "positive definite" in str(info.value)
     assert "x=" in str(info.value)
+    assert str(info.value).endswith("at node (4, 0) (x=3.14159, y=0)")
+
+
+def torus(rows):
+    n = len(rows)
+    return chart(f"torus{n}", ("x", "y", "z")[:n], (0,) * n, (TAU,) * n,
+                 (True,) * n, rows)
+
+
+# Each error names the first failing node of the mesh in C order, although
+# the entry at fault is evaluated only over the axis it depends on.
+@pytest.mark.parametrize("rows,counts,message", [
+    ([["1", "0.1*sin(y)"], ["0", "1"]], (6, 6),
+     "not symmetric: entries [0][1] and [1][0] differ by 8.660e-02 at "
+     "node (0, 5) (x=0, y=5.23599)"),
+    ([["1", "0", "0"], ["0", "1", "0.1*sin(y)"], ["0", "0", "1"]], (5, 6, 7),
+     "not symmetric: entries [1][2] and [2][1] differ by 8.660e-02 at "
+     "node (0, 5, 0) (x=0, y=5.23599, z=0)"),
+    ([["1", "0"], ["0", "cos(y)"]], (4, 8),
+     "not positive definite (eigenvalue -1.000e+00) at "
+     "node (0, 4) (x=0, y=3.14159)"),
+    ([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "0.5 + cos(y)"]], (5, 6, 7),
+     "not positive definite (eigenvalue -5.000e-01) at "
+     "node (0, 3, 0) (x=0, y=3.14159, z=0)"),
+])
+def test_metric_violation_names_its_node(rows, counts, message):
+    ch = torus(rows)
+    with pytest.raises(GeometryError) as info:
+        frame(ch, mesh(ch, counts))
+    assert str(info.value) == f"metric of {ch.name!r} is {message}"
+
+
+@pytest.mark.parametrize("text,label", [
+    ("log(cos(y))", "node (0, 2, 0) (x=0, y=2.0944, z=0): log requires"),
+    ("log(2 + cos(x) + sin(z)) + log(cos(y))",
+     "node (0, 2, 0) (x=0, y=2.0944, z=0): log requires"),
+    ("sqrt(sin(y)) * x", "node (0, 4, 0) (x=0, y=4.18879, z=0): sqrt requires"),
+])
+def test_out_of_domain_jet_names_its_node(text, label):
+    ch = torus([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    with pytest.raises(GeometryError) as info:
+        scalar_jets(scalar_field(ch, text), mesh(ch, (5, 6, 7)))
+    assert f"{text!r} not defined at {label}" in str(info.value)
 
 
 # ------------------------------------------------------------ property tests

@@ -365,6 +365,7 @@ def test_log_domain_error_reports_offender():
         jets.log(seed(1, xs, 0))
     assert err.value.index == 2
     assert err.value.value == -3.0
+    assert err.value.shape == (3,)
 
 
 def test_sqrt_domain_errors():

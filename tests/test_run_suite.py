@@ -81,3 +81,37 @@ def test_changed_exit_status_fails(tmp_path, capsys):
     assert run_compare(tmp_path / "stale", {"a__check": CHECK},
                        {"a__check": CHECK}, {"a__check": 2}) == 1
     assert "exit status 0 -> 2" in capsys.readouterr().out
+
+
+FIT = {
+    "command": "fit",
+    "tolerances": {"pointwise": 1e-8, "integral": 1e-7},
+    "potential": "0.16400000000000001 + (5.9815322953852603e-15)*sin(y) "
+                 "+ (-1.0944931435468768e-14)*cos(x1)",
+}
+
+
+def test_numbers_in_text_within_tolerance_pass(tmp_path, capsys):
+    # Last-bit noise in embedded coefficients, a sign flip near zero included.
+    new = moved(FIT, ("potential",),
+                "0.16400000000000001 + (-2.1e-15)*sin(y) "
+                "+ (-1.0944931435468771e-14)*cos(x1)")
+    assert run_compare(tmp_path, {"a__fit": FIT}, {"a__fit": new}) == 0
+    out = capsys.readouterr().out
+    assert "largest float change 8.08e-15 at $.potential" in out
+
+
+@pytest.mark.parametrize("potential,line", [
+    # A number moves by more than the tolerance...
+    ("0.16400002 + (5.9815322953852603e-15)*sin(y) "
+     "+ (-1.0944931435468768e-14)*cos(x1)", "largest float change 2e-08"),
+    # ...or the text around the numbers changes, a name's digit included.
+    ("0.16400000000000001 + (5.9815322953852603e-15)*sin(y) "
+     "+ (-1.0944931435468768e-14)*cos(x2)", "$.potential: '0.164"),
+])
+def test_numbers_in_text_beyond_the_suite_fail(tmp_path, capsys, potential,
+                                               line):
+    new = moved(FIT, ("potential",), potential)
+    assert run_compare(tmp_path, {"a__fit": FIT}, {"a__fit": new}) == 1
+    out = capsys.readouterr().out
+    assert "FAIL a__fit" in out and line in out
