@@ -356,9 +356,9 @@ def frame(ch, x):
     n = ch.dim
     g, dg, d2g, d3g = _derivatives(ch, x, ch.metric, 3, f"metric of {ch.name!r}")
     # The chain runs on one batch axis, so a mesh and a list of points take
-    # the same einsum paths: with two or more batch axes, einsum's result
-    # can depend on the alignment of its temporaries and so differ between
-    # processes.  A flat index counts in ``batch`` in C order.
+    # the same einsum paths: on a 16x16 mesh of a metric in both
+    # coordinates, dr assembled on two batch axes differed in the last bit
+    # between processes.  A flat index counts in ``batch`` in C order.
     batch = g.shape[:-2]
     g, dg, d2g, d3g = (D.reshape((-1,) + D.shape[len(batch):])
                        for D in (g, dg, d2g, d3g))
