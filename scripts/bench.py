@@ -1,4 +1,4 @@
-"""Time the jet layer or the geometry layer, parent and change side by side.
+"""Time the jet, geometry or fit layer, parent and change side by side.
 
 ``--layer jets`` (``BENCH_1.json``): for each case of ``CASES`` (dimension,
 order, node count: the default grids of torus2, sphere2 and the 16^3
@@ -10,12 +10,19 @@ runs ``Jet.compose`` and its powers.
 order-4 ``scalar_jets`` of three seeded potentials, each a random
 combination of trigonometric terms in the chart's coordinates.
 
+``--layer fit`` (``BENCH_3.json``): for each problem of ``FIT_CASES`` (a
+bundled chart and grid, a soliton kind and a basis of K terms), the script
+times the ``FitProblem`` set-up, one ``residual_stack`` at a seeded start
+and a whole fit from that start, set-up and the final full-grid objective
+included (the workspace cache is cleared first, so each repeat builds it).
+
 Each figure is the median of ``--repeats`` runs.  A fixed numpy kernel that
 no change to solitonlab can move is timed next to every case, so a reader
 can tell a slow host from slow code.
 
 Only the public API is used (``jets.seed``, ``jets.sin``, ``*``, the bundled
-manifests, ``grid_nodes``, ``frame``, ``scalar_jets``), so the same script
+manifests, ``grid_nodes``, ``frame``, ``scalar_jets``, ``FitProblem`` and
+its ``residual_stack`` and ``fit``), so the same script
 times any source tree: it imports whichever ``solitonlab`` is on
 ``PYTHONPATH``.  The set is stored under ``--label`` in ``--out``; sets under
 other labels stay, so two trees sit side by side in one file::
@@ -23,6 +30,7 @@ other labels stay, so two trees sit side by side in one file::
     PYTHONPATH=/path/to/parent/src python3 scripts/bench.py --label parent
     PYTHONPATH=src python3 scripts/bench.py --label change
     PYTHONPATH=src python3 scripts/bench.py --layer geometry --label change
+    PYTHONPATH=src python3 scripts/bench.py --layer fit --label change
 """
 
 import argparse
@@ -37,9 +45,11 @@ from pathlib import Path
 import numpy as np
 
 from solitonlab import jets
+from solitonlab.fitting import BasisExpansion, FitInit, FitProblem
 from solitonlab.geometry import frame, scalar_field, scalar_jets
 from solitonlab.manifest import bundled
 from solitonlab.quadrature import default_grid, grid_nodes
+from solitonlab.solitons import workspace
 
 CASES = (  # (dim, order, nodes)
     (2, 4, 16384),
@@ -57,6 +67,15 @@ GEOMETRY_CASES = (
     ("product_s2_s1", None),
 )
 POTENTIALS = 3
+
+# (bundled chart, node counts, kind, basis family, degree): K = 5, 13 and 9
+# terms; the first is torus2_fit_ricci's grid and basis.  None is the
+# chart's default grid.
+FIT_CASES = (
+    ("torus2", (64, 64), "ricci", "fourier", 1),
+    ("torus2", (64, 64), "ricci", "fourier", 2),
+    ("sphere2", None, "yamabe", "product", 2),
+)
 
 
 def median_ms(fn, repeats):
@@ -143,6 +162,39 @@ def geometry_cases(repeats):
     return cases
 
 
+def fit_cases(repeats):
+    cases = []
+    for name, counts, kind, family, degree in FIT_CASES:
+        ch = bundled(name).chart
+        grid = default_grid(ch, counts)
+        basis = BasisExpansion(ch, family, degree)
+        terms = basis.terms()
+        rng = np.random.default_rng(3)
+        init = FitInit(coefficients=tuple(
+            float(c) for c in rng.uniform(-0.1, 0.1, len(terms))),
+            lam=1.0, mu=0.25)
+        problem = FitProblem(ch, kind, basis, grid=grid)
+
+        def whole_fit():
+            workspace.cache_clear()
+            return FitProblem(ch, kind, basis, grid=grid).fit(init)
+
+        cases.append({
+            "chart": name, "grid": list(grid.counts), "kind": kind,
+            "basis": family, "degree": degree, "terms": len(terms),
+            "fit_nodes": int(np.prod(problem.fit_grid.counts)),
+            "iterations": whole_fit().iterations,
+            "setup_ms": median_ms(
+                lambda: FitProblem(ch, kind, basis, grid=grid), repeats),
+            "residual_stack_ms": median_ms(
+                lambda: problem.residual_stack(init.coefficients, init.lam,
+                                               init.mu), repeats),
+            "fit_ms": median_ms(whole_fit, repeats),
+            "host_kernel_ms": median_ms(host_kernel, repeats),
+        })
+    return cases
+
+
 LAYERS = {  # layer -> (case timer, default output, line per case)
     "jets": (jet_cases, "BENCH_1.json",
              lambda c: f"dim {c['dim']} order {c['order']} nodes {c['nodes']}: "
@@ -151,6 +203,11 @@ LAYERS = {  # layer -> (case timer, default output, line per case)
                  lambda c: f"{c['chart']} nodes {c['nodes']}: frame "
                            f"{c['frame_ms']:.2f} ms, {POTENTIALS} field jets "
                            f"{c['field_jets_ms']:.2f} ms"),
+    "fit": (fit_cases, "BENCH_3.json",
+            lambda c: f"{c['chart']} {c['basis']} {c['degree']} K {c['terms']} "
+                      f"fit nodes {c['fit_nodes']}: set-up {c['setup_ms']:.2f} ms, "
+                      f"residual stack {c['residual_stack_ms']:.2f} ms, "
+                      f"fit {c['fit_ms']:.2f} ms ({c['iterations']} iterations)"),
 }
 
 
@@ -174,7 +231,7 @@ def main(argv=None):
                         help="name of this set in the file, e.g. parent or change")
     parser.add_argument("--out", type=Path,
                         help="output file; BENCH_1.json for jets, BENCH_2.json "
-                             "for geometry")
+                             "for geometry, BENCH_3.json for fit")
     parser.add_argument("--repeats", type=int, default=15)
     args = parser.parse_args(argv)
     if args.repeats < 1:

@@ -11,7 +11,9 @@ Gauss-Newton steps with Levenberg damping minimize
 
 realized as the squared norm of a stacked vector of Cholesky-whitened
 residual components scaled by sqrt(weight * volume element), so the normal
-equations see the same metric-invariant objective the reports quote.
+equations see the same metric-invariant objective the reports quote.  The
+per-node inverse factor L^{-1} of g = L L^T is computed once per problem,
+so whitening a residual or a Jacobian is two small matrix products.
 
 The reported objective is J on the full grid of the fitted soliton, read
 from ``solitons.workspace`` of that soliton; FitResult.soliton carries it,
@@ -34,7 +36,7 @@ from .geometry import (
     lie_metric_jets,
     norm2_sym2,
     scalar_field,
-    scalar_jets,
+    stacked_scalar_jets,
 )
 from .quadrature import GridSpec, default_grid, grid_nodes
 from .solitons import (
@@ -162,14 +164,12 @@ def _potential_text(coefficients, terms):
     return " + ".join(pieces) if pieces else "0"
 
 
-def _term_fields(fr, sj):
-    """(xi, dxi, T, dT) of one basis term: its gradient and T = L_xi g."""
-    vj = gradient_vector_jets(fr, sj)
-    return (vj.xi, vj.dxi) + lie_metric_jets(fr, vj)
-
-
 class FitProblem:
-    """Owns the fit grid's precomputation; one instance per fit, not shared."""
+    """Owns the fit grid's precomputation; one instance per fit, not shared.
+
+    Set-up evaluates every basis term's jets in one pass and runs the
+    gradient and the Lie derivative of the metric once, over all terms.
+    """
 
     def __init__(self, ch, kind, basis, grid=None, opts=FitOptions()):
         if kind not in KINDS:
@@ -183,15 +183,14 @@ class FitProblem:
         self.terms = basis.terms()
         x, w = grid_nodes(ch, self.fit_grid)
         self.fr = fr = grid_frame(ch, self.fit_grid)
-        # The basis term is the leading axis of term_vj.xi, term_vj.dxi, T
-        # and dT; order-3 jets of each term give all four.
-        xi, dxi, self.T, self.dT = (np.stack(arrays) for arrays in zip(*(
-            _term_fields(fr, scalar_jets(scalar_field(ch, text), x, order=3))
-            for text in self.terms
-        )))
-        self.term_vj = VectorJets(xi, dxi)
+        # The basis term k is the leading batch axis of xi_k, dxi_k, and
+        # T_k = L_{xi_k} g and dT_k, which need d2xi_k.
+        vj = gradient_vector_jets(fr, stacked_scalar_jets(
+            [scalar_field(ch, text) for text in self.terms], x))
+        self.T, self.dT = lie_metric_jets(fr, vj)
+        self.term_vj = VectorJets(vj.xi, vj.dxi)
         self.scale = np.sqrt(w * fr.sqrtg)[..., None, None]
-        self.chol = np.linalg.cholesky(fr.g)
+        self.Linv = np.linalg.inv(np.linalg.cholesky(fr.g))
 
     def _sum_terms(self, coeffs):
         """xi, T and dT of the potential sum(c_k * term_k)."""
@@ -202,9 +201,7 @@ class FitProblem:
 
     def _whiten(self, R):
         """L^{-1} R L^{-T} * sqrt(weight * volume) for g = L L^T, per node."""
-        white = np.linalg.solve(self.chol, R)
-        white = np.linalg.solve(self.chol, np.swapaxes(white, -1, -2))
-        return white * self.scale
+        return self.Linv @ R @ np.swapaxes(self.Linv, -1, -2) * self.scale
 
     def residual_stack(self, coeffs, lam, mu):
         vj, T, dT = self._sum_terms(coeffs)

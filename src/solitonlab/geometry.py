@@ -56,6 +56,7 @@ __all__ = [
     "PointFrame",
     "frame",
     "scalar_jets",
+    "stacked_scalar_jets",
     "vector_jets",
     "leibniz",
     "hessian",
@@ -130,7 +131,9 @@ def chart(name, coords, lo, hi, periodic, metric_texts, grid_hint=None,
         tuple(parse(entry, coords) for entry in row) for row in rows
     )
     if grid_hint is None:
-        grid_hint = tuple(128 if periodic[i] else 64 for i in range(n))
+        # Per-axis counts fit for two axes would give 2.1 million nodes in
+        # three, so charts of three or more axes default to 16 per axis.
+        grid_hint = tuple(16 if n >= 3 else 128 if p else 64 for p in periodic)
     grid_hint = tuple(int(m) for m in grid_hint)
     if len(grid_hint) != n or any(m < 8 for m in grid_hint):
         raise GeometryError(f"chart {name!r}: grid hint needs {n} counts of at least 8")
@@ -268,6 +271,16 @@ def _full(arrays, batch):
 def scalar_jets(field, x, order=3):
     return ScalarJets(*_full(_derivatives(field.chart, x, field.node, order,
                                           repr(field.source)), np.shape(x)[:-1]))
+
+
+def stacked_scalar_jets(fields, x, order=3):
+    """ScalarJets of several fields of one chart from one ``_derivatives``
+    call, the field as a leading batch axis: f[k] belongs to fields[k]."""
+    ch = fields[0].chart
+    arrays = _derivatives(ch, x, tuple(f.node for f in fields), order,
+                          "fields " + ", ".join(repr(f.source) for f in fields))
+    return ScalarJets(*_full([np.moveaxis(a, -1, 0) for a in arrays],
+                             (len(fields),) + np.shape(x)[:-1]))
 
 
 def vector_jets(field, x):

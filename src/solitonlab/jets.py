@@ -216,6 +216,13 @@ class Jet:
         return self._new(-self.coeffs)
 
     def __mul__(self, other):
+        if np.isscalar(other) or isinstance(other, np.ndarray):
+            # A constant has only a value row, so the product scales every
+            # row; the batches still broadcast right-aligned.
+            c = np.asarray(other, dtype=float)
+            a = self.coeffs
+            a = a.reshape(a.shape[:1] + (1,) * (c.ndim - a.ndim + 1) + a.shape[1:])
+            return self._new(a * c)
         a, b = self._aligned(other)
         out = np.empty((a.shape[0],) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
         tmp = np.empty(out.shape[1:])

@@ -1,4 +1,4 @@
-"""The jet-layer timing script: one set per label, side by side in one file."""
+"""The layer timing script: one set per label, side by side in one file."""
 
 import importlib.util
 import json
@@ -44,3 +44,28 @@ def test_geometry_layer_times_frame_and_field_jets(tmp_path, monkeypatch, capsys
             assert case["frame_ms"] > 0 and case["field_jets_ms"] > 0
             assert len(case["potentials"]) == bench.POTENTIALS
     assert "change: torus3 nodes 640: frame" in capsys.readouterr().out
+
+
+def test_fit_layer_times_setup_residual_stack_and_fit(tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.setattr(bench, "FIT_CASES", (
+        ("torus2", (16, 16), "ricci", "fourier", 1),
+        ("sphere2", (16, 16), "yamabe", "product", 1),
+    ))
+    out = tmp_path / "BENCH_3.json"
+    for label in ("parent", "change"):
+        assert bench.main(["--layer", "fit", "--label", label, "--out",
+                           str(out), "--repeats", "1"]) == 0
+    data = json.loads(out.read_text())
+    assert data["layer"] == "fit"
+    assert set(data["sets"]) == {"parent", "change"}
+    for entry in data["sets"].values():
+        assert {"git_sha", "git_dirty", "nproc", "numpy", "python"} <= set(entry)
+        assert [(c["chart"], c["grid"], c["terms"], c["fit_nodes"])
+                for c in entry["cases"]] == [("torus2", [16, 16], 5, 64),
+                                             ("sphere2", [16, 16], 4, 64)]
+        for case in entry["cases"]:
+            assert case["iterations"] >= 1
+            assert min(case["setup_ms"], case["residual_stack_ms"],
+                       case["fit_ms"]) > 0
+    assert "change: torus2 fourier 1 K 5 fit nodes 64: set-up" in capsys.readouterr().out

@@ -126,6 +126,23 @@ def test_describe_names_the_first_failing_node(tmp_path, capsys, metric, grid,
     assert f"not positive definite {label}\n" in err
 
 
+def test_describe_hintless_three_axis_chart_takes_16_per_axis(tmp_path, capsys):
+    # The two-axis default of 128 per periodic axis would be 2.1 million
+    # nodes here.
+    data = {
+        "manifold": {
+            "name": "torus3", "dim": 3, "coords": ["x", "y", "z"],
+            "domain": [[0, "2*pi"]] * 3, "periodic": [True] * 3,
+            "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "2 + cos(y)"]],
+        }
+    }
+    path = tmp_path / "torus3.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    rep = report(capsys, "describe", str(path))
+    assert rep["grid"] == [16, 16, 16]
+    assert rep["dim"] == 3
+
+
 @pytest.mark.parametrize("command,metric_yy,potential", [
     ("describe", "2 + log(cos(th))", "0"),
     ("check", "sin(th)^2", "log(cos(th))"),

@@ -19,7 +19,7 @@ from solitonlab.fitting import (
 )
 from solitonlab.quadrature import default_grid
 
-from test_geometry import sphere2, torus2
+from test_geometry import generic_torus, sphere2, torus2
 
 SMALL = (16, 16)
 
@@ -145,6 +145,7 @@ def test_lambda_clamp_reported():
         (sphere2, "ricci", "product", 2),
         (torus2, "ricci", "fourier", 1),
         (torus2, "yamabe", "fourier", 1),
+        (generic_torus, "ricci", "fourier", 1),
     ],
 )
 def test_exact_jacobian_matches_central_differences(builder, kind, family,
@@ -165,6 +166,23 @@ def test_exact_jacobian_matches_central_differences(builder, kind, family,
         minus[j] -= h
         fd = (problem._stack_at(plus) - problem._stack_at(minus)) / (2 * h)
         assert np.linalg.norm(A[:, j] - fd) <= 1e-9 * np.linalg.norm(fd), j
+
+
+def test_whiten_matches_cholesky_solves_on_off_diagonal_metric():
+    # generic_torus's metric has an off-diagonal entry depending on both
+    # coordinates, so a transposed factor, L^-T R L^-1, would show here; on
+    # the diagonal metrics of sphere2 and torus2 it gives the same values.
+    problem = small_problem(generic_torus(), "ricci", "fourier", 1)
+    rng = np.random.default_rng(3)
+    R = rng.standard_normal((3,) + problem.fr.g.shape)
+    R = R + np.swapaxes(R, -1, -2)
+    L = np.linalg.cholesky(problem.fr.g)
+    left = np.linalg.solve(L, R)
+    expected = np.swapaxes(
+        np.linalg.solve(L, np.swapaxes(left, -1, -2)), -1, -2) * problem.scale
+    got = problem._whiten(R)
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 # ---------------------------------------------------------------- the basis

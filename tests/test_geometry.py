@@ -37,6 +37,7 @@ from solitonlab.geometry import (
     ric_vv,
     scalar_field,
     scalar_jets,
+    stacked_scalar_jets,
     trace_g,
     trace_g_jet,
     vector_field,
@@ -550,6 +551,24 @@ def test_mesh_evaluation_matches_point_list(name):
             getattr(on_mesh, key)[...] = 0.0
 
 
+@pytest.mark.parametrize("order", [3, 4])
+def test_stacked_scalar_jets_match_one_field_at_a_time(order):
+    # A constant, one-coordinate terms and a term in both coordinates have
+    # different batches on the mesh; stacked, each reads as on its own.
+    ch = generic_torus()
+    x, _ = grid_nodes(ch, default_grid(ch, (8, 10)))
+    fields = [scalar_field(ch, t) for t in
+              ("1", "sin(y)", "cos(2*x)", "sin(x)*cos(y) + 0.3*x*y")]
+    stacked = vars(stacked_scalar_jets(fields, x, order=order))
+    for k, f in enumerate(fields):
+        for key, want in vars(scalar_jets(f, x, order=order)).items():
+            if want is None:
+                assert stacked[key] is None
+                continue
+            assert stacked[key].shape == (len(fields),) + want.shape
+            assert np.array_equal(stacked[key][k], want)
+
+
 def test_gradient_vector_jets_requires_order_four():
     # d3xi needs d^4 f; order-3 jets give grad f with two derivatives only.
     ch = sphere2()
@@ -593,6 +612,20 @@ def test_chart_validation_errors():
     with pytest.raises(ValueError):
         chart("bad", ("pi", "y"), (0, 0), (1, 1), (True, True),
               [["1", "0"], ["0", "1"]])
+
+
+def test_default_grid_hint_by_dimension():
+    # Two axes keep 128 per periodic and 64 per other axis; three or more
+    # take 16 per axis, which the bundled three-axis manifests also set.
+    flat = [["1", "0"], ["0", "1"]]
+    assert chart("c2", ("x", "y"), (0, 0), (1, 1), (True, False),
+                 flat).grid_hint == (128, 64)
+    eye3 = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+    assert chart("c3", ("x", "y", "z"), (0,) * 3, (1,) * 3,
+                 (True, False, True), eye3).grid_hint == (16, 16, 16)
+    eye4 = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    assert chart("c4", ("w", "x", "y", "z"), (0,) * 4, (1,) * 4,
+                 (True,) * 4, eye4).grid_hint == (16,) * 4
 
 
 def test_metric_symmetry_violation_is_reported():

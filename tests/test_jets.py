@@ -359,6 +359,23 @@ def test_broadcast_products_match_pointwise(order, rng):
                                    rtol=1e-15, atol=1e-15)
 
 
+@pytest.mark.parametrize("order", [3, 4])
+def test_constant_product_matches_the_convolution(order, rng):
+    # A product with a Python float or an array scales the coefficients;
+    # the convolution with the same constant as a jet is the reference.
+    dim = 3
+    xs = rng.uniform(0.2, 2.0, size=(3, 4, dim))
+    a = jets.sin(seed(dim, xs, 0, order)) * seed(dim, xs, 2, order)
+    u = jets.exp(seed(dim, xs[0, 0], 1, order))
+    for jet in (a, u):
+        for c in (0.3, -1.7, rng.uniform(-1.0, 1.0, size=4),
+                  rng.uniform(-1.0, 1.0, size=(2, 3, 4))):
+            reference = jet * constant(dim, c, order)
+            for got in ((jet * c, c * jet) if np.isscalar(c) else (jet * c,)):
+                assert got.coeffs.shape == reference.coeffs.shape
+                assert np.array_equal(got.coeffs, reference.coeffs)
+
+
 def test_log_domain_error_reports_offender():
     xs = np.array([[1.0], [2.0], [-3.0]])
     with pytest.raises(JetDomainError) as err:

@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,3 +118,35 @@ def test_numbers_in_text_beyond_the_suite_fail(tmp_path, capsys, potential,
     assert run_compare(tmp_path, {"a__fit": FIT}, {"a__fit": new}) == 1
     out = capsys.readouterr().out
     assert "FAIL a__fit" in out and line in out
+
+
+# Both fits, a check with integrals on sphere2 (whose schur residual moves
+# under another kernel) and a three-axis check.
+CROSS_KERNEL = ("sphere2_fit_yamabe", "torus2_fit_ricci",
+                "sphere2_nonsoliton_yamabe", "sphere3_yamabe_trivial")
+
+
+def run_suite_child(out_dir, coretype, *extra):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
+    src = str(SCRIPT.parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(SCRIPT), "--out-dir", str(out_dir),
+         "--manifests", *CROSS_KERNEL, *extra],
+        env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_compare_passes_under_another_blas_kernel(tmp_path):
+    # The variable picks OpenBLAS's kernel for the older Prescott CPUs, and
+    # acts only on its child: bytes may differ from the default kernel's,
+    # verdicts, exit statuses and non-float fields may not, and floats stay
+    # within each report's tolerance.
+    default = run_suite_child(tmp_path / "default", None)
+    assert default.returncode == 0, default.stdout + default.stderr
+    assert len(list((tmp_path / "default").glob("*.json"))) == 11
+    other = run_suite_child(tmp_path / "prescott", "Prescott",
+                            "--compare", str(tmp_path / "default"))
+    assert other.returncode == 0, other.stdout + other.stderr
+    assert "0 beyond tolerance" in other.stdout
