@@ -16,8 +16,7 @@ differ only in the numbers written inside them, such as a fitted potential
 that embeds its coefficients, count as floats: the text around the numbers
 must match exactly, and each number is compared as a float.  That is what
 holds across BLAS kernels (``OPENBLAS_CORETYPE``) and machines, where bytes
-may differ.  ``--manifests NAME ...`` runs only those bundled manifests and
-their integrals.
+may differ.
 """
 
 import argparse
@@ -45,12 +44,8 @@ INTEGRALS = (
 )
 
 
-def invocations(names=None):
-    """(label, command line) pairs, for the bundled manifests in ``names``
-    or for all of them."""
+def invocations():
     for name in bundled_names():
-        if names is not None and name not in names:
-            continue
         man = bundled(name)
         yield f"{name}__describe", ["describe", name]
         if man.soliton is not None:
@@ -58,8 +53,6 @@ def invocations(names=None):
         if man.fit is not None:
             yield f"{name}__fit", ["fit", name]
     for k, (name, expression) in enumerate(INTEGRALS):
-        if names is not None and name not in names:
-            continue
         yield f"{name}__integral{k}", ["integrate", name, expression]
 
 
@@ -178,9 +171,6 @@ def main(argv=None):
                         help="directory for the JSON reports")
     parser.add_argument("--compare", metavar="DIR",
                         help="reports of a previous run to compare against")
-    parser.add_argument("--manifests", nargs="+", metavar="NAME",
-                        choices=bundled_names(),
-                        help="run only these bundled manifests")
     args = parser.parse_args(argv)
     out_dir = Path(args.out_dir)
     if args.compare and not Path(args.compare).is_dir():
@@ -190,7 +180,7 @@ def main(argv=None):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     statuses = {}
-    for label, argv_cli in invocations(args.manifests):
+    for label, argv_cli in invocations():
         target = out_dir / f"{label}.json"
         sink = io.StringIO()
         with redirect_stdout(sink):

@@ -227,9 +227,9 @@ def _derivatives(ch, x, nodes, order, what):
     axes sit between the batch axes and the entry axes.  The batch is the
     broadcast of the entries' batches (see ``_seeds``), which broadcasts
     against x's.  A point outside a function's domain, or one where a value
-    or derivative is not finite, raises GeometryError naming the grid node;
-    an ExprError raised on the grid becomes one naming ``what`` and the
-    entry.
+    or derivative is not finite, raises GeometryError naming ``what``, the
+    entry and the grid node; an ExprError raised on the grid becomes one
+    naming ``what`` and the entry.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != ch.dim:
@@ -240,17 +240,17 @@ def _derivatives(ch, x, nodes, order, what):
     table = np.array(nodes, dtype=object)
     jets = {}
     for entry in np.ndindex(table.shape):
+        at = " entry " + "".join(f"[{i}]" for i in entry) if entry else ""
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 jet = evaluate(table[entry], seeds)
             check_finite(jet)
         except JetDomainError as err:
             raise GeometryError(
-                f"{what} not defined at "
+                f"{what}{at} not defined at "
                 f"{_node_label(ch, x, err.index, err.shape)}: {err}"
             ) from None
         except ExprError as err:
-            at = " entry " + "".join(f"[{i}]" for i in entry) if entry else ""
             raise GeometryError(f"{what}{at}: {err}") from None
         jets[entry] = jet
     batch = np.broadcast_shapes(*(jet.value.shape for jet in jets.values()))
@@ -273,12 +273,14 @@ def scalar_jets(field, x, order=3):
                                           repr(field.source)), np.shape(x)[:-1]))
 
 
-def stacked_scalar_jets(fields, x, order=3):
-    """ScalarJets of several fields of one chart from one ``_derivatives``
-    call, the field as a leading batch axis: f[k] belongs to fields[k]."""
+def stacked_scalar_jets(fields, x):
+    """Order-3 ScalarJets of several fields of one chart from one
+    ``_derivatives`` call, the field as a leading batch axis: f[k] belongs to
+    fields[k], and an error names the failing field as entry [k]."""
     ch = fields[0].chart
-    arrays = _derivatives(ch, x, tuple(f.node for f in fields), order,
-                          "fields " + ", ".join(repr(f.source) for f in fields))
+    arrays = _derivatives(ch, x, tuple(f.node for f in fields), 3,
+                          "fields (" + ", ".join(repr(f.source) for f in fields)
+                          + ")")
     return ScalarJets(*_full([np.moveaxis(a, -1, 0) for a in arrays],
                              (len(fields),) + np.shape(x)[:-1]))
 

@@ -551,17 +551,16 @@ def test_mesh_evaluation_matches_point_list(name):
             getattr(on_mesh, key)[...] = 0.0
 
 
-@pytest.mark.parametrize("order", [3, 4])
-def test_stacked_scalar_jets_match_one_field_at_a_time(order):
+def test_stacked_scalar_jets_match_one_field_at_a_time():
     # A constant, one-coordinate terms and a term in both coordinates have
     # different batches on the mesh; stacked, each reads as on its own.
     ch = generic_torus()
     x, _ = grid_nodes(ch, default_grid(ch, (8, 10)))
     fields = [scalar_field(ch, t) for t in
               ("1", "sin(y)", "cos(2*x)", "sin(x)*cos(y) + 0.3*x*y")]
-    stacked = vars(stacked_scalar_jets(fields, x, order=order))
+    stacked = vars(stacked_scalar_jets(fields, x))
     for k, f in enumerate(fields):
-        for key, want in vars(scalar_jets(f, x, order=order)).items():
+        for key, want in vars(scalar_jets(f, x)).items():
             if want is None:
                 assert stacked[key] is None
                 continue
@@ -691,6 +690,16 @@ def test_out_of_domain_jet_names_its_node(text, label):
     with pytest.raises(GeometryError) as info:
         scalar_jets(scalar_field(ch, text), mesh(ch, (5, 6, 7)))
     assert f"{text!r} not defined at {label}" in str(info.value)
+
+
+def test_stacked_scalar_jets_name_the_failing_field():
+    ch = torus([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    fields = [scalar_field(ch, t) for t in ("sin(x)", "log(cos(y))", "z")]
+    with pytest.raises(GeometryError) as info:
+        stacked_scalar_jets(fields, mesh(ch, (5, 6, 7)))
+    assert str(info.value).startswith(
+        "fields ('sin(x)', 'log(cos(y))', 'z') entry [1] not defined at "
+        "node (0, 2, 0) (x=0, y=2.0944, z=0): log requires")
 
 
 # ------------------------------------------------------------ property tests
