@@ -33,10 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .expr import ExprError, Geo, eval_values, parse_integrand
-from .fitting import BasisExpansion, FitError, fit_potential
+from .expr import Geo, eval_values, parse_integrand
+from .fitting import BasisExpansion, fit_potential
 from .geometry import (
-    GeometryError,
     ScalarField,
     _node_label,
     norm2_sym2,
@@ -127,7 +126,7 @@ def _integrand_values(man, grid, source):
         if name == "gradr":
             return raise_covec(fr, fr.dr)
         if name == "gradf":
-            return field(Geo("f")).vj.xi
+            return field(Geo("f")).vj[0]
         if sol is None or sol.vector is None:
             raise SolitonError(
                 "integrand references xi but the manifest declares "
@@ -367,15 +366,15 @@ def main(argv=None):
             report, code = cmd_integrate(man, args.expression, grid)
         else:
             report, code = cmd_fit(man, grid, tol)
-    except (ManifestError, GeometryError, QuadratureError, ExprError,
-            SolitonError, FitError, ValueError) as err:
+        text = render_json(report) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+    except (ValueError, OSError) as err:
+        # Every error class of the package is a ValueError; OSError is --out.
         print(f"error: {err}", file=sys.stderr)
         return 2
-    text = render_json(report) + "\n"
     sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
     return code
 
 

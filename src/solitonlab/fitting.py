@@ -30,7 +30,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .geometry import (
-    VectorJets,
     gradient_vector_jets,
     lie_jet,
     lie_metric_jets,
@@ -188,15 +187,14 @@ class FitProblem:
         vj = gradient_vector_jets(fr, stacked_scalar_jets(
             [scalar_field(ch, text) for text in self.terms], x))
         self.T, self.dT = lie_metric_jets(fr, vj)
-        self.term_vj = VectorJets(vj.xi, vj.dxi)
+        self.term_vj = vj[:2]
         self.scale = np.sqrt(w * fr.sqrtg)[..., None, None]
         self.Linv = np.linalg.inv(np.linalg.cholesky(fr.g))
 
     def _sum_terms(self, coeffs):
         """xi, T and dT of the potential sum(c_k * term_k)."""
         c = np.asarray(coeffs, float)
-        vj = VectorJets(np.tensordot(c, self.term_vj.xi, 1),
-                        np.tensordot(c, self.term_vj.dxi, 1))
+        vj = [np.tensordot(c, X, 1) for X in self.term_vj]
         return vj, np.tensordot(c, self.T, 1), np.tensordot(c, self.dT, 1)
 
     def _whiten(self, R):
@@ -235,7 +233,7 @@ class FitProblem:
         """
         coeffs, lam, _ = self._unpack(p)
         vj, T, dT = self._sum_terms(coeffs)
-        free = VectorJets(self.term_vj.xi[1:], self.term_vj.dxi[1:])
+        free = [X[1:] for X in self.term_vj]
         Tk, dTk = self.T[1:], self.dT[1:]
         columns = np.concatenate([
             lie_jet(free, [T, dT], 0) + lie_jet(vj, [Tk, dTk], 0) + lam * Tk,

@@ -27,7 +27,10 @@ So every derivative array puts its derivative axes right after the batch
 axes and before the tensor's own.  Derivatives of contractions come from
 ``leibniz``, which takes each factor as a list [A, dA, d^2 A, ...] in that
 layout; a list too short for some term of the product rule leaves that term
-out, so a one-element list holds its factor fixed.
+out, so a one-element list holds its factor fixed.  Field jets are such
+lists: ``scalar_jets`` gives [f, df, d2f, ...] and ``vector_jets`` and
+``gradient_vector_jets`` give [xi, dxi, d2xi, ...], a missing order simply
+absent.
 
 Scalar curvature follows the sign convention that makes the unit round
 two-sphere have r = 2.
@@ -36,7 +39,7 @@ two-sphere have r = 2.
 import itertools
 import string
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -51,8 +54,6 @@ __all__ = [
     "scalar_field",
     "VectorField",
     "vector_field",
-    "ScalarJets",
-    "VectorJets",
     "PointFrame",
     "frame",
     "scalar_jets",
@@ -178,27 +179,6 @@ def vector_field(ch, texts):
 # ----------------------------------------------------------------- field jets
 
 
-@dataclass(eq=False)
-class ScalarJets:
-    """Partial derivatives of a scalar at a batch of points."""
-
-    f: np.ndarray
-    df: np.ndarray
-    d2f: np.ndarray
-    d3f: np.ndarray
-    d4f: Optional[np.ndarray] = None
-
-
-@dataclass(eq=False)
-class VectorJets:
-    """Contravariant components with derivatives; dxi[..., i, a] = d_i xi^a."""
-
-    xi: np.ndarray
-    dxi: np.ndarray
-    d2xi: Optional[np.ndarray] = None
-    d3xi: Optional[np.ndarray] = None
-
-
 def _seeds(ch, x, order):
     """Coordinate jets at the points x.
 
@@ -269,26 +249,28 @@ def _full(arrays, batch):
 
 
 def scalar_jets(field, x, order=3):
-    return ScalarJets(*_full(_derivatives(field.chart, x, field.node, order,
-                                          repr(field.source)), np.shape(x)[:-1]))
+    """[f, df, ..., d^order f] at the points x."""
+    return _full(_derivatives(field.chart, x, field.node, order,
+                              repr(field.source)), np.shape(x)[:-1])
 
 
 def stacked_scalar_jets(fields, x):
-    """Order-3 ScalarJets of several fields of one chart from one
+    """Order-3 scalar jets of several fields of one chart from one
     ``_derivatives`` call, the field as a leading batch axis: f[k] belongs to
     fields[k], and an error names the failing field as entry [k]."""
     ch = fields[0].chart
     arrays = _derivatives(ch, x, tuple(f.node for f in fields), 3,
                           "fields (" + ", ".join(repr(f.source) for f in fields)
                           + ")")
-    return ScalarJets(*_full([np.moveaxis(a, -1, 0) for a in arrays],
-                             (len(fields),) + np.shape(x)[:-1]))
+    return _full([np.moveaxis(a, -1, 0) for a in arrays],
+                 (len(fields),) + np.shape(x)[:-1])
 
 
 def vector_jets(field, x):
-    return VectorJets(*_full(
-        _derivatives(field.chart, x, field.nodes, 3,
-                     f"vector field on {field.chart.name!r}"), np.shape(x)[:-1]))
+    """[xi, dxi, d2xi, d3xi] at the points x; dxi[..., i, a] = d_i xi^a."""
+    return _full(_derivatives(field.chart, x, field.nodes, 3,
+                              f"vector field on {field.chart.name!r}"),
+                 np.shape(x)[:-1])
 
 
 # ---------------------------------------------------------------- product rule
@@ -437,30 +419,30 @@ def frame(ch, x):
 
 def hessian(fr, sj, k=0):
     """Hess(f)_ij for k = 0, its first derivatives d_a Hess(f)_ij for k = 1."""
-    return (sj.d2f, sj.d3f)[k] - leibniz(
-        "...kij,...k->...ij", [fr.Gamma, fr.dGamma], [sj.df, sj.d2f], k=k)
+    return sj[2 + k] - leibniz(
+        "...kij,...k->...ij", [fr.Gamma, fr.dGamma], sj[1:], k=k)
 
 
 def laplacian(fr, sj):
     return trace_g(fr, hessian(fr, sj))
 
 
-def gradient_vector_jets(fr, sj):
-    """Derivatives of grad f; d3xi, which contains d^4 f, is None unless sj
-    carries d4f.
+def gradient_vector_jets(fr, sj, known=()):
+    """[xi, dxi, ...] of xi = grad f from sj = [f, df, ...], one entry fewer
+    than sj: d^k xi needs d^(k+1) f.  The list continues ``known``, the
+    first jets of the same xi, and computes only the entries after them.
 
     xi = g^{-1} df, so d^k xi is g^{-1} times d^(k+1) f less the terms of
     d^k (g xi) that hold lower derivatives of xi: ``leibniz`` leaves out the
     one term needing d^k xi, which the list of xi jets does not hold yet.
     """
-    Gs, X = [fr.g, fr.dg, fr.d2g, fr.d3g], []
-    F = [sj.df, sj.d2f, sj.d3f] + ([] if sj.d4f is None else [sj.d4f])
-    for k, dkf in enumerate(F):
+    Gs, X = [fr.g, fr.dg, fr.d2g, fr.d3g], list(known)
+    for k, dkf in enumerate(sj[len(X) + 1:], len(X)):
         rest = dkf - leibniz("...ab,...b->...a", Gs, X, k=k) if k else dkf
         axes = "cde"[:k]
         X.append(leibniz(f"...ab,...{axes}b->...{axes}a", [fr.ginv], [rest],
                          k=0))
-    return VectorJets(*X)
+    return X
 
 
 # ------------------------------------------------------------ Lie derivatives
@@ -468,7 +450,8 @@ def gradient_vector_jets(fr, sj):
 
 def lie_jet(vj, Ts, k):
     """d^k (L_xi T)_ij of a symmetric 2-tensor T from Ts = [T, dT, ...],
-    which must reach d^(k+1) T, and xi's jets to order k + 1.
+    which must reach d^(k+1) T, and xi's jets to order k + 1; a shorter list
+    raises ValueError, since ``leibniz`` would silently drop its terms.
 
     (L_xi T)_ij = xi^a d_a T_ij + P_ij + P_ji with P_ij = T_ja d_i xi^a, the
     last term by the symmetry of T.  Each array contracts over its last
@@ -476,11 +459,12 @@ def lie_jet(vj, Ts, k):
     in place: d^m d_a T is symmetric in its m + 1 derivative axes, and
     moving the first of them behind the others changes no value.
     """
-    X = [vj.xi, vj.dxi, vj.d2xi, vj.d3xi]
+    if min(len(vj), len(Ts)) < k + 2:
+        raise ValueError(f"d^{k} of L_xi T needs {k + 2} jets of xi and of T")
     dTs = [np.moveaxis(D, D.ndim - 3 - m, D.ndim - 3)
            for m, D in enumerate(Ts[1:])]
-    L = leibniz("...a,...aij->...ij", X, dTs, k=k)
-    P = leibniz("...ja,...ia->...ij", Ts, X[1:], k=k)
+    L = leibniz("...a,...aij->...ij", vj, dTs, k=k)
+    P = leibniz("...ja,...ia->...ij", Ts, vj[1:], k=k)
     L += P
     L += np.swapaxes(P, -1, -2)
     return L
@@ -497,10 +481,10 @@ def lie_metric_jets(fr, vj):
 
 def cov_accel(fr, vj):
     """nabla_xi xi and its coordinate derivative."""
-    X, Gam = [vj.xi, vj.dxi, vj.d2xi], [fr.Gamma, fr.dGamma]
+    Gam = [fr.Gamma, fr.dGamma]
     return tuple(
-        leibniz("...a,...ak->...k", X, X[1:], k=k)
-        + leibniz("...kab,...a,...b->...k", Gam, X, X, k=k)
+        leibniz("...a,...ak->...k", vj, vj[1:], k=k)
+        + leibniz("...kab,...a,...b->...k", Gam, vj, vj, k=k)
         for k in range(2)
     )
 
@@ -547,5 +531,5 @@ def ric_vv(fr, v, w):
 
 def nabla_vec_norm2(fr, vj):
     """|nabla xi|^2 with nabla xi read as the (1,1) tensor nabla_i xi^k."""
-    A = vj.dxi + np.einsum("...kil,...l->...ik", fr.Gamma, vj.xi)
+    A = vj[1] + np.einsum("...kil,...l->...ik", fr.Gamma, vj[0])
     return np.einsum("...ij,...kl,...ik,...jl->...", fr.ginv, fr.g, A, A)

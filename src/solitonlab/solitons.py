@@ -24,7 +24,7 @@ per soliton or bare field and grid, and computes only what is read.
 """
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache, partial
 from typing import Callable, Optional, Tuple
 
@@ -33,7 +33,6 @@ import numpy as np
 from .geometry import (
     Chart,
     ScalarField,
-    ScalarJets,
     VectorField,
     cov_accel,
     div_sym2,
@@ -138,9 +137,9 @@ def residual_tensor(kind, lam, mu, fr, U, T):
 
 def _phi_laplacian(fr, sj):
     """Laplacian of |grad f|^2 from order-3 jets of f (uses third partials)."""
-    G, F = [fr.ginv, fr.dginv, fr.d2ginv], [sj.df, sj.d2f, sj.d3f]
-    dphi, d2phi = (leibniz("...ab,...a,...b->...", G, F, F, k=k) for k in (1, 2))
-    return laplacian(fr, ScalarJets(None, dphi, d2phi, None))
+    G, F = [fr.ginv, fr.dginv, fr.d2ginv], sj[1:4]
+    return laplacian(fr, [leibniz("...ab,...a,...b->...", G, F, F, k=k)
+                          for k in range(3)])
 
 
 def grid_frame(ch, grid=None):
@@ -187,7 +186,7 @@ class Workspace:
     def vj(self):
         """Vector jets; a gradient's d3xi is left to ``dU``, its only reader."""
         if isinstance(self.field, ScalarField):
-            return gradient_vector_jets(self.fr, replace(self.sj, d4f=None))
+            return gradient_vector_jets(self.fr, self.sj[:4])
         return vector_jets(self.field, self.x)
 
     @cached_property
@@ -207,7 +206,7 @@ class Workspace:
     def dU(self):
         fr, vj = self.fr, self.vj
         if isinstance(self.field, ScalarField):
-            vj = replace(vj, d3xi=gradient_vector_jets(fr, self.sj).d3xi)
+            vj = gradient_vector_jets(fr, self.sj, vj)
         d2T = lie_jet(vj, [fr.g, fr.dg, fr.d2g, fr.d3g], 2)
         return lie_jet(vj, [self.T, self.dT, d2T], 1)
 
@@ -229,7 +228,7 @@ class Workspace:
 
     @cached_property
     def divxi(self):
-        return div_vector(self.fr, self.vj.xi, self.vj.dxi)
+        return div_vector(self.fr, *self.vj[:2])
 
     @cached_property
     def residual(self):
@@ -243,7 +242,7 @@ class Workspace:
     @cached_property
     def ric_xi(self):
         """Ric(xi, xi)."""
-        return ric_vv(self.fr, self.vj.xi, self.vj.xi)
+        return ric_vv(self.fr, self.vj[0], self.vj[0])
 
     @cached_property
     def H(self):
@@ -266,12 +265,12 @@ class Workspace:
     def glapf(self):
         """g(grad lap f, grad f)."""
         return np.einsum("...ab,...a,...b->...", self.fr.ginv, self.dlap,
-                         self.sj.df)
+                         self.sj[1])
 
     @cached_property
     def gfr(self):
         """g(grad f, grad r)."""
-        return np.einsum("...ab,...a,...b->...", self.fr.ginv, self.sj.df,
+        return np.einsum("...ab,...a,...b->...", self.fr.ginv, self.sj[1],
                          self.fr.dr)
 
     @cached_property
@@ -404,7 +403,7 @@ def _lemma_hessian(ws, tol, notes):
 def _div_lie(ws, tol, notes):
     spec, fr = ws.target, ws.fr
     divT = div_sym2(fr, ws.T, ws.dT)
-    ric_gradf = np.einsum("...jb,...b->...j", fr.Ric, ws.vj.xi)
+    ric_gradf = np.einsum("...jb,...b->...j", fr.Ric, ws.vj[0])
     unconditional = divT - 2.0 * ws.dlap - 2.0 * ric_gradf
     yamabe = spec.kind == "yamabe"
     coef = (spec.dim - 1) / (2 * spec.lam) if yamabe else 1.0 / (4 * spec.lam)
@@ -536,7 +535,7 @@ def _p_csc(ws, tol, notes):
     Remark weakens the constant-trace premise, so only divergence-free is
     gated; the trace deviation is reported as info."""
     spec, fr = ws.target, ws.fr
-    pairing = ric_vv(fr, ws.vj.xi, raise_covec(fr, fr.dr))
+    pairing = ric_vv(fr, ws.vj[0], raise_covec(fr, fr.dr))
     hypotheses, integrals = _nonpositive(
         "lam_int_ric_gradf_gradr", "lam int Ric(grad f, grad r) <= 0",
         spec.lam * ws.integral(pairing), tol, notes)

@@ -254,6 +254,22 @@ def test_gradient_only_check_on_vector_manifest_exits_2(capsys):
     assert "gradient" in err
 
 
+def test_unwritable_out_exits_2_before_stdout(tmp_path, capsys):
+    target = tmp_path / "no_such_dir" / "x.json"
+    code, out, err = run(capsys, "describe", "torus2", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(target) in err
+
+
+def test_non_finite_report_value_exits_2(tmp_path, capsys):
+    # The potential's jets stay finite, but the norm of the soliton residual
+    # overflows to inf, which the report cannot render.
+    path = torus_manifest(tmp_path, "1", "exp(300*sin(x))")
+    code, out, err = run(capsys, "check", path, "T-1", "--grid", "16,16")
+    assert code == 2 and out == ""
+    assert "error: non-finite value in report" in err
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -282,13 +282,13 @@ def test_gradient_d3xi_matches_fd(builder, f_text):
     def grad_jets(y):
         return gradient_vector_jets(frame(ch, y), scalar_jets(f, y, order=4))
 
-    exact = grad_jets(x).d3xi
+    exact = grad_jets(x)[3]
     scale = 1.0 + max_abs(exact)
     h = 1e-5
     for a in range(ch.dim):
         e = np.zeros(ch.dim)
         e[a] = h
-        fd = (grad_jets(x + e).d2xi - grad_jets(x - e).d2xi) / (2 * h)
+        fd = (grad_jets(x + e)[2] - grad_jets(x - e)[2]) / (2 * h)
         assert max_abs(fd - np.take(exact, a, axis=1)) < 2e-6 * scale
 
 
@@ -322,6 +322,21 @@ def test_lie2_jet_matches_fd():
         assert max_abs(fd - dU[..., a, :, :]) < 2e-6 * (1.0 + max_abs(dU))
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_lie_jet_rejects_a_short_list(k):
+    # leibniz would leave out the terms a short list cannot supply, so
+    # lie_jet refuses one instead of returning a wrong derivative.
+    ch = warped_sphere()
+    x = mesh(ch, (3, 3))
+    fr = frame(ch, x)
+    vj = vector_jets(vector_field(ch, ("sin(th)*cos(ph)", "cos(th)")), x)
+    Gs = [fr.g, fr.dg, fr.d2g, fr.d3g]
+    lie_jet(vj[:k + 2], Gs[:k + 2], k)
+    for short_vj, short_Gs in ((vj[:k + 1], Gs), (vj, Gs[:k + 1])):
+        with pytest.raises(ValueError, match=f"needs {k + 2} jets of xi"):
+            lie_jet(short_vj, short_Gs, k)
+
+
 def test_hessian_jet_matches_fd():
     ch = warped_sphere()
     f = scalar_field(ch, "cos(th) + 0.3*sin(th)*cos(ph)")
@@ -351,10 +366,6 @@ LEIBNIZ_FACTORS = ("sin(eta)*cos(x1)", "exp(0.3*cos(x2) + eta)",
                    "cos(eta - 2*x2)*sin(x1)", "1 + eta*sin(x1 + x2)")
 
 
-def jet_list(field, x):
-    return list(vars(scalar_jets(field, x)).values())[:4]
-
-
 def scattered(ch):
     """A 4 x 5 batch of points inside the chart, off every grid symmetry."""
     rng = np.random.default_rng(11)
@@ -368,9 +379,9 @@ def test_leibniz_matches_jets_of_scalar_products(count, k):
     ch = sphere3_hopf()
     x = scattered(ch)
     texts = LEIBNIZ_FACTORS[:count]
-    factors = [jet_list(scalar_field(ch, t), x) for t in texts]
+    factors = [scalar_jets(scalar_field(ch, t), x) for t in texts]
     product = scalar_field(ch, "*".join(f"({t})" for t in texts))
-    want = jet_list(product, x)[k]
+    want = scalar_jets(product, x)[k]
     got = leibniz(",".join(["..."] * count) + "->...", *factors, k=k)
     assert got.shape == want.shape
     assert max_abs(got - want) < 1e-12 * (1.0 + max_abs(want))
@@ -386,12 +397,12 @@ def test_leibniz_matches_jets_of_matrix_times_vector(k):
             ("x1", "sin(eta)*cos(x2)", "2"))
     vec = ("sin(x1)*cos(x2)", "eta^2", "cos(eta + x1)")
     M = [np.stack(arrays, axis=-2) for arrays in zip(*(
-        vars(vector_jets(vector_field(ch, row), x)).values() for row in rows))]
-    v = list(vars(vector_jets(vector_field(ch, vec), x)).values())
+        vector_jets(vector_field(ch, row), x) for row in rows))]
+    v = vector_jets(vector_field(ch, vec), x)
     got = leibniz("...ab,...b->...a", M, v, k=k)
     for a, row in enumerate(rows):
         text = " + ".join(f"({m})*({w})" for m, w in zip(row, vec))
-        want = jet_list(scalar_field(ch, text), x)[k]
+        want = scalar_jets(scalar_field(ch, text), x)[k]
         assert max_abs(got[..., a] - want) < 1e-12 * (1.0 + max_abs(want))
 
 
@@ -401,7 +412,7 @@ def test_leibniz_holds_a_one_element_list_fixed(k):
     # left is the derivative of A C times B.
     ch = sphere3_hopf()
     x = scattered(ch)
-    A, B, C = (jet_list(scalar_field(ch, t), x) for t in LEIBNIZ_FACTORS[:3])
+    A, B, C = (scalar_jets(scalar_field(ch, t), x) for t in LEIBNIZ_FACTORS[:3])
     got = leibniz("...,...,...->...", A, [B[0]], C, k=k)
     want = leibniz("...,...->...", A, C, k=k) * B[0][(...,) + (None,) * k]
     assert max_abs(got - want) < 1e-13 * (1.0 + max_abs(want))
@@ -464,15 +475,15 @@ def test_divergence_dual_route():
     vj = vector_jets(
         vector_field(ch, ("sin(th)*(1 + 0.5*cos(ph))", "cos(th)*sin(ph)")), x
     )
-    got = div_vector(fr, vj.xi, vj.dxi)
+    got = div_vector(fr, vj[0], vj[1])
     # Independent route: div = (d_a(sqrtg xi^a)) / sqrtg with the sqrtg
     # derivative taken from the metric by Jacobi's formula.
     dsqrtg = 0.5 * fr.sqrtg[..., None] * np.einsum(
         "...ij,...aij->...a", fr.ginv, fr.dg
     )
     want = (
-        np.einsum("...a,...a->...", dsqrtg, vj.xi)
-        + fr.sqrtg * np.einsum("...aa->...", vj.dxi)
+        np.einsum("...a,...a->...", dsqrtg, vj[0])
+        + fr.sqrtg * np.einsum("...aa->...", vj[1])
     ) / fr.sqrtg
     assert max_abs(got - want) < 1e-11
     # Closed form on the round sphere for the radial field.
@@ -481,7 +492,7 @@ def test_divergence_dual_route():
     fr2 = frame(ch2, x2)
     vj2 = vector_jets(vector_field(ch2, ("1", "0")), x2)
     assert max_abs(
-        div_vector(fr2, vj2.xi, vj2.dxi) - np.cos(x2[..., 0]) / np.sin(x2[..., 0])
+        div_vector(fr2, vj2[0], vj2[1]) - np.cos(x2[..., 0]) / np.sin(x2[..., 0])
     ) < 1e-12
 
 
@@ -510,10 +521,11 @@ def test_gradient_vector_jets_dual_route(builder, f_text, grad_texts):
     sj = scalar_jets(scalar_field(ch, f_text), x, order=4)
     got = gradient_vector_jets(fr, sj)
     want = vector_jets(vector_field(ch, grad_texts), x)
-    assert max_abs(got.xi - want.xi) < 1e-11
-    assert max_abs(got.dxi - want.dxi) < 1e-11
-    assert max_abs(got.d2xi - want.d2xi) < 1e-10
-    assert max_abs(got.d3xi - want.d3xi) < 1e-9
+    assert len(got) == len(want) == 4
+    assert max_abs(got[0] - want[0]) < 1e-11
+    assert max_abs(got[1] - want[1]) < 1e-11
+    assert max_abs(got[2] - want[2]) < 1e-10
+    assert max_abs(got[3] - want[3]) < 1e-9
 
 
 BASE_CHARTS = ("sphere2", "warped_sphere", "product_s2_s1", "sphere3", "torus2",
@@ -537,13 +549,10 @@ def test_mesh_evaluation_matches_point_list(name):
     on_points = frame(ch, pts)
     pairs = [(getattr(on_mesh, k), getattr(on_points, k)) for k in FRAME_FIELDS]
     for order in (3, 4):
-        pairs += zip(vars(scalar_jets(f, x, order=order)).values(),
-                     vars(scalar_jets(f, pts, order=order)).values())
-    pairs += zip(vars(vector_jets(v, x)).values(), vars(vector_jets(v, pts)).values())
+        pairs += zip(scalar_jets(f, x, order=order),
+                     scalar_jets(f, pts, order=order))
+    pairs += zip(vector_jets(v, x), vector_jets(v, pts))
     for got, want in pairs:
-        if want is None:
-            assert got is None
-            continue
         assert got.shape == x.shape[:-1] + want.shape[1:]
         assert np.array_equal(got.reshape(want.shape), want)
     for key in FRAME_FIELDS:
@@ -558,14 +567,13 @@ def test_stacked_scalar_jets_match_one_field_at_a_time():
     x, _ = grid_nodes(ch, default_grid(ch, (8, 10)))
     fields = [scalar_field(ch, t) for t in
               ("1", "sin(y)", "cos(2*x)", "sin(x)*cos(y) + 0.3*x*y")]
-    stacked = vars(stacked_scalar_jets(fields, x))
+    stacked = stacked_scalar_jets(fields, x)
     for k, f in enumerate(fields):
-        for key, want in vars(scalar_jets(f, x)).items():
-            if want is None:
-                assert stacked[key] is None
-                continue
-            assert stacked[key].shape == (len(fields),) + want.shape
-            assert np.array_equal(stacked[key][k], want)
+        single = scalar_jets(f, x)
+        assert len(stacked) == len(single) == 4
+        for got, want in zip(stacked, single):
+            assert got.shape == (len(fields),) + want.shape
+            assert np.array_equal(got[k], want)
 
 
 def test_gradient_vector_jets_requires_order_four():
@@ -573,7 +581,7 @@ def test_gradient_vector_jets_requires_order_four():
     ch = sphere2()
     x = mesh(ch, (3, 3))
     vj = gradient_vector_jets(frame(ch, x), scalar_jets(scalar_field(ch, "cos(th)"), x))
-    assert vj.d2xi.shape == (3, 3, 2, 2, 2) and vj.d3xi is None
+    assert len(vj) == 3 and vj[2].shape == (3, 3, 2, 2, 2)
 
 
 def test_algebra_helpers():

@@ -171,17 +171,26 @@ def test_bare_vector_field_never_builds_d2T(monkeypatch):
     assert calls == [1]
 
 
-def test_gradient_d3xi_is_built_only_for_dU():
-    # d3xi feeds only the derivative of L_xi L_xi g, so the workspace's
-    # vector jets never carry it, even after a check that reads dU.
+def test_dU_continues_the_workspace_gradient_jets(monkeypatch):
+    # d3xi feeds only the derivative of L_xi L_xi g: the workspace's vector
+    # jets stop at d2xi, and dU continues that list rather than computing
+    # xi, dxi and d2xi again.
+    calls = []
+    original = solitons.gradient_vector_jets
+    monkeypatch.setattr(solitons, "gradient_vector_jets",
+                        lambda *args: calls.append(args) or original(*args))
     ch = sphere2()
     spec = SolitonSpec(name="cos-th", chart=ch, kind="yamabe", lam=1.0,
                        mu=2.0, potential=scalar_field(ch, "cos(th)"))
     grid = grid_for(ch)
-    for check in (identity_trace_lie2, identity_bochner, identity_div_lie):
-        check(spec, grid)
+    workspace.cache_clear()
+    for cid in CHECK_IDS:
+        run_check(spec, cid, grid)
     ws = workspace(spec, grid)
-    assert "dU" in vars(ws) and ws.vj.d3xi is None
+    assert "dU" in vars(ws) and len(calls) == 2
+    assert len(calls[0]) == 2 and len(calls[0][1]) == 4
+    assert len(calls[1]) == 3 and calls[1][2] is ws.vj
+    assert len(ws.vj) == 3
 
 
 # ------------------------------------------------------------ pinned anchors
@@ -316,7 +325,7 @@ def test_full_check_computes_each_shared_quantity_once(monkeypatch):
     ws = workspace(spec, grid)
     once = [(name, args[-1]) for name, args in seen]
     for name, arg in [("_max_sym2", ws.residual), ("_max_abs", ws.traceU),
-                      ("norm2_sym2", ws.H), ("ric_vv", ws.vj.xi)]:
+                      ("norm2_sym2", ws.H), ("ric_vv", ws.vj[0])]:
         assert sum(n == name and a is arg for n, a in once) == 1, name
     for name in ("trace_g_jet", "div_sym2"):  # the const_trace, div_free gates
         assert sum(n == name and args[1] is ws.U for n, args in seen) == 1
