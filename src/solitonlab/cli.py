@@ -43,7 +43,7 @@ from .geometry import (
     ric_vv,
 )
 from .manifest import ManifestError, bundled, bundled_names, load_manifest
-from .quadrature import QuadratureError, default_grid, grid_nodes
+from .quadrature import QuadratureError, axis_rules, default_grid, grid_nodes
 from .solitons import (
     CHECK_IDS,
     GRADIENT_ONLY,
@@ -59,22 +59,24 @@ VERDICTS = ("identity-holds", "hypothesis-not-met", "violated")
 
 # --------------------------------------------------------- report rendering
 
-def _format_number(x):
+def _format_number(x, path):
     if not math.isfinite(x):
-        raise ValueError("non-finite value in report")
+        raise ValueError(f"non-finite value in report at {path}: {x!r}")
     return format(x, ".17g")
 
 
-def render_json(obj, indent=0):
+def render_json(obj, indent=0, path="$"):
     """Deterministic JSON: insertion-order keys, floats at 17 significant
-    digits, two-space indentation."""
+    digits, two-space indentation.  ``path`` names ``obj`` in the report
+    (``$.checks[0].max_residual``) for the error on a non-finite float."""
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = "  " * (indent + 1)
         rows = [
-            f"{inner}{render_json(str(k))}: {render_json(v, indent + 1)}"
+            f"{inner}{render_json(str(k))}: "
+            f"{render_json(v, indent + 1, f'{path}.{k}')}"
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
@@ -82,14 +84,15 @@ def render_json(obj, indent=0):
         if not len(obj):
             return "[]"
         inner = "  " * (indent + 1)
-        rows = [f"{inner}{render_json(v, indent + 1)}" for v in obj]
+        rows = [f"{inner}{render_json(v, indent + 1, f'{path}[{i}]')}"
+                for i, v in enumerate(obj)]
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _format_number(float(obj))
+        return _format_number(float(obj), path)
     if isinstance(obj, str):
         return json.dumps(obj)
     if obj is None:
@@ -184,10 +187,7 @@ def cmd_describe(man, grid):
     return report, 0
 
 
-def _select_checks(man, args):
-    ids = list(args.ids)
-    if args.checks:
-        ids.extend(part.strip() for part in args.checks.split(",") if part.strip())
+def _select_checks(man, ids):
     if not ids:
         if man.soliton is not None and not man.soliton.is_gradient:
             return [cid for cid in CHECK_IDS if cid not in GRADIENT_ONLY]
@@ -240,7 +240,7 @@ def cmd_integrate(man, expression, grid):
         "expression": expression,
         "value": total,
         "grid": list(spec.counts),
-        "rules": list(spec.rules),
+        "rules": list(axis_rules(ch)),
     }
     return report, 0
 
@@ -337,7 +337,6 @@ def _build_parser():
     p.add_argument("ids", nargs="*", metavar="check-id",
                    help=f"checks to run (default all applicable); "
                         f"valid: {', '.join(CHECK_IDS)}")
-    p.add_argument("--checks", help="comma separated check ids")
 
     p = sub.add_parser("integrate",
                        help="integrate an expression over the manifold")
@@ -360,7 +359,7 @@ def main(argv=None):
         if args.command == "describe":
             report, code = cmd_describe(man, grid)
         elif args.command == "check":
-            ids = _select_checks(man, args)
+            ids = _select_checks(man, args.ids)
             report, code = cmd_check(man, ids, grid, tol)
         elif args.command == "integrate":
             report, code = cmd_integrate(man, args.expression, grid)

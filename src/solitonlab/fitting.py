@@ -149,9 +149,8 @@ class FitResult:
     soliton: SolitonSpec
 
 
-def _half_grid(ch, grid):
-    counts = tuple(max(8, c // 2) for c in grid.counts)
-    return GridSpec(counts=counts, rules=grid.rules)
+def _half_grid(grid):
+    return GridSpec(tuple(max(8, c // 2) for c in grid.counts))
 
 
 def _potential_text(coefficients, terms):
@@ -178,7 +177,7 @@ class FitProblem:
         self.basis = basis
         self.opts = opts
         self.full_grid = grid if grid is not None else default_grid(ch)
-        self.fit_grid = _half_grid(ch, self.full_grid)
+        self.fit_grid = _half_grid(self.full_grid)
         self.terms = basis.terms()
         x, w = grid_nodes(ch, self.fit_grid)
         self.fr = fr = grid_frame(ch, self.fit_grid)
@@ -295,9 +294,7 @@ class FitProblem:
                 y_trial = self._stack_at(trial)
                 J_trial = float(y_trial @ y_trial)
                 if J_trial <= J:
-                    J_before = J
                     p, y, J = trial, y_trial, J_trial
-                    assert J <= J_before, "accepted step must not increase J"
                     self.history.append(J)
                     lam_clamped = lam_clamped or clamped
                     nu = max(nu / 3.0, 1e-12)

@@ -96,15 +96,13 @@ class Chart:
     periodic: Tuple[bool, ...]
     metric: tuple  # n rows of n parsed expressions
     grid_hint: Tuple[int, ...]
-    exclusion_margin: float = 0.0
 
     @property
     def dim(self):
         return len(self.coords)
 
 
-def chart(name, coords, lo, hi, periodic, metric_texts, grid_hint=None,
-          exclusion_margin=0.0):
+def chart(name, coords, lo, hi, periodic, metric_texts, grid_hint=None):
     """Parse and validate a chart definition.
 
     ``metric_texts`` is a full n x n table of expression strings; symmetry
@@ -138,10 +136,7 @@ def chart(name, coords, lo, hi, periodic, metric_texts, grid_hint=None,
     grid_hint = tuple(int(m) for m in grid_hint)
     if len(grid_hint) != n or any(m < 8 for m in grid_hint):
         raise GeometryError(f"chart {name!r}: grid hint needs {n} counts of at least 8")
-    margin = float(exclusion_margin)
-    if margin < 0 or 2 * margin >= min(h - l for l, h in zip(lo, hi)):
-        raise GeometryError(f"chart {name!r}: exclusion margin {margin} leaves no interior")
-    return Chart(name, coords, lo, hi, periodic, metric, grid_hint, margin)
+    return Chart(name, coords, lo, hi, periodic, metric, grid_hint)
 
 
 # --------------------------------------------------------------------- fields
@@ -313,7 +308,6 @@ class PointFrame:
     """Metric data and curvature at a batch of points."""
 
     chart: Chart
-    x: np.ndarray
     g: np.ndarray
     ginv: np.ndarray
     sqrtg: np.ndarray
@@ -411,7 +405,7 @@ def frame(ch, x):
                   d2Gamma=d2Gamma, Ric=Ric, dRic=dRic, r=r, dr=dr)
     views = _full([a.reshape(batch + a.shape[1:]) for a in fields.values()],
                   x.shape[:-1])
-    return PointFrame(chart=ch, x=x, **dict(zip(fields, views)))
+    return PointFrame(chart=ch, **dict(zip(fields, views)))
 
 
 # ----------------------------------------------------- scalar field operators

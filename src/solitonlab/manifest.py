@@ -88,8 +88,7 @@ def _parse_manifold(block):
     path = "manifold"
     _check_keys(
         block,
-        ("name", "dim", "coords", "domain", "periodic", "metric",
-         "exclusion_margin", "grid"),
+        ("name", "dim", "coords", "domain", "periodic", "metric", "grid"),
         path,
     )
     name = _need(block, "name", path, str)
@@ -131,7 +130,6 @@ def _parse_manifold(block):
         for j in range(i):
             table[i][j] = table[j][i]
 
-    margin = _number(block.get("exclusion_margin", 0.0), f"{path}.exclusion_margin")
     grid = block.get("grid")
     if grid is not None:
         if (
@@ -141,8 +139,7 @@ def _parse_manifold(block):
         ):
             raise ManifestError(f"{path}.grid", f"expected {dim} integer counts")
     try:
-        return chart(name, coords, lo, hi, periodic, table,
-                     grid_hint=grid, exclusion_margin=margin)
+        return chart(name, coords, lo, hi, periodic, table, grid_hint=grid)
     except (GeometryError, ExprError) as err:
         raise ManifestError(path, str(err)) from err
 

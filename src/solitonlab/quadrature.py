@@ -1,5 +1,9 @@
 """Product quadrature on chart boxes.
 
+The chart decides each axis's rule from its ``periodic`` flag
+(``axis_rules``), and every rule covers the axis's whole range [lo, hi]; a
+``GridSpec`` holds only the node count per axis.
+
 Periodic axes use the trapezoid rule on equispaced nodes with the right
 endpoint dropped, which integrates trigonometric polynomials below the
 aliasing frequency exactly.  Non-periodic axes use the cosine rule, a
@@ -27,8 +31,6 @@ from typing import Tuple
 
 import numpy as np
 
-RULES = ("periodic", "cosine")
-
 
 class QuadratureError(ValueError):
     pass
@@ -37,22 +39,16 @@ class QuadratureError(ValueError):
 @dataclass(frozen=True)
 class GridSpec:
     counts: Tuple[int, ...]
-    rules: Tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.counts) != len(self.rules):
-            raise QuadratureError("grid counts and rules must have equal length")
         for m in self.counts:
             if m < 8:
                 raise QuadratureError(f"grid needs at least 8 nodes per axis, got {m}")
-        for rule in self.rules:
-            if rule not in RULES:
-                raise QuadratureError(f"unknown quadrature rule {rule!r}")
 
 
 def default_grid(ch, counts=None):
-    """The chart's preferred grid: trapezoid on periodic axes, cosine rule
-    elsewhere, with node counts from the chart unless overridden."""
+    """The chart's preferred grid: node counts from the chart unless
+    overridden."""
     if counts is None:
         counts = ch.grid_hint
     counts = tuple(int(m) for m in counts)
@@ -60,21 +56,24 @@ def default_grid(ch, counts=None):
         raise QuadratureError(
             f"chart {ch.name!r} needs {ch.dim} node counts, got {len(counts)}"
         )
-    rules = tuple("periodic" if p else "cosine" for p in ch.periodic)
-    return GridSpec(counts, rules)
+    return GridSpec(counts)
 
 
-def axis_rule(rule, lo, hi, m, margin=0.0):
-    """Nodes and weights for one axis; margin shrinks non-periodic axes."""
+def axis_rules(ch):
+    """Each axis's rule: trapezoid on periodic axes, cosine rule elsewhere."""
+    return tuple("periodic" if p else "cosine" for p in ch.periodic)
+
+
+def axis_rule(rule, lo, hi, m):
+    """Nodes and weights for one axis over [lo, hi]."""
     if rule == "periodic":
         step = (hi - lo) / m
         return lo + step * np.arange(m), np.full(m, step)
-    a, b = lo + margin, hi - margin
     u, w = np.polynomial.legendre.leggauss(m)
-    # Cosine rule: Gauss-Legendre in u = cos(sigma), sigma affine over [a, b].
+    # Cosine rule: Gauss-Legendre in u = cos(sigma), sigma affine over [lo, hi].
     sigma = np.arccos(u)[::-1]
-    length = b - a
-    nodes = a + length * sigma / np.pi
+    length = hi - lo
+    nodes = lo + length * sigma / np.pi
     weights = w[::-1] * length / (np.pi * np.sin(sigma))
     return nodes, weights
 
@@ -88,11 +87,8 @@ def grid_nodes(ch, spec):
             f"grid spec has {len(spec.counts)} axes, chart {ch.name!r} has {ch.dim}"
         )
     axes, wts = [], []
-    for i in range(ch.dim):
-        margin = 0.0 if ch.periodic[i] else ch.exclusion_margin
-        nodes, weights = axis_rule(
-            spec.rules[i], ch.lo[i], ch.hi[i], spec.counts[i], margin
-        )
+    for rule, lo, hi, m in zip(axis_rules(ch), ch.lo, ch.hi, spec.counts):
+        nodes, weights = axis_rule(rule, lo, hi, m)
         axes.append(nodes)
         wts.append(weights)
     x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)

@@ -268,6 +268,8 @@ def test_non_finite_report_value_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "check", path, "T-1", "--grid", "16,16")
     assert code == 2 and out == ""
     assert "error: non-finite value in report" in err
+    assert ("at $.checks[0].hypothesis_residuals.soliton_residual: inf"
+            in err)
 
 
 def test_usage_error_exits_2():
@@ -298,11 +300,14 @@ def test_check_trivial_soliton_all_hold(capsys):
     assert all(c["verdict"] == "identity-holds" for c in rep["checks"])
 
 
-def test_check_flag_and_positional_ids_merge(capsys):
+def test_check_positional_ids_keep_order_and_checks_flag_is_gone(capsys):
     rep = report(capsys, "check", "sphere2_yamabe_trivial", "T-C",
-                 "--checks", "schur,remark_csc", "--grid", "24,24")
+                 "schur", "remark_csc", "--grid", "24,24")
     ids = [c["check_id"] for c in rep["checks"]]
     assert ids == ["T-C", "schur", "remark_csc"]
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "sphere2_yamabe_trivial", "--checks", "schur"])
+    assert exc.value.code == 2
 
 
 def test_check_nonsoliton_hypothesis_not_met(capsys):

@@ -613,9 +613,6 @@ def test_chart_validation_errors():
     with pytest.raises(GeometryError):
         chart("bad", ("x", "y"), (0, 0), (1, 1), (True, True),
               [["1", "0"], ["0", "1"]], grid_hint=(4, 4))
-    with pytest.raises(GeometryError):
-        chart("bad", ("x", "y"), (0, 0), (1, 1), (False, False),
-              [["1", "0"], ["0", "1"]], exclusion_margin=0.6)
     with pytest.raises(ValueError):
         chart("bad", ("pi", "y"), (0, 0), (1, 1), (True, True),
               [["1", "0"], ["0", "1"]])

@@ -51,7 +51,6 @@ def test_numbers_and_constant_expressions_mix():
     data = base()
     data["manifold"]["domain"] = [["0", 6.283185307179586], ["pi - pi", "2*pi"]]
     data["manifold"]["metric"] = [[1, 0], [0, "1"]]
-    data["manifold"]["exclusion_margin"] = "0"
     m = parse_manifest(data)
     assert m.chart.hi[0] == pytest.approx(2 * 3.141592653589793)
 
@@ -93,6 +92,15 @@ def test_unknown_keys_rejected():
     data = base()
     data["manifold"]["radius"] = 2
     with pytest.raises(ManifestError, match="manifold.radius"):
+        parse_manifest(data)
+
+
+def test_exclusion_margin_is_an_unknown_field():
+    # Every chart integrates over its whole coordinate box.
+    data = base()
+    data["manifold"]["exclusion_margin"] = 0.1
+    with pytest.raises(ManifestError,
+                       match="manifold.exclusion_margin: unknown field"):
         parse_manifest(data)
 
 

@@ -26,6 +26,7 @@ from solitonlab.quadrature import (
     GridSpec,
     QuadratureError,
     axis_rule,
+    axis_rules,
     default_grid,
     grid_nodes,
 )
@@ -175,8 +176,18 @@ def test_axis_rules():
     )
     assert np.all(weights > 0)
 
-    nodes, _ = axis_rule("cosine", 0.0, math.pi, 12, margin=0.1)
-    assert nodes[0] > 0.1 and nodes[-1] < math.pi - 0.1
+
+def test_sphere_grid_takes_its_rules_from_the_chart():
+    # The spec holds only counts: the polar axis gets the cosine rule, whose
+    # nodes lie strictly inside (0, pi), and the box is integrated whole.
+    ch = sphere2()
+    spec = GridSpec((16, 32))
+    assert axis_rules(ch) == ("cosine", "periodic")
+    x, w = grid_nodes(ch, spec)
+    th = x[:, 0, 0]
+    assert np.all(np.diff(th) > 0) and 0 < th[0] and th[-1] < math.pi
+    assert np.sum(w * grid_frame(ch, spec).sqrtg) == pytest.approx(
+        4 * math.pi, abs=1e-12)
 
 
 def test_grid_nodes_shapes_and_cache():
@@ -193,11 +204,7 @@ def test_grid_nodes_shapes_and_cache():
 def test_grid_validation():
     ch = sphere2()
     with pytest.raises(QuadratureError):
-        GridSpec((4, 16), ("cosine", "periodic"))
-    with pytest.raises(QuadratureError):
-        GridSpec((16, 16), ("simpson", "periodic"))
-    with pytest.raises(QuadratureError):
-        GridSpec((16,), ("cosine", "periodic"))
+        GridSpec((4, 16))
     with pytest.raises(QuadratureError):
         default_grid(ch, (16, 16, 16))
 
