@@ -1,4 +1,4 @@
-"""Time the jet, geometry or fit layer, parent and change side by side.
+"""Time the jet, geometry, fit or import layer, parent and change side by side.
 
 ``--layer jets`` (``BENCH_1.json``): for each case of ``CASES`` (dimension,
 order, node count: the default grids of torus2, sphere2 and the 16^3
@@ -16,6 +16,11 @@ times the ``FitProblem`` set-up, one ``residual_stack`` at a seeded start
 and a whole fit from that start, set-up and the final full-grid objective
 included (the workspace cache is cleared first, so each repeat builds it).
 
+``--layer import`` (``BENCH_4.json``): the script times ``import
+solitonlab.cli`` after ``import numpy`` in fresh interpreters, after one
+untimed run, and records whether every module's bytecode was cached, that
+is whether the interpreters read ``__pycache__`` or compiled the sources.
+
 Each figure is the median of ``--repeats`` runs.  A fixed numpy kernel that
 no change to solitonlab can move is timed next to every case, so a reader
 can tell a slow host from slow code.
@@ -31,14 +36,18 @@ other labels stay, so two trees sit side by side in one file::
     PYTHONPATH=src python3 scripts/bench.py --label change
     PYTHONPATH=src python3 scripts/bench.py --layer geometry --label change
     PYTHONPATH=src python3 scripts/bench.py --layer fit --label change
+    PYTHONPATH=src python3 scripts/bench.py --layer import --label change
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
 import statistics
+import struct
 import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -195,6 +204,49 @@ def fit_cases(repeats):
     return cases
 
 
+IMPORT_CHILD = """
+import time
+start = time.perf_counter()
+import numpy
+middle = time.perf_counter()
+import solitonlab.cli
+print(middle - start, time.perf_counter() - middle)
+"""
+
+
+def bytecode_cached(package):
+    """Whether every module of ``package`` has bytecode that Python accepts
+    for its source: a .pyc whose header holds the source's mtime and size."""
+    for source in package.glob("*.py"):
+        pyc = Path(importlib.util.cache_from_source(str(source)))
+        st = source.stat()
+        stamp = struct.pack("<II", int(st.st_mtime) & 0xFFFFFFFF,
+                            st.st_size & 0xFFFFFFFF)
+        if not pyc.exists() or pyc.read_bytes()[8:16] != stamp:
+            return False
+    return True
+
+
+def import_cases(repeats):
+    package = Path(jets.__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+
+    def child():
+        run = subprocess.run([sys.executable, "-c", IMPORT_CHILD], env=env,
+                             capture_output=True, text=True, check=True)
+        return [float(v) for v in run.stdout.split()]
+
+    child()  # writes bytecode wherever this interpreter may
+    times = [child() for _ in range(repeats)]
+    return [{
+        "module": "solitonlab.cli",
+        "bytecode_cached": bytecode_cached(package),
+        "numpy_ms": 1e3 * statistics.median(t[0] for t in times),
+        "import_ms": 1e3 * statistics.median(t[1] for t in times),
+        "host_kernel_ms": median_ms(host_kernel, repeats),
+    }]
+
+
 LAYERS = {  # layer -> (case timer, default output, line per case)
     "jets": (jet_cases, "BENCH_1.json",
              lambda c: f"dim {c['dim']} order {c['order']} nodes {c['nodes']}: "
@@ -208,6 +260,10 @@ LAYERS = {  # layer -> (case timer, default output, line per case)
                       f"fit nodes {c['fit_nodes']}: set-up {c['setup_ms']:.2f} ms, "
                       f"residual stack {c['residual_stack_ms']:.2f} ms, "
                       f"fit {c['fit_ms']:.2f} ms ({c['iterations']} iterations)"),
+    "import": (import_cases, "BENCH_4.json",
+               lambda c: f"import {c['module']} after numpy "
+                         f"{c['import_ms']:.2f} ms (numpy {c['numpy_ms']:.2f} ms, "
+                         f"bytecode {'cached' if c['bytecode_cached'] else 'compiled'})"),
 }
 
 
@@ -231,7 +287,8 @@ def main(argv=None):
                         help="name of this set in the file, e.g. parent or change")
     parser.add_argument("--out", type=Path,
                         help="output file; BENCH_1.json for jets, BENCH_2.json "
-                             "for geometry, BENCH_3.json for fit")
+                             "for geometry, BENCH_3.json for fit, BENCH_4.json "
+                             "for import")
     parser.add_argument("--repeats", type=int, default=15)
     args = parser.parse_args(argv)
     if args.repeats < 1:

@@ -26,11 +26,11 @@ import math
 import re
 import sys
 from contextlib import redirect_stdout
-from dataclasses import asdict
 from pathlib import Path
 
 from solitonlab.cli import main as cli_main
 from solitonlab.manifest import bundled, bundled_names
+from solitonlab.records import asdict
 from solitonlab.solitons import Tolerances
 
 INTEGRALS = (

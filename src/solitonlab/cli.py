@@ -26,7 +26,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 from functools import cache
 from pathlib import Path
 
@@ -44,6 +43,7 @@ from .geometry import (
 )
 from .manifest import ManifestError, bundled, bundled_names, load_manifest
 from .quadrature import QuadratureError, axis_rules, default_grid, grid_nodes
+from .records import asdict
 from .solitons import (
     CHECK_IDS,
     GRADIENT_ONLY,

@@ -27,13 +27,13 @@ derivatives up to the truncation order at every grid node at once.
 
 import math
 import re
-from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
 
 from .jets import Jet, apply_unary, constant, exp as jet_exp
 from .jets import log as jet_log, powc
+from .records import record
 
 # Unary functions; math, numpy and jets each have one of every name.
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
@@ -55,41 +55,41 @@ class ExprError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
+@record(uncompared=("span",))
 class Const:
     value: float
-    span: Tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+    span: Tuple[int, int] = (0, 0)
 
 
-@dataclass(frozen=True)
+@record(uncompared=("span",))
 class Var:
     name: str
     index: int
-    span: Tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+    span: Tuple[int, int] = (0, 0)
 
 
-@dataclass(frozen=True)
+@record(uncompared=("span",))
 class Neg:
     arg: object
-    span: Tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+    span: Tuple[int, int] = (0, 0)
 
 
-@dataclass(frozen=True)
+@record(uncompared=("span",))
 class Call:
     func: str
     arg: object
-    span: Tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+    span: Tuple[int, int] = (0, 0)
 
 
-@dataclass(frozen=True)
+@record(uncompared=("span",))
 class BinOp:
     op: str
     left: object
     right: object
-    span: Tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+    span: Tuple[int, int] = (0, 0)
 
 
-@dataclass(frozen=True)
+@record(uncompared=("span",))
 class Geo:
     """Geometric quantity of an integrand.  ``name`` is one of SCALARS (no
     args), of PAIRINGS (args: two names of VECTORS) or of SCALAR_OPS (args:
@@ -97,7 +97,7 @@ class Geo:
 
     name: str
     args: tuple = ()
-    span: Tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+    span: Tuple[int, int] = (0, 0)
 
 
 _NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")

@@ -24,7 +24,6 @@ through grad f, and leaving the flat direction in would make the normal
 equations singular for no benefit.
 """
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -38,6 +37,7 @@ from .geometry import (
     stacked_scalar_jets,
 )
 from .quadrature import GridSpec, default_grid, grid_nodes
+from .records import record
 from .solitons import (
     KINDS,
     SolitonError,
@@ -54,7 +54,7 @@ class FitError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class BasisExpansion:
     """Tensor-product trigonometric basis described by DSL term strings."""
 
@@ -117,14 +117,14 @@ class BasisExpansion:
         return tuple(text if text else "1" for text, _ in combos)
 
 
-@dataclass(frozen=True)
+@record
 class FitInit:
     coefficients: Optional[Tuple[float, ...]] = None
     lam: float = 1.0
     mu: float = 0.0
 
 
-@dataclass(frozen=True)
+@record
 class FitOptions:
     max_iterations: int = 200
     gradient_tol: float = 1e-10
@@ -133,7 +133,7 @@ class FitOptions:
     damping: float = 1e-3
 
 
-@dataclass(frozen=True)
+@record
 class FitResult:
     coefficients: Tuple[float, ...]
     lam: float

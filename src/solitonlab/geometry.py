@@ -38,13 +38,13 @@ two-sphere have r = 2.
 
 import itertools
 import string
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from .expr import ExprError, evaluate, parse
 from .jets import JetDomainError, check_finite, seed
+from .records import record
 
 __all__ = [
     "GeometryError",
@@ -85,7 +85,7 @@ class GeometryError(ValueError):
 # --------------------------------------------------------------------- charts
 
 
-@dataclass(frozen=True)
+@record
 class Chart:
     """A coordinate box with a metric; frozen so frames can be cached on it."""
 
@@ -142,7 +142,7 @@ def chart(name, coords, lo, hi, periodic, metric_texts, grid_hint=None):
 # --------------------------------------------------------------------- fields
 
 
-@dataclass(frozen=True)
+@record
 class ScalarField:
     chart: Chart
     source: str
@@ -153,7 +153,7 @@ def scalar_field(ch, text):
     return ScalarField(ch, text, parse(text, ch.coords))
 
 
-@dataclass(frozen=True)
+@record
 class VectorField:
     """Contravariant components in chart order."""
 
@@ -303,9 +303,8 @@ def leibniz(subscripts, *operands, k):
 # --------------------------------------------------------------------- frames
 
 
-@dataclass(eq=False)
 class PointFrame:
-    """Metric data and curvature at a batch of points."""
+    """Metric data and curvature at a batch of points, compared by identity."""
 
     chart: Chart
     g: np.ndarray
@@ -323,6 +322,9 @@ class PointFrame:
     dRic: np.ndarray
     r: np.ndarray
     dr: np.ndarray
+
+    def __init__(self, **fields):
+        self.__dict__.update(fields)
 
 
 def _node_label(ch, x, flat, shape):

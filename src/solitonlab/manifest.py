@@ -11,13 +11,13 @@ metrics need only be written once.
 """
 
 import json
-from dataclasses import dataclass, fields as dataclass_fields
 from importlib import resources
 from typing import Optional
 
 from .expr import ExprError, eval_number, parse
 from .fitting import FAMILIES, FitInit, FitOptions
 from .geometry import Chart, GeometryError, chart, scalar_field, vector_field
+from .records import record
 from .solitons import KINDS, SolitonError, SolitonSpec
 
 
@@ -27,7 +27,7 @@ class ManifestError(ValueError):
         self.path = path
 
 
-@dataclass(frozen=True)
+@record
 class FitBlock:
     kind: str
     family: str
@@ -36,7 +36,7 @@ class FitBlock:
     options: FitOptions
 
 
-@dataclass(frozen=True)
+@record
 class Manifest:
     name: str
     chart: Chart
@@ -216,8 +216,7 @@ def _parse_fit(block):
     options_block = block.get("options", {})
     if not isinstance(options_block, dict):
         raise ManifestError(f"{path}.options", "expected an object")
-    known = {f.name for f in dataclass_fields(FitOptions)}
-    _check_keys(options_block, tuple(known), f"{path}.options")
+    _check_keys(options_block, FitOptions._fields, f"{path}.options")
     kwargs = {}
     for key, value in options_block.items():
         if key == "max_iterations":

@@ -25,18 +25,19 @@ over the mesh ``x, w = grid_nodes(ch, spec)``, with sqrt(det g) taken from
 the frame on the same nodes (``solitons.grid_frame(ch, spec).sqrtg``).
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
+
+from .records import record
 
 
 class QuadratureError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class GridSpec:
     counts: Tuple[int, ...]
 

@@ -24,7 +24,6 @@ per soliton or bare field and grid, and computes only what is read.
 """
 
 import math
-from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache, partial
 from typing import Callable, Optional, Tuple
 
@@ -55,6 +54,7 @@ from .geometry import (
     vector_jets,
 )
 from .quadrature import default_grid, grid_nodes
+from .records import asdict, record
 
 KINDS = ("ricci", "yamabe")
 
@@ -63,7 +63,7 @@ class SolitonError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Tolerances:
     pointwise: float = 1e-8
     integral: float = 1e-7
@@ -82,7 +82,7 @@ class Tolerances:
         return cls(pointwise=tol, integral=tol, hypothesis=tol, slack=tol)
 
 
-@dataclass(frozen=True)
+@record
 class SolitonSpec:
     """One soliton structure: equation kind, potential, and the two reals."""
 
@@ -111,7 +111,7 @@ class SolitonSpec:
         return self.potential is not None
 
 
-@dataclass(frozen=True)
+@record
 class CheckReport:
     check_id: str
     verdict: str
@@ -180,7 +180,9 @@ class Workspace:
 
     @cached_property
     def sj(self):
-        return scalar_jets(self.field, self.x, order=4)
+        """f's jets; only ``dU``, which a SolitonSpec's gates read, needs d4f."""
+        order = 4 if isinstance(self.target, SolitonSpec) else 3
+        return scalar_jets(self.field, self.x, order=order)
 
     @cached_property
     def vj(self):
@@ -554,7 +556,7 @@ def _p_csc(ws, tol, notes):
 # ---------------------------------------------------------------- the catalog
 
 
-@dataclass(frozen=True)
+@record
 class _Check:
     """One catalog row; ``gates`` names the premise maxima on L_xi L_xi g
     that ``_soliton_gates`` reads next to the soliton residual, and a

@@ -69,3 +69,20 @@ def test_fit_layer_times_setup_residual_stack_and_fit(tmp_path, monkeypatch,
             assert min(case["setup_ms"], case["residual_stack_ms"],
                        case["fit_ms"]) > 0
     assert "change: torus2 fourier 1 K 5 fit nodes 64: set-up" in capsys.readouterr().out
+
+
+def test_import_layer_times_fresh_interpreters(tmp_path, capsys):
+    out = tmp_path / "BENCH_4.json"
+    for label in ("parent", "change"):
+        assert bench.main(["--layer", "import", "--label", label, "--out",
+                           str(out), "--repeats", "1"]) == 0
+    data = json.loads(out.read_text())
+    assert data["layer"] == "import"
+    assert set(data["sets"]) == {"parent", "change"}
+    for entry in data["sets"].values():
+        assert {"git_sha", "git_dirty", "nproc", "numpy", "python"} <= set(entry)
+        [case] = entry["cases"]
+        assert case["module"] == "solitonlab.cli"
+        assert isinstance(case["bytecode_cached"], bool)
+        assert min(case["import_ms"], case["numpy_ms"]) > 0
+    assert "change: import solitonlab.cli after numpy" in capsys.readouterr().out

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import solitonlab.cli as cli
-from solitonlab import geometry, jets
+from solitonlab import geometry, jets, solitons
 from solitonlab.cli import main, render_json
 from solitonlab.manifest import bundled
 from solitonlab.solitons import (
@@ -420,6 +420,21 @@ def test_check_and_integrate_share_the_field_jets(monkeypatch, capsys):
     assert whats.count(repr(bundled(name).soliton.potential.source)) == 1
     t1 = next(c for c in checks["checks"] if c["check_id"] == "T-1")
     assert hess["value"] == t1["integrals"]["int_hess_norm2"]
+
+
+def test_integrate_coordinate_expression_matches_order_four_jets(monkeypatch,
+                                                                 capsys):
+    # lap and norm2_hess of a coordinate expression read its bare field's
+    # order-3 jets, and the integral is the one order-4 jets give, bit for bit.
+    s = "sin(th)*cos(ph) + 0.4*cos(th)^2"
+    argv = ("integrate", "warped_sphere", f"lap({s}) + norm2_hess({s})")
+    workspace.cache_clear()
+    value = report(capsys, *argv)["value"]
+    original = solitons.scalar_jets
+    monkeypatch.setattr(solitons, "scalar_jets",
+                        lambda field, x, order: original(field, x, order=4))
+    workspace.cache_clear()
+    assert report(capsys, *argv)["value"] == value
 
 
 def test_integrate_errors_exit_2(capsys):

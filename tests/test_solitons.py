@@ -23,6 +23,7 @@ from solitonlab.geometry import (
     norm2_sym2,
     scalar_field,
     scalar_jets,
+    trace_g,
     vector_field,
 )
 from solitonlab import solitons
@@ -193,6 +194,16 @@ def test_dU_continues_the_workspace_gradient_jets(monkeypatch):
     assert len(ws.vj) == 3
 
 
+def test_bare_scalar_field_jets_stop_at_order_three(rng):
+    # d4f feeds only dU, which only a SolitonSpec's premise gates read; a
+    # bare field's workspace has no d3xi to build it from.
+    ch = sphere2()
+    ws = workspace(random_scalar(ch, rng), grid_for(ch))
+    assert len(ws.sj) == 4
+    with pytest.raises(ValueError, match="needs 4 jets of xi"):
+        ws.dU
+
+
 # ------------------------------------------------------------ pinned anchors
 
 
@@ -245,6 +256,21 @@ def test_contracted_trace_values():
     assert abs(rep.info["mean_rhs"]) < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["ricci", "yamabe"])
+def test_contracted_trace_is_the_residual_trace_less_tr_U(kind, rng):
+    # 2 lam lap f - n (mu - r) (Yamabe; n mu - r for Ricci) is tr S - tr U
+    # for any potential, S the soliton residual.  On the warped sphere r
+    # varies, so a wrong dimension constant leaves a multiple of mu - r.
+    ch = warped_sphere()
+    spec = SolitonSpec(name="scratch", chart=ch, kind=kind, lam=0.7, mu=1.3,
+                       potential=random_scalar(ch, rng))
+    grid = grid_for(ch)
+    rep = run_check(spec, "contracted_trace", grid)
+    ws = workspace(spec, grid)
+    want = max_abs(trace_g(ws.fr, ws.residual) - ws.traceU)
+    assert rep.residuals["contracted_trace"] == pytest.approx(want, rel=1e-12)
+
+
 # ------------------------------------------------------- residual invariants
 
 
@@ -258,8 +284,6 @@ def test_residual_trace_invariant(name, kind, rng):
     )
     ws = workspace(spec, grid_for(ch))
     n = ch.dim
-    from solitonlab.geometry import trace_g
-
     lhs = trace_g(ws.fr, ws.residual)
     if kind == "yamabe":
         want = ws.traceU + 2 * spec.lam * ws.lap - n * (spec.mu - ws.fr.r)
