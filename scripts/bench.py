@@ -182,11 +182,11 @@ def fit_cases(repeats):
         init = FitInit(coefficients=tuple(
             float(c) for c in rng.uniform(-0.1, 0.1, len(terms))),
             lam=1.0, mu=0.25)
-        problem = FitProblem(ch, kind, basis, grid=grid)
+        problem = FitProblem(kind, basis, grid=grid)
 
         def whole_fit():
             workspace.cache_clear()
-            return FitProblem(ch, kind, basis, grid=grid).fit(init)
+            return FitProblem(kind, basis, grid=grid).fit(init)
 
         cases.append({
             "chart": name, "grid": list(grid.counts), "kind": kind,
@@ -194,7 +194,7 @@ def fit_cases(repeats):
             "fit_nodes": int(np.prod(problem.fit_grid.counts)),
             "iterations": whole_fit().iterations,
             "setup_ms": median_ms(
-                lambda: FitProblem(ch, kind, basis, grid=grid), repeats),
+                lambda: FitProblem(kind, basis, grid=grid), repeats),
             "residual_stack_ms": median_ms(
                 lambda: problem.residual_stack(init.coefficients, init.lam,
                                                init.mu), repeats),

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .expr import Geo, eval_values, parse_integrand
-from .fitting import BasisExpansion, fit_potential
+from .fitting import FitProblem
 from .geometry import (
     ScalarField,
     _node_label,
@@ -200,12 +200,19 @@ def _select_checks(man, ids):
     return ids
 
 
+def _run_suite(sol, ids, spec, tol):
+    """The checks ``ids`` on ``sol``: verdict counts, per-check reports and
+    the exit code, 1 if any verdict is violated."""
+    reports = [run_check(sol, cid, spec, tol) for cid in ids]
+    counts = {v: sum(1 for r in reports if r.verdict == v) for v in VERDICTS}
+    return counts, [asdict(r) for r in reports], 1 if counts["violated"] else 0
+
+
 def cmd_check(man, ids, grid, tol):
     if man.soliton is None:
         raise ManifestError("soliton", "the check command needs a soliton block")
     spec = grid if grid is not None else default_grid(man.chart)
-    reports = [run_check(man.soliton, cid, spec, tol) for cid in ids]
-    counts = {v: sum(1 for r in reports if r.verdict == v) for v in VERDICTS}
+    counts, checks, code = _run_suite(man.soliton, ids, spec, tol)
     report = {
         "command": "check",
         "manifest": man.name,
@@ -213,9 +220,9 @@ def cmd_check(man, ids, grid, tol):
         "grid": list(spec.counts),
         "tolerances": asdict(tol),
         "verdict_counts": counts,
-        "checks": [asdict(r) for r in reports],
+        "checks": checks,
     }
-    return report, 1 if counts["violated"] else 0
+    return report, code
 
 
 def cmd_integrate(man, expression, grid):
@@ -246,22 +253,18 @@ def cmd_integrate(man, expression, grid):
 
 
 def cmd_fit(man, grid, tol):
-    if man.fit is None:
+    fit = man.fit
+    if fit is None:
         raise ManifestError("fit", "the fit command needs a fit block")
-    ch = man.chart
-    spec = grid if grid is not None else default_grid(ch)
-    basis = BasisExpansion(chart=ch, family=man.fit.family,
-                           degree=man.fit.degree)
-    result = fit_potential(ch, man.fit.kind, basis, init=man.fit.init,
-                           grid=spec, opts=man.fit.options)
-    checks = [run_check(result.soliton, cid, spec, tol) for cid in CHECK_IDS]
-    counts = {v: sum(1 for r in checks if r.verdict == v) for v in VERDICTS}
+    spec = grid if grid is not None else default_grid(man.chart)
+    result = FitProblem(fit.kind, fit.basis, grid=spec).fit(fit.init)
+    counts, checks, code = _run_suite(result.soliton, CHECK_IDS, spec, tol)
     report = {
         "command": "fit",
         "manifest": man.name,
-        "kind": man.fit.kind,
-        "basis": {"family": man.fit.family, "degree": man.fit.degree,
-                  "terms": list(basis.terms())},
+        "kind": fit.kind,
+        "basis": {"family": fit.basis.family, "degree": fit.basis.degree,
+                  "terms": list(fit.basis.terms())},
         "result": {
             "coefficients": list(result.coefficients),
             "lambda": result.lam,
@@ -277,9 +280,9 @@ def cmd_fit(man, grid, tol):
         },
         "potential": result.soliton.potential.source,
         "verdict_counts": counts,
-        "checks": [asdict(r) for r in checks],
+        "checks": checks,
     }
-    return report, 1 if counts["violated"] else 0
+    return report, code
 
 
 # --------------------------------------------------------------- entry point

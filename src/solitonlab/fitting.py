@@ -22,6 +22,14 @@ so checks run on it afterwards reuse the same workspace.
 The constant basis coefficient is frozen: f enters the equations only
 through grad f, and leaving the flat direction in would make the normal
 equations singular for no benefit.
+
+A fit stops with one of four reasons.  "gradient below tolerance" (|grad J|
+<= GRADIENT_TOL) and "step below tolerance" (an accepted step of norm <=
+STEP_TOL) are convergence.  "no decrease at maximum damping" means no trial
+lowered J before the damping passed 1e10: J sits at a floor, which is a
+result and not an error.  "max iterations" ends the fit after MAX_ITERATIONS
+accepted steps.  ``iterations`` counts accepted steps, so ``history`` holds
+``iterations + 1`` values.
 """
 
 from typing import Optional, Tuple
@@ -48,6 +56,12 @@ from .solitons import (
 )
 
 FAMILIES = ("fourier", "poly-cos", "product")
+
+MAX_ITERATIONS = 200
+GRADIENT_TOL = 1e-10
+STEP_TOL = 1e-12
+LAM_CLAMP = 1e-3
+DAMPING = 1e-3
 
 
 class FitError(ValueError):
@@ -125,15 +139,6 @@ class FitInit:
 
 
 @record
-class FitOptions:
-    max_iterations: int = 200
-    gradient_tol: float = 1e-10
-    step_tol: float = 1e-12
-    lam_clamp: float = 1e-3
-    damping: float = 1e-3
-
-
-@record
 class FitResult:
     coefficients: Tuple[float, ...]
     lam: float
@@ -169,13 +174,12 @@ class FitProblem:
     gradient and the Lie derivative of the metric once, over all terms.
     """
 
-    def __init__(self, ch, kind, basis, grid=None, opts=FitOptions()):
+    def __init__(self, kind, basis, grid=None):
         if kind not in KINDS:
             raise SolitonError(f"unknown soliton kind {kind!r}")
-        self.chart = ch
+        self.chart = ch = basis.chart
         self.kind = kind
         self.basis = basis
-        self.opts = opts
         self.full_grid = grid if grid is not None else default_grid(ch)
         self.fit_grid = _half_grid(self.full_grid)
         self.terms = basis.terms()
@@ -242,16 +246,14 @@ class FitProblem:
         return self._whiten(columns).reshape(len(p), -1).T
 
     def _clamp_lam(self, p):
-        clamp = self.opts.lam_clamp
         lam = p[-2]
-        if abs(lam) < clamp:
+        if abs(lam) < LAM_CLAMP:
             p = p.copy()
-            p[-2] = clamp if lam >= 0 else -clamp
+            p[-2] = LAM_CLAMP if lam >= 0 else -LAM_CLAMP
             return p, True
         return p, False
 
     def fit(self, init=None):
-        opts = self.opts
         init = init or FitInit()
         coeffs = init.coefficients
         if coeffs is None:
@@ -269,21 +271,18 @@ class FitProblem:
         y = self._stack_at(p)
         J = float(y @ y)
         self.history = [J]
-        nu = opts.damping
+        nu = DAMPING
         reason = "max iterations"
         converged = False
-        iterations = 0
 
-        for iterations in range(1, opts.max_iterations + 1):
+        for _ in range(MAX_ITERATIONS):
             A = self._jacobian(p, y)
             grad = A.T @ y
-            if np.linalg.norm(grad) <= opts.gradient_tol:
+            if np.linalg.norm(grad) <= GRADIENT_TOL:
                 reason = "gradient below tolerance"
                 converged = True
-                iterations -= 1
                 break
             H = A.T @ A
-            accepted = False
             while nu <= 1e10:
                 try:
                     delta = np.linalg.solve(H + nu * np.eye(len(p)), -grad)
@@ -298,15 +297,12 @@ class FitProblem:
                     self.history.append(J)
                     lam_clamped = lam_clamped or clamped
                     nu = max(nu / 3.0, 1e-12)
-                    accepted = True
                     break
                 nu *= 10
-            if not accepted:
-                raise FitError(
-                    "damping recovery failed; normal equations are "
-                    "effectively singular"
-                )
-            if np.linalg.norm(delta) <= opts.step_tol:
+            else:
+                reason = "no decrease at maximum damping"
+                break
+            if np.linalg.norm(delta) <= STEP_TOL:
                 reason = "step below tolerance"
                 converged = True
                 break
@@ -324,7 +320,7 @@ class FitProblem:
             mu=mu,
             objective=ws.integral(norm2_sym2(ws.fr, ws.residual)),
             objective_fit_grid=J,
-            iterations=iterations,
+            iterations=len(self.history) - 1,
             converged=converged,
             reason=reason,
             lam_clamped=lam_clamped,
@@ -332,7 +328,3 @@ class FitProblem:
             fit_grid=tuple(self.fit_grid.counts),
             soliton=soliton,
         )
-
-
-def fit_potential(ch, kind, basis, init=None, grid=None, opts=FitOptions()):
-    return FitProblem(ch, kind, basis, grid=grid, opts=opts).fit(init)

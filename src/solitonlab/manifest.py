@@ -15,7 +15,7 @@ from importlib import resources
 from typing import Optional
 
 from .expr import ExprError, eval_number, parse
-from .fitting import FAMILIES, FitInit, FitOptions
+from .fitting import BasisExpansion, FitError, FitInit
 from .geometry import Chart, GeometryError, chart, scalar_field, vector_field
 from .records import record
 from .solitons import KINDS, SolitonError, SolitonSpec
@@ -30,10 +30,8 @@ class ManifestError(ValueError):
 @record
 class FitBlock:
     kind: str
-    family: str
-    degree: int
+    basis: BasisExpansion
     init: FitInit
-    options: FitOptions
 
 
 @record
@@ -182,18 +180,20 @@ def _parse_soliton(block, ch):
         raise ManifestError(path, str(err)) from err
 
 
-def _parse_fit(block):
+def _parse_fit(block, ch):
     path = "fit"
-    _check_keys(block, ("kind", "basis", "degree", "init", "options"), path)
+    _check_keys(block, ("kind", "basis", "degree", "init"), path)
     kind = _need(block, "kind", path, str)
     if kind not in KINDS:
         raise ManifestError(f"{path}.kind", f"expected one of {KINDS}")
     family = _need(block, "basis", path, str)
-    if family not in FAMILIES:
-        raise ManifestError(f"{path}.basis", f"expected one of {FAMILIES}")
     degree = _need(block, "degree", path, int)
     if degree < 0:
         raise ManifestError(f"{path}.degree", "must be nonnegative")
+    try:
+        basis = BasisExpansion(chart=ch, family=family, degree=degree)
+    except FitError as err:
+        raise ManifestError(f"{path}.basis", str(err)) from err
 
     init_block = block.get("init", {})
     if not isinstance(init_block, dict):
@@ -203,6 +203,13 @@ def _parse_fit(block):
     if coeffs is not None:
         if not isinstance(coeffs, list):
             raise ManifestError(f"{path}.init.coefficients", "expected a list")
+        count = len(basis.terms())
+        if len(coeffs) != count:
+            raise ManifestError(
+                f"{path}.init.coefficients",
+                f"expected {count} coefficients, one per basis term, "
+                f"got {len(coeffs)}",
+            )
         coeffs = tuple(
             _number(c, f"{path}.init.coefficients[{i}]")
             for i, c in enumerate(coeffs)
@@ -212,21 +219,7 @@ def _parse_fit(block):
         lam=_number(init_block.get("lambda", 1.0), f"{path}.init.lambda"),
         mu=_number(init_block.get("mu", 0.0), f"{path}.init.mu"),
     )
-
-    options_block = block.get("options", {})
-    if not isinstance(options_block, dict):
-        raise ManifestError(f"{path}.options", "expected an object")
-    _check_keys(options_block, FitOptions._fields, f"{path}.options")
-    kwargs = {}
-    for key, value in options_block.items():
-        if key == "max_iterations":
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ManifestError(f"{path}.options.{key}", "expected a positive integer")
-            kwargs[key] = value
-        else:
-            kwargs[key] = _number(value, f"{path}.options.{key}")
-    return FitBlock(kind=kind, family=family, degree=degree, init=init,
-                    options=FitOptions(**kwargs))
+    return FitBlock(kind=kind, basis=basis, init=init)
 
 
 def parse_manifest(data):
@@ -247,7 +240,7 @@ def parse_manifest(data):
     if "fit" in data:
         if not isinstance(data["fit"], dict):
             raise ManifestError("fit", "expected an object")
-        fit = _parse_fit(data["fit"])
+        fit = _parse_fit(data["fit"], ch)
     return Manifest(name=ch.name, chart=ch, soliton=soliton, fit=fit)
 
 

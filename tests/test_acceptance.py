@@ -15,7 +15,7 @@ import numpy as np
 
 from conftest import random_scalar, random_vector
 from test_geometry import grad_laplacian
-from solitonlab.fitting import BasisExpansion, FitProblem, fit_potential
+from solitonlab.fitting import BasisExpansion, FitProblem
 from solitonlab.geometry import (
     div_sym2,
     div_vector,
@@ -220,23 +220,17 @@ def test_criterion_6_fit_convergence(capsys):
     with announced(capsys, "6 fit convergence"):
         start = time.perf_counter()
 
-        man = bundled("torus2_fit_ricci")
-        basis = BasisExpansion(chart=man.chart, family=man.fit.family,
-                               degree=man.fit.degree)
-        res = fit_potential(man.chart, man.fit.kind, basis,
-                            init=man.fit.init, opts=man.fit.options)
+        fit = bundled("torus2_fit_ricci").fit
+        res = FitProblem(fit.kind, fit.basis).fit(fit.init)
         assert res.objective <= 1e-12
         assert abs(res.mu) <= 1e-6
 
-        man = bundled("sphere2_fit_yamabe")
-        basis = BasisExpansion(chart=man.chart, family=man.fit.family,
-                               degree=man.fit.degree)
-        res = fit_potential(man.chart, man.fit.kind, basis,
-                            init=man.fit.init, opts=man.fit.options)
+        fit = bundled("sphere2_fit_yamabe").fit
+        res = FitProblem(fit.kind, fit.basis).fit(fit.init)
         assert abs(res.mu - 2.0) <= 1e-6
 
         ch = bundled("sphere2").chart
-        problem = FitProblem(ch, "ricci",
+        problem = FitProblem("ricci",
                              BasisExpansion(chart=ch, family="product",
                                             degree=1),
                              grid=default_grid(ch, (16, 16)))

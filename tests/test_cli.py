@@ -512,6 +512,22 @@ def test_fit_without_fit_block_exits_2(capsys):
     assert "fit" in err
 
 
+def test_fit_at_a_floor_ends_with_a_report(tmp_path, capsys):
+    # No gradient Yamabe soliton exists on the warped sphere: the fit stalls
+    # at a nonzero objective, which is a result, not an error.
+    source = Path(cli.__file__).parent / "manifests" / "warped_sphere.json"
+    data = json.loads(source.read_text(encoding="utf-8"))
+    data["fit"] = {"kind": "yamabe", "basis": "poly-cos", "degree": 2,
+                   "init": {"coefficients": [0, 0.1, 0.1], "lambda": 1,
+                            "mu": 2}}
+    path = tmp_path / "warped_fit.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    res = report(capsys, "fit", str(path), "--grid", "32,64")["result"]
+    assert res["converged"] is False
+    assert res["reason"] == "no decrease at maximum damping"
+    assert 0.3276 < res["objective"] < 0.3277
+
+
 # -------------------------------------------------------------- determinism
 
 def test_reports_byte_identical_across_runs(tmp_path, capsys):

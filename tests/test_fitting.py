@@ -13,10 +13,9 @@ from solitonlab.fitting import (
     BasisExpansion,
     FitError,
     FitInit,
-    FitOptions,
     FitProblem,
-    fit_potential,
 )
+from solitonlab.manifest import bundled
 from solitonlab.quadrature import default_grid
 
 from test_geometry import generic_torus, sphere2, torus2
@@ -27,7 +26,7 @@ SMALL = (16, 16)
 def small_problem(ch=None, kind="yamabe", family="product", degree=1):
     ch = ch or sphere2()
     basis = BasisExpansion(ch, family, degree)
-    return FitProblem(ch, kind, basis, grid=default_grid(ch, SMALL))
+    return FitProblem(kind, basis, grid=default_grid(ch, SMALL))
 
 
 # ------------------------------------------------------------- convergence
@@ -36,8 +35,8 @@ def small_problem(ch=None, kind="yamabe", family="product", degree=1):
 def test_sphere_yamabe_constant_fit():
     ch = sphere2()
     basis = BasisExpansion(ch, "poly-cos", 0)
-    res = fit_potential(ch, "yamabe", basis,
-                        FitInit(coefficients=(0.3,), lam=1.0, mu=0.0))
+    res = FitProblem("yamabe", basis).fit(
+        FitInit(coefficients=(0.3,), lam=1.0, mu=0.0))
     assert res.converged
     assert abs(res.mu - 2.0) <= 1e-6
     assert res.objective <= 1e-14
@@ -47,7 +46,7 @@ def test_sphere_yamabe_constant_fit():
 def test_sphere_ricci_constant_fit():
     ch = sphere2()
     basis = BasisExpansion(ch, "poly-cos", 0)
-    res = fit_potential(ch, "ricci", basis, FitInit())
+    res = FitProblem("ricci", basis).fit(FitInit())
     assert abs(res.mu - 1.0) <= 1e-6
     assert res.objective <= 1e-14
 
@@ -63,8 +62,7 @@ def test_torus_ricci_fit_from_random_start():
         lam=1.2,
         mu=0.4,
     )
-    res = fit_potential(ch, "ricci", basis, init,
-                        grid=default_grid(ch, (64, 64)))
+    res = FitProblem("ricci", basis, grid=default_grid(ch, (64, 64))).fit(init)
     assert res.objective <= 1e-12
     assert abs(res.mu) <= 1e-6
     assert res.converged
@@ -80,7 +78,7 @@ def test_result_objective_matches_scratch_recompute():
     # whitened per-term residual there instead: two independent routes.
     ch = problem.chart
     doubled = default_grid(ch, tuple(2 * c for c in problem.full_grid.counts))
-    scratch = FitProblem(ch, problem.kind, problem.basis, grid=doubled)
+    scratch = FitProblem(problem.kind, problem.basis, grid=doubled)
     assert scratch.fit_grid == problem.full_grid
     full = scratch.objective(res.coefficients, res.lam, res.mu)
     assert abs(full - res.objective) <= 1e-9 * full
@@ -92,6 +90,27 @@ def test_monotone_decrease_history():
     history = problem.history
     assert len(history) >= 2
     assert all(b <= a for a, b in zip(history, history[1:]))
+
+
+def test_history_holds_the_start_and_every_accepted_step():
+    # The torus fit stops on the gradient test.  No gradient Yamabe soliton
+    # exists on the warped sphere, so that fit stalls at a nonzero floor
+    # where no damped step lowers J.
+    torus = torus2()
+    problem = FitProblem("ricci", BasisExpansion(torus, "fourier", 1),
+                         grid=default_grid(torus, SMALL))
+    res = problem.fit(FitInit(coefficients=(0.0, 0.1, -0.2, 0.05, 0.1)))
+    assert res.converged and res.reason == "gradient below tolerance"
+    assert len(problem.history) == res.iterations + 1
+
+    ch = bundled("warped_sphere").chart
+    problem = FitProblem("yamabe", BasisExpansion(ch, "poly-cos", 2),
+                         grid=default_grid(ch, SMALL))
+    res = problem.fit(FitInit(coefficients=(0.0, 0.1, 0.1), lam=1.0, mu=2.0))
+    assert not res.converged
+    assert res.reason == "no decrease at maximum damping"
+    assert len(problem.history) == res.iterations + 1
+    assert res.objective > 0.3
 
 
 # ---------------------------------------------------------------- structure

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from solitonlab.fitting import FitInit, FitOptions
+from solitonlab.fitting import BasisExpansion, FitInit
 from solitonlab.manifest import (
     Manifest,
     ManifestError,
@@ -171,9 +171,8 @@ def test_fit_block_parses_with_defaults():
     data["fit"] = {"kind": "ricci", "basis": "fourier", "degree": 1}
     m = parse_manifest(data)
     assert m.fit.kind == "ricci"
-    assert m.fit.family == "fourier"
+    assert m.fit.basis == BasisExpansion(m.chart, "fourier", 1)
     assert m.fit.init == FitInit()
-    assert m.fit.options == FitOptions()
 
 
 def test_fit_block_options_and_init():
@@ -181,13 +180,14 @@ def test_fit_block_options_and_init():
     data["fit"] = {
         "kind": "ricci", "basis": "fourier", "degree": 1,
         "init": {"coefficients": [0, "1/2", 0, 0, 0], "lambda": 2, "mu": "1"},
-        "options": {"max_iterations": 50, "damping": "1/1000"},
     }
     m = parse_manifest(data)
     assert m.fit.init.coefficients == (0.0, 0.5, 0.0, 0.0, 0.0)
     assert m.fit.init.lam == 2.0 and m.fit.init.mu == 1.0
-    assert m.fit.options.max_iterations == 50
-    assert m.fit.options.damping == pytest.approx(1e-3)
+    # The fit's iteration cap, tolerances and damping are constants.
+    data["fit"]["options"] = {"max_iterations": 50, "damping": "1/1000"}
+    with pytest.raises(ManifestError, match="fit.options: unknown field"):
+        parse_manifest(data)
 
 
 @pytest.mark.parametrize(
@@ -197,15 +197,20 @@ def test_fit_block_options_and_init():
         ({"kind": "ricci", "basis": "wavelet", "degree": 1}, "fit.basis"),
         ({"kind": "ricci", "basis": "fourier", "degree": -1}, "fit.degree"),
         ({"kind": "ricci", "basis": "fourier", "degree": 1,
-          "options": {"speed": 9}}, "fit.options.speed"),
+          "options": {"speed": 9}}, "fit.options: unknown field"),
         ({"kind": "ricci", "basis": "fourier", "degree": 1,
-          "options": {"max_iterations": 0}}, "fit.options.max_iterations"),
+          "options": {"max_iterations": 0}}, "fit.options: unknown field"),
         ({"kind": "ricci", "basis": "fourier", "degree": 1,
           "init": {"coefficients": "big"}}, "fit.init.coefficients"),
         ({"kind": "ricci", "basis": "fourier", "degree": 1,
-          "options": {"fd_step": 1e-6}}, "fit.options.fd_step"),
+          "options": {"fd_step": 1e-6}}, "fit.options: unknown field"),
         ({"kind": "ricci", "basis": "fourier", "degree": True},
          "fit.degree: expected int, got bool"),
+        ({"kind": "ricci", "basis": "fourier", "degree": 1,
+          "init": {"coefficients": [0, 0, 0]}},
+         "fit.init.coefficients: expected 5 coefficients"),
+        ({"kind": "ricci", "basis": "poly-cos", "degree": 1},
+         "fit.basis: poly-cos basis needs a nonperiodic coordinate"),
     ],
 )
 def test_fit_field_errors(block, path):

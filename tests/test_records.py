@@ -8,7 +8,7 @@ import pytest
 
 import solitonlab
 from solitonlab.expr import Geo, parse_integrand
-from solitonlab.fitting import FitOptions
+from solitonlab.fitting import FitInit
 from solitonlab.quadrature import GridSpec, QuadratureError
 from solitonlab.records import asdict, record
 from solitonlab.solitons import SolitonError, Tolerances
@@ -63,7 +63,7 @@ def test_repr_in_dataclass_format():
 def test_asdict_keeps_field_order():
     assert list(asdict(Tolerances())) == ["pointwise", "integral",
                                           "hypothesis", "slack"]
-    assert tuple(asdict(FitOptions())) == FitOptions._fields
+    assert tuple(asdict(FitInit())) == FitInit._fields
 
     @record
     class Pair:
