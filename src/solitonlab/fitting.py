@@ -13,7 +13,9 @@ realized as the squared norm of a stacked vector of Cholesky-whitened
 residual components scaled by sqrt(weight * volume element), so the normal
 equations see the same metric-invariant objective the reports quote.  The
 per-node inverse factor L^{-1} of g = L L^T is computed once per problem,
-so whitening a residual or a Jacobian is two small matrix products.
+so whitening a residual or a Jacobian is two small matrix products.  A
+FitProblem holds only this precomputation of the fit grid, so one problem
+may run several starts; its ``history`` is that of its last fit.
 
 The reported objective is J on the full grid of the fitted soliton, read
 from ``solitons.workspace`` of that soliton; FitResult.soliton carries it,
@@ -89,24 +91,16 @@ class BasisExpansion:
             if self.family == "poly-cos" and all(self.chart.periodic):
                 raise FitError("poly-cos basis needs a nonperiodic coordinate")
 
-    @property
-    def periodic_used(self):
-        return self.family in ("fourier", "product")
-
-    @property
-    def nonperiodic_used(self):
-        return self.family in ("poly-cos", "product")
-
     def terms(self):
         """DSL texts, constant first; tensor products pruned by total degree."""
         factors = []
         for name, periodic in zip(self.chart.coords, self.chart.periodic):
-            if periodic and self.periodic_used:
+            if periodic and self.family in ("fourier", "product"):
                 fs = [("1", 0)]
                 for m in range(1, self.degree + 1):
                     arg = name if m == 1 else f"{m}*{name}"
                     fs += [(f"sin({arg})", m), (f"cos({arg})", m)]
-            elif not periodic and self.nonperiodic_used:
+            elif not periodic and self.family in ("poly-cos", "product"):
                 fs = [("1", 0)]
                 for m in range(1, self.degree + 1):
                     power = f"cos({name})" if m == 1 else f"cos({name})^{m}"
@@ -158,6 +152,15 @@ def _half_grid(grid):
     return GridSpec(tuple(max(8, c // 2) for c in grid.counts))
 
 
+def _clamp_lam(p):
+    lam = p[-2]
+    if abs(lam) < LAM_CLAMP:
+        p = p.copy()
+        p[-2] = LAM_CLAMP if lam >= 0 else -LAM_CLAMP
+        return p, True
+    return p, False
+
+
 def _potential_text(coefficients, terms):
     """DSL text of sum(c_k * term_k), coefficients at 17 significant digits."""
     pieces = []
@@ -168,7 +171,7 @@ def _potential_text(coefficients, terms):
 
 
 class FitProblem:
-    """Owns the fit grid's precomputation; one instance per fit, not shared.
+    """Holds only the fit grid's precomputation, so it may run many starts.
 
     Set-up evaluates every basis term's jets in one pass and runs the
     gradient and the Lie derivative of the metric once, over all terms.
@@ -210,31 +213,15 @@ class FitProblem:
         R = residual_tensor(self.kind, lam, mu, self.fr, U, T)
         return self._whiten(R).ravel()
 
-    def objective(self, coeffs, lam, mu):
-        y = self.residual_stack(coeffs, lam, mu)
-        return float(y @ y)
-
     # ---------------------------------------------------- Levenberg-Marquardt
 
-    def _pack(self, coeffs, lam, mu):
-        return np.concatenate([np.asarray(coeffs[1:], float), [lam, mu]])
-
-    def _unpack(self, p):
-        coeffs = (self._frozen,) + tuple(p[:-2])
-        return coeffs, float(p[-2]), float(p[-1])
-
-    def _stack_at(self, p):
-        coeffs, lam, mu = self._unpack(p)
-        return self.residual_stack(coeffs, lam, mu)
-
-    def _jacobian(self, p, y0):
-        """Exact columns d residual / d (c_1.., lambda, mu) at p.
+    def _jacobian(self, coeffs, lam):
+        """Exact columns d residual / d (c_1.., lambda, mu) at (coeffs, lam).
 
         With U = L_xi T the residual is U + lambda T + (terms in mu and g),
         so the column of a free c_k is L_{xi_k} T + L_xi T_k + lambda T_k,
         that of lambda is T and that of mu is -g, for both kinds.
         """
-        coeffs, lam, _ = self._unpack(p)
         vj, T, dT = self._sum_terms(coeffs)
         free = [X[1:] for X in self.term_vj]
         Tk, dTk = self.T[1:], self.dT[1:]
@@ -243,18 +230,9 @@ class FitProblem:
             T[None],
             -self.fr.g[None],
         ])
-        return self._whiten(columns).reshape(len(p), -1).T
+        return self._whiten(columns).reshape(len(columns), -1).T
 
-    def _clamp_lam(self, p):
-        lam = p[-2]
-        if abs(lam) < LAM_CLAMP:
-            p = p.copy()
-            p[-2] = LAM_CLAMP if lam >= 0 else -LAM_CLAMP
-            return p, True
-        return p, False
-
-    def fit(self, init=None):
-        init = init or FitInit()
+    def fit(self, init=FitInit()):
         coeffs = init.coefficients
         if coeffs is None:
             coeffs = (0.0,) * len(self.terms)
@@ -263,12 +241,16 @@ class FitProblem:
                 f"init has {len(coeffs)} coefficients, basis has "
                 f"{len(self.terms)} terms"
             )
-        self._frozen = float(coeffs[0])
-        p = self._pack(coeffs, init.lam, init.mu)
-        p, clamped = self._clamp_lam(p)
-        lam_clamped = clamped
+        # The iterate p is (c_1.., lambda, mu); c_0 stays at its start.
+        c0 = float(coeffs[0])
 
-        y = self._stack_at(p)
+        def split(p):
+            return (c0,) + tuple(p[:-2]), float(p[-2]), float(p[-1])
+
+        p, lam_clamped = _clamp_lam(
+            np.array([*coeffs[1:], init.lam, init.mu], float))
+        coeffs, lam, mu = split(p)
+        y = self.residual_stack(coeffs, lam, mu)
         J = float(y @ y)
         self.history = [J]
         nu = DAMPING
@@ -276,7 +258,7 @@ class FitProblem:
         converged = False
 
         for _ in range(MAX_ITERATIONS):
-            A = self._jacobian(p, y)
+            A = self._jacobian(coeffs, lam)
             grad = A.T @ y
             if np.linalg.norm(grad) <= GRADIENT_TOL:
                 reason = "gradient below tolerance"
@@ -289,11 +271,12 @@ class FitProblem:
                 except np.linalg.LinAlgError:
                     nu *= 10
                     continue
-                trial, clamped = self._clamp_lam(p + delta)
-                y_trial = self._stack_at(trial)
+                trial, clamped = _clamp_lam(p + delta)
+                at = split(trial)
+                y_trial = self.residual_stack(*at)
                 J_trial = float(y_trial @ y_trial)
                 if J_trial <= J:
-                    p, y, J = trial, y_trial, J_trial
+                    p, y, J, (coeffs, lam, mu) = trial, y_trial, J_trial, at
                     self.history.append(J)
                     lam_clamped = lam_clamped or clamped
                     nu = max(nu / 3.0, 1e-12)
@@ -307,7 +290,6 @@ class FitProblem:
                 converged = True
                 break
 
-        coeffs, lam, mu = self._unpack(p)
         ch = self.chart
         soliton = SolitonSpec(
             name=ch.name, chart=ch, kind=self.kind, lam=lam, mu=mu,

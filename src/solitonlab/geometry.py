@@ -46,37 +46,6 @@ from .expr import ExprError, evaluate, parse
 from .jets import JetDomainError, check_finite, seed
 from .records import record
 
-__all__ = [
-    "GeometryError",
-    "Chart",
-    "chart",
-    "ScalarField",
-    "scalar_field",
-    "VectorField",
-    "vector_field",
-    "PointFrame",
-    "frame",
-    "scalar_jets",
-    "stacked_scalar_jets",
-    "vector_jets",
-    "leibniz",
-    "hessian",
-    "laplacian",
-    "gradient_vector_jets",
-    "lie_jet",
-    "lie_metric_jets",
-    "cov_accel",
-    "div_vector",
-    "div_sym2",
-    "trace_g",
-    "trace_g_jet",
-    "norm2_sym2",
-    "norm2_covec",
-    "raise_covec",
-    "ric_vv",
-    "nabla_vec_norm2",
-]
-
 
 class GeometryError(ValueError):
     pass

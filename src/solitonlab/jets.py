@@ -41,22 +41,6 @@ import numpy as np
 MAX_DIM = 4
 DEFAULT_ORDER = 3
 
-__all__ = [
-    "Jet",
-    "JetDomainError",
-    "check_finite",
-    "seed",
-    "constant",
-    "apply_unary",
-    "multi_indices",
-    "sin",
-    "cos",
-    "exp",
-    "log",
-    "sqrt",
-    "powc",
-]
-
 
 class JetDomainError(ValueError):
     """An elementary function was evaluated outside its domain.
@@ -244,9 +228,6 @@ class Jet:
     def __rtruediv__(self, other):
         other = self._coerce(other)
         return other * _reciprocal(self)
-
-    def __pow__(self, expo):
-        return powc(self, expo)
 
     def compose(self, derivs):
         """Faa di Bruno for phi(f): derivs = [phi(v), phi'(v), ...] at v = value.

@@ -3,7 +3,8 @@
 A manifest is validated structurally before any expression is evaluated, and
 every complaint carries the path of the offending field ("manifold.metric[1][1]",
 "soliton.lambda", ...) so CI logs point at the exact slot.  Numbers may be
-written either as JSON numbers or as constant DSL strings like "2*pi".
+written either as JSON numbers or as constant DSL strings like "2*pi", and
+must be finite.
 
 The metric table must fill every slot with row <= column; entries below the
 diagonal are ignored and mirrored from the upper triangle, so symmetric
@@ -11,6 +12,7 @@ metrics need only be written once.
 """
 
 import json
+import sys
 from importlib import resources
 from typing import Optional
 
@@ -63,6 +65,8 @@ def _number(value, path):
             return eval_number(parse(value))
         except ExprError as err:
             raise ManifestError(path, str(err)) from err
+    if not abs(value) <= sys.float_info.max:  # false for nan too
+        raise ManifestError(path, "expected a finite number")
     return float(value)
 
 

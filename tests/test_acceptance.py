@@ -234,7 +234,10 @@ def test_criterion_6_fit_convergence(capsys):
                              BasisExpansion(chart=ch, family="product",
                                             degree=1),
                              grid=default_grid(ch, (16, 16)))
-        problem._frozen = 0.0
+
+        def stack_at(p):
+            return problem.residual_stack((0.0, *p[:-2]), p[-2], p[-1])
+
         rng = np.random.default_rng(11)
         for _ in range(5):
             p = np.concatenate([
@@ -242,15 +245,15 @@ def test_criterion_6_fit_convergence(capsys):
                 rng.uniform(0.5, 1.5, 1),
                 rng.uniform(-0.5, 0.5, 1),
             ])
-            y0 = problem._stack_at(p)
-            grad = 2.0 * problem._jacobian(p, y0).T @ y0
+            y0 = stack_at(p)
+            grad = 2.0 * problem._jacobian((0.0, *p[:-2]), p[-2]).T @ y0
             fd = np.zeros_like(grad)
             for j in range(len(p)):
                 h = 1e-5 * max(1.0, abs(p[j]))
                 plus, minus = p.copy(), p.copy()
                 plus[j] += h
                 minus[j] -= h
-                yp, ym = problem._stack_at(plus), problem._stack_at(minus)
+                yp, ym = stack_at(plus), stack_at(minus)
                 fd[j] = (float(yp @ yp) - float(ym @ ym)) / (2 * h)
             scale = max(float(np.linalg.norm(fd)), 1e-12)
             assert float(np.linalg.norm(grad - fd)) / scale <= 1e-4

@@ -29,6 +29,11 @@ def small_problem(ch=None, kind="yamabe", family="product", degree=1):
     return FitProblem(kind, basis, grid=default_grid(ch, SMALL))
 
 
+def stack_at(problem, c0, p):
+    """Residual stack at the constant coefficient c0 and p = (c_1.., lam, mu)."""
+    return problem.residual_stack((c0, *p[:-2]), p[-2], p[-1])
+
+
 # ------------------------------------------------------------- convergence
 
 
@@ -71,7 +76,8 @@ def test_torus_ricci_fit_from_random_start():
 def test_result_objective_matches_scratch_recompute():
     problem = small_problem()
     res = problem.fit(FitInit())
-    again = problem.objective(res.coefficients, res.lam, res.mu)
+    y = problem.residual_stack(res.coefficients, res.lam, res.mu)
+    again = float(y @ y)
     assert again <= 1e-9 or abs(again - res.objective_fit_grid) <= 1e-9 * again
     # res.objective is read on the full grid from the fitted soliton's
     # workspace.  A problem whose fit grid is that full grid sums the
@@ -80,7 +86,8 @@ def test_result_objective_matches_scratch_recompute():
     doubled = default_grid(ch, tuple(2 * c for c in problem.full_grid.counts))
     scratch = FitProblem(problem.kind, problem.basis, grid=doubled)
     assert scratch.fit_grid == problem.full_grid
-    full = scratch.objective(res.coefficients, res.lam, res.mu)
+    y = scratch.residual_stack(res.coefficients, res.lam, res.mu)
+    full = float(y @ y)
     assert abs(full - res.objective) <= 1e-9 * full
 
 
@@ -113,6 +120,33 @@ def test_history_holds_the_start_and_every_accepted_step():
     assert res.objective > 0.3
 
 
+def test_fit_leaves_no_state_on_the_problem():
+    # A problem holds only its grid's precomputation: a fit from a start
+    # gives what a fresh problem gives from that start, whatever ran before.
+    problem = small_problem(torus2(), "ricci", "fourier", 1)
+    coeffs = (0.2, 0.05, -0.08, 0.03, 0.01)
+    y = problem.residual_stack(coeffs, 1.1, 0.4)
+    A = problem._jacobian(coeffs, 1.1)
+    assert A.shape == (y.size, len(coeffs) + 1)
+    starts = [FitInit(coefficients=(0.3, 0.05, -0.1, 0.02, 0.0), lam=0.8,
+                      mu=0.3),
+              FitInit(coefficients=(-1.0, 0.1, 0.0, -0.05, 0.1), lam=1.2,
+                      mu=-0.2)]
+    for init in starts:
+        res = problem.fit(init)
+        fresh = small_problem(torus2(), "ricci", "fourier", 1)
+        want = fresh.fit(init)
+        assert res.coefficients == want.coefficients
+        assert res.coefficients[0] == init.coefficients[0]
+        assert (res.lam, res.mu) == (want.lam, want.mu)
+        assert res.objective == want.objective
+        assert res.iterations == want.iterations
+        assert res.reason == want.reason
+        assert problem.history == fresh.history
+    assert np.array_equal(problem.residual_stack(coeffs, 1.1, 0.4), y)
+    assert np.array_equal(problem._jacobian(coeffs, 1.1), A)
+
+
 # ---------------------------------------------------------------- structure
 
 
@@ -120,30 +154,31 @@ def test_gauge_invariance_constant_shift():
     problem = small_problem()
     coeffs = (0.0, 0.05, -0.08, 0.03)
     assert len(problem.terms) == len(coeffs)
-    j0 = problem.objective(coeffs, 1.1, 0.4)
+    y0 = problem.residual_stack(coeffs, 1.1, 0.4)
+    j0 = float(y0 @ y0)
     shifted = (coeffs[0] + 5.0,) + coeffs[1:]
-    j1 = problem.objective(shifted, 1.1, 0.4)
+    y1 = problem.residual_stack(shifted, 1.1, 0.4)
+    j1 = float(y1 @ y1)
     assert abs(j1 - j0) <= 1e-12 * max(1.0, j0)
 
 
 def test_objective_gradient_against_central_differences():
     problem = small_problem(kind="ricci")
-    problem._frozen = 0.0
     rng = np.random.default_rng(11)
     for _ in range(5):
         p = np.concatenate([rng.uniform(-0.2, 0.2, len(problem.terms) - 1),
                             rng.uniform(0.5, 1.5, 1),
                             rng.uniform(-0.5, 0.5, 1)])
-        y0 = problem._stack_at(p)
-        grad = 2.0 * problem._jacobian(p, y0).T @ y0
+        y0 = stack_at(problem, 0.0, p)
+        grad = 2.0 * problem._jacobian((0.0, *p[:-2]), p[-2]).T @ y0
         fd = np.zeros_like(grad)
         for j in range(len(p)):
             h = 1e-5 * max(1.0, abs(p[j]))
             plus, minus = p.copy(), p.copy()
             plus[j] += h
             minus[j] -= h
-            yp = problem._stack_at(plus)
-            ym = problem._stack_at(minus)
+            yp = stack_at(problem, 0.0, plus)
+            ym = stack_at(problem, 0.0, minus)
             fd[j] = (float(yp @ yp) - float(ym @ ym)) / (2 * h)
         scale = max(np.linalg.norm(fd), 1e-12)
         assert np.linalg.norm(grad - fd) / scale <= 1e-4
@@ -172,18 +207,18 @@ def test_exact_jacobian_matches_central_differences(builder, kind, family,
     # The residual is quadratic in the parameters, so central differences
     # are exact up to rounding even with a large step.
     problem = small_problem(builder(), kind, family, degree)
-    problem._frozen = 0.3
     rng = np.random.default_rng(5)
     p = np.concatenate([rng.uniform(-0.2, 0.2, len(problem.terms) - 1),
                         [0.9, 0.4]])
-    A = problem._jacobian(p, problem._stack_at(p))
-    assert A.shape == (problem._stack_at(p).size, len(p))
+    A = problem._jacobian((0.3, *p[:-2]), p[-2])
+    assert A.shape == (stack_at(problem, 0.3, p).size, len(p))
     for j in range(len(p)):
         h = 1e-3 * max(1.0, abs(p[j]))
         plus, minus = p.copy(), p.copy()
         plus[j] += h
         minus[j] -= h
-        fd = (problem._stack_at(plus) - problem._stack_at(minus)) / (2 * h)
+        fd = (stack_at(problem, 0.3, plus)
+              - stack_at(problem, 0.3, minus)) / (2 * h)
         assert np.linalg.norm(A[:, j] - fd) <= 1e-9 * np.linalg.norm(fd), j
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 
 import pytest
 
@@ -225,6 +226,32 @@ def test_load_manifest_round_trip(tmp_path):
     target.write_text(json.dumps(with_soliton()), encoding="utf-8")
     m = load_manifest(target)
     assert m.soliton.kind == "yamabe"
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999",
+                                     pytest.param("1" + "0" * 400,
+                                                  id="int-beyond-float")])
+@pytest.mark.parametrize("path", ["soliton.lambda", "soliton.mu",
+                                  "manifold.domain[0][1]", "fit.init.lambda"])
+def test_non_finite_json_number_names_its_path(tmp_path, path, literal):
+    # Python's json reads the first three as nan or inf, the last as an
+    # int that no float holds.
+    data = with_soliton()
+    data["fit"] = {"kind": "ricci", "basis": "fourier", "degree": 1,
+                   "init": {"lambda": 1}}
+    block, key = {
+        "soliton.lambda": (data["soliton"], "lambda"),
+        "soliton.mu": (data["soliton"], "mu"),
+        "manifold.domain[0][1]": (data["manifold"]["domain"][0], 1),
+        "fit.init.lambda": (data["fit"]["init"], "lambda"),
+    }[path]
+    block[key] = "@"
+    target = tmp_path / "case.json"
+    target.write_text(json.dumps(data).replace('"@"', literal),
+                      encoding="utf-8")
+    with pytest.raises(ManifestError,
+                       match=f"^{re.escape(path)}: expected a finite number"):
+        load_manifest(target)
 
 
 def test_load_manifest_bad_json(tmp_path):
