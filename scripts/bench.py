@@ -21,6 +21,14 @@ solitonlab.cli`` after ``import numpy`` in fresh interpreters, after one
 untimed run, and records whether every module's bytecode was cached, that
 is whether the interpreters read ``__pycache__`` or compiled the sources.
 
+``--layer workspace`` (``BENCH_5.json``): in fresh interpreters, the script
+builds the frames of the charts of ``WORKSPACE_CASES`` on their default
+grids, then runs the library loop over them: per chart the field
+identities of a soliton with a seeded potential, ``identity_trace_lie2`` on
+a seeded vector field and the integrands of ``INTEGRANDS``.  It records the
+loop's time, the interpreter's peak RSS and the workspace cache's hits,
+misses and final size.
+
 Each figure is the median of ``--repeats`` runs.  A fixed numpy kernel that
 no change to solitonlab can move is timed next to every case, so a reader
 can tell a slow host from slow code.
@@ -37,6 +45,7 @@ other labels stay, so two trees sit side by side in one file::
     PYTHONPATH=src python3 scripts/bench.py --layer geometry --label change
     PYTHONPATH=src python3 scripts/bench.py --layer fit --label change
     PYTHONPATH=src python3 scripts/bench.py --layer import --label change
+    PYTHONPATH=src python3 scripts/bench.py --layer workspace --label change
 """
 
 import argparse
@@ -85,6 +94,19 @@ FIT_CASES = (
     ("torus2", (64, 64), "ricci", "fourier", 2),
     ("sphere2", None, "yamabe", "product", 2),
 )
+
+# (bundled chart, node counts): the six base charts of the library loop.
+WORKSPACE_CASES = (
+    ("sphere2", None),
+    ("sphere3", None),
+    ("torus2", None),
+    ("torus3", None),
+    ("product_s2_s1", None),
+    ("warped_sphere", None),
+)
+# {s} is a second seeded potential, read as a coordinate expression.
+INTEGRANDS = ("1", "r", "lap(f)", "lap({s})", "g(gradf,gradf) + f*lap(f)",
+              "norm2_hess(f) + ric(gradf,gradf) - lap(f)^2")
 
 
 def median_ms(fn, repeats):
@@ -247,6 +269,72 @@ def import_cases(repeats):
     }]
 
 
+WORKSPACE_CHILD = """
+import json, resource, sys, time
+from solitonlab.cli import cmd_integrate
+from solitonlab.geometry import scalar_field, vector_field
+from solitonlab.manifest import Manifest, bundled
+from solitonlab.quadrature import default_grid
+from solitonlab.solitons import (SolitonSpec, grid_frame, identity_bochner,
+                                 identity_div_lie, identity_trace_lie2,
+                                 workspace)
+
+plan = json.loads(sys.argv[1])
+grids = []
+for entry in plan:
+    ch = bundled(entry["chart"]).chart
+    grids.append((ch, default_grid(ch, tuple(entry["counts"]))))
+    grid_frame(*grids[-1])
+start = time.perf_counter()
+for entry, (ch, grid) in zip(plan, grids):
+    spec = SolitonSpec(name=ch.name, chart=ch, kind="yamabe", lam=1.0, mu=0.0,
+                       potential=scalar_field(ch, entry["potential"]))
+    for check in (identity_trace_lie2, identity_bochner, identity_div_lie):
+        check(spec, grid)
+    identity_trace_lie2(vector_field(ch, entry["vector"]), grid)
+    man = Manifest(name=ch.name, chart=ch, soliton=spec, fit=None)
+    for text in entry["integrands"]:
+        cmd_integrate(man, text, grid)
+loop = time.perf_counter() - start
+info = workspace.cache_info()
+print(json.dumps({"loop_s": loop, "hits": info.hits, "misses": info.misses,
+                  "currsize": info.currsize, "maxrss_kib":
+                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+
+
+def workspace_cases(repeats):
+    package = Path(jets.__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    plan = []
+    for name, counts in WORKSPACE_CASES:
+        ch = bundled(name).chart
+        potential, other, *vector = seeded_potentials(ch.coords, 2 + ch.dim)
+        plan.append({"chart": name,
+                     "counts": list(default_grid(ch, counts).counts),
+                     "potential": potential, "vector": vector,
+                     "integrands": [t.format(s=other) for t in INTEGRANDS]})
+
+    def child():
+        run = subprocess.run([sys.executable, "-c", WORKSPACE_CHILD,
+                              json.dumps(plan)], env=env, capture_output=True,
+                             text=True, check=True)
+        return json.loads(run.stdout)
+
+    runs = [child() for _ in range(repeats)]
+    cache = {(r["hits"], r["misses"], r["currsize"]) for r in runs}
+    if len(cache) != 1:
+        raise RuntimeError(f"workspace cache counts differ between runs: {cache}")
+    [(hits, misses, currsize)] = cache
+    return [{
+        "charts": [[entry["chart"], entry["counts"]] for entry in plan],
+        "loop_ms": 1e3 * statistics.median(r["loop_s"] for r in runs),
+        "peak_rss_mib": statistics.median(r["maxrss_kib"] for r in runs) / 1024,
+        "hits": hits, "misses": misses, "currsize": currsize,
+        "host_kernel_ms": median_ms(host_kernel, repeats),
+    }]
+
+
 LAYERS = {  # layer -> (case timer, default output, line per case)
     "jets": (jet_cases, "BENCH_1.json",
              lambda c: f"dim {c['dim']} order {c['order']} nodes {c['nodes']}: "
@@ -264,6 +352,12 @@ LAYERS = {  # layer -> (case timer, default output, line per case)
                lambda c: f"import {c['module']} after numpy "
                          f"{c['import_ms']:.2f} ms (numpy {c['numpy_ms']:.2f} ms, "
                          f"bytecode {'cached' if c['bytecode_cached'] else 'compiled'})"),
+    "workspace": (workspace_cases, "BENCH_5.json",
+                  lambda c: f"library loop on {len(c['charts'])} charts "
+                            f"{c['loop_ms']:.2f} ms, peak RSS "
+                            f"{c['peak_rss_mib']:.1f} MiB, workspace hits "
+                            f"{c['hits']} misses {c['misses']} size "
+                            f"{c['currsize']}"),
 }
 
 
@@ -288,7 +382,7 @@ def main(argv=None):
     parser.add_argument("--out", type=Path,
                         help="output file; BENCH_1.json for jets, BENCH_2.json "
                              "for geometry, BENCH_3.json for fit, BENCH_4.json "
-                             "for import")
+                             "for import, BENCH_5.json for workspace")
     parser.add_argument("--repeats", type=int, default=15)
     args = parser.parse_args(argv)
     if args.repeats < 1:
@@ -297,7 +391,7 @@ def main(argv=None):
     out = args.out or Path(default_out)
     data = json.loads(out.read_text()) if out.exists() else {}
     data["layer"] = args.layer
-    data["unit"] = "ms, median of repeats"
+    data["unit"] = "ms, or MiB for *_mib, median of repeats"
     data.setdefault("sets", {})[args.label] = measure(args.layer, args.repeats)
     out.write_text(json.dumps(data, indent=2) + "\n")
     for case in data["sets"][args.label]["cases"]:

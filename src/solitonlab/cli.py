@@ -118,8 +118,10 @@ def _integrand_values(man, grid, source):
             )
         return sol
 
+    @cache
     def field(node):
-        """The Workspace of f (``Geo("f")``) or of a coordinate expression."""
+        """The Workspace of f (``Geo("f")``) or of a coordinate expression,
+        held for this integrand, which the workspace cache may evict."""
         if node == Geo("f"):
             return workspace(gradient_spec(), grid)
         return workspace(ScalarField(ch, source[slice(*node.span)], node), grid)

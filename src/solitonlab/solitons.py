@@ -19,8 +19,9 @@ tolerance, else identity-holds if every conclusion is within tolerance, else
 violated.
 
 Every field quantity the checks read has one definition, as a lazily
-computed attribute of ``Workspace``; ``workspace(target, grid)`` caches one
-per soliton or bare field and grid, and computes only what is read.
+computed attribute of ``Workspace``; ``workspace(target, grid)`` keeps the
+last two, one per soliton or bare field and grid, and computes only what is
+read.
 """
 
 import math
@@ -293,7 +294,9 @@ def workspace(target, grid=None):
     return _workspace(target, default_grid(target.chart) if grid is None else grid)
 
 
-_workspace = lru_cache(maxsize=4)(Workspace)
+# No caller reads more than two (README, Python API); each entry holds
+# full-grid field arrays, so more would only keep dead ones alive.
+_workspace = lru_cache(maxsize=2)(Workspace)
 
 
 workspace.cache_info = _workspace.cache_info

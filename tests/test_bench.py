@@ -86,3 +86,25 @@ def test_import_layer_times_fresh_interpreters(tmp_path, capsys):
         assert isinstance(case["bytecode_cached"], bool)
         assert min(case["import_ms"], case["numpy_ms"]) > 0
     assert "change: import solitonlab.cli after numpy" in capsys.readouterr().out
+
+
+def test_workspace_layer_runs_the_library_loop(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench, "WORKSPACE_CASES",
+                        (("sphere2", (8, 12)), ("torus3", (8, 8, 8))))
+    out = tmp_path / "BENCH_5.json"
+    for label in ("parent", "change"):
+        assert bench.main(["--layer", "workspace", "--label", label, "--out",
+                           str(out), "--repeats", "1"]) == 0
+    data = json.loads(out.read_text())
+    assert data["layer"] == "workspace"
+    assert set(data["sets"]) == {"parent", "change"}
+    for entry in data["sets"].values():
+        assert {"git_sha", "git_dirty", "nproc", "numpy", "python"} <= set(entry)
+        [case] = entry["cases"]
+        assert case["charts"] == [["sphere2", [8, 12]], ["torus3", [8, 8, 8]]]
+        # Per chart: the soliton, the vector field and the coordinate
+        # expression under lap, each built once.
+        assert case["misses"] == 6
+        assert case["currsize"] <= 2
+        assert min(case["loop_ms"], case["peak_rss_mib"]) > 0
+    assert "change: library loop on 2 charts" in capsys.readouterr().out

@@ -9,13 +9,20 @@ import pytest
 import solitonlab.cli as cli
 from solitonlab import geometry, jets, solitons
 from solitonlab.cli import main, render_json
-from solitonlab.manifest import bundled
+from solitonlab.manifest import Manifest, bundled
+from solitonlab.quadrature import default_grid
 from solitonlab.solitons import (
     CHECK_IDS,
     GRADIENT_ONLY,
     CheckReport,
+    SolitonSpec,
+    identity_bochner,
+    identity_div_lie,
+    identity_trace_lie2,
     workspace,
 )
+
+from conftest import random_scalar, random_vector
 
 
 def run(capsys, *argv):
@@ -420,6 +427,45 @@ def test_check_and_integrate_share_the_field_jets(monkeypatch, capsys):
     assert whats.count(repr(bundled(name).soliton.potential.source)) == 1
     t1 = next(c for c in checks["checks"] if c["check_id"] == "T-1")
     assert hess["value"] == t1["integrals"]["int_hess_norm2"]
+
+
+def test_warm_loop_builds_each_workspace_once_and_keeps_two(rng):
+    # The library loop reads f's Workspace, then a vector field's, then f's
+    # and one coordinate expression's under each integrand: no Workspace is
+    # built twice, and the cache keeps no more than two.
+    workspace.cache_clear()
+    targets = 0
+    for name in ("sphere2", "torus3"):
+        ch = bundled(name).chart
+        grid = default_grid(ch, (8,) * ch.dim)
+        spec = SolitonSpec(name=name, chart=ch, kind="yamabe", lam=1.0,
+                           mu=0.0, potential=random_scalar(ch, rng))
+        for check in (identity_trace_lie2, identity_bochner, identity_div_lie):
+            check(spec, grid)
+        identity_trace_lie2(random_vector(ch, rng), grid)
+        man = Manifest(name=name, chart=ch, soliton=spec, fit=None)
+        s = random_scalar(ch, rng).source
+        for text in ("lap(f)", f"lap({s})", "norm2_hess(f)"):
+            cli.cmd_integrate(man, text, grid)
+        targets += 3
+    info = workspace.cache_info()
+    assert info.misses == targets
+    assert info.currsize <= 2
+
+
+def test_integrand_evaluates_each_field_once(monkeypatch):
+    # Three fields under one integrand outnumber the workspace cache; the
+    # integrand still holds s's Workspace, so norm2_hess(s) reuses its jets.
+    whats = []
+    original = geometry._derivatives
+    monkeypatch.setattr(geometry, "_derivatives",
+                        lambda *args: whats.append(args[4]) or original(*args))
+    workspace.cache_clear()
+    man = bundled("sphere2_nonsoliton_yamabe")
+    s, t = "sin(th)*cos(ph)", "cos(th)^2"
+    cli.cmd_integrate(man, f"lap({s}) + lap(f) + lap({t}) + norm2_hess({s})",
+                      default_grid(man.chart, (16, 16)))
+    assert whats.count(repr(s)) == 1
 
 
 def test_integrate_coordinate_expression_matches_order_four_jets(monkeypatch,

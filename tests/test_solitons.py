@@ -20,10 +20,12 @@ from solitonlab.geometry import (
     frame,
     gradient_vector_jets,
     lie_metric_jets,
+    norm2_covec,
     norm2_sym2,
     scalar_field,
     scalar_jets,
     trace_g,
+    trace_g_jet,
     vector_field,
 )
 from solitonlab import solitons
@@ -256,19 +258,48 @@ def test_contracted_trace_values():
     assert abs(rep.info["mean_rhs"]) < 1e-12
 
 
+def warped_random_solitons(kind, rng):
+    """Two solitons of ``kind`` with random potentials on the warped sphere,
+    where r varies, so a wrong constant in front of mu - r or dr shows."""
+    ch = warped_sphere()
+    return [SolitonSpec(name="scratch", chart=ch, kind=kind, lam=0.7, mu=1.3,
+                        potential=random_scalar(ch, rng)) for _ in range(2)]
+
+
 @pytest.mark.parametrize("kind", ["ricci", "yamabe"])
 def test_contracted_trace_is_the_residual_trace_less_tr_U(kind, rng):
     # 2 lam lap f - n (mu - r) (Yamabe; n mu - r for Ricci) is tr S - tr U
-    # for any potential, S the soliton residual.  On the warped sphere r
-    # varies, so a wrong dimension constant leaves a multiple of mu - r.
-    ch = warped_sphere()
-    spec = SolitonSpec(name="scratch", chart=ch, kind=kind, lam=0.7, mu=1.3,
-                       potential=random_scalar(ch, rng))
-    grid = grid_for(ch)
-    rep = run_check(spec, "contracted_trace", grid)
-    ws = workspace(spec, grid)
-    want = max_abs(trace_g(ws.fr, ws.residual) - ws.traceU)
-    assert rep.residuals["contracted_trace"] == pytest.approx(want, rel=1e-12)
+    # for any potential, S the soliton residual.
+    for spec in warped_random_solitons(kind, rng):
+        grid = grid_for(spec.chart)
+        rep = run_check(spec, "contracted_trace", grid)
+        ws = workspace(spec, grid)
+        want = max_abs(trace_g(ws.fr, ws.residual) - ws.traceU)
+        assert rep.residuals["contracted_trace"] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["ricci", "yamabe"])
+def test_div_lie_conclusion_is_the_residual_divergence_over_two_lambda(kind,
+                                                                       rng):
+    # Ric(grad f) - c dr, c = (n-1)/(2 lam) for Yamabe and 1/(4 lam) for
+    # Ricci, is (div S - d tr S - div U + d tr U)/(2 lam) for any potential,
+    # S the soliton residual, whose derivative dS is assembled here.
+    for spec in warped_random_solitons(kind, rng):
+        grid = grid_for(spec.chart)
+        rep = run_check(spec, "div_lie", grid)
+        ws = workspace(spec, grid)
+        fr, lam, mu = ws.fr, spec.lam, spec.mu
+        dS = ws.dU + lam * ws.dT
+        if kind == "ricci":
+            dS = dS + fr.dRic - mu * fr.dg
+        else:
+            dS = (dS + fr.dr[..., :, None, None] * fr.g[..., None, :, :]
+                  - (mu - fr.r)[..., None, None, None] * fr.dg)
+        rhs = (div_sym2(fr, ws.residual, dS) - trace_g_jet(fr, ws.residual, dS)
+               - div_sym2(fr, ws.U, ws.dU) + trace_g_jet(fr, ws.U, ws.dU))
+        want = float(np.sqrt(np.max(norm2_covec(fr, rhs / (2 * lam)))))
+        assert rep.residuals["ric_gradf_conclusion"] == pytest.approx(
+            want, rel=1e-10)
 
 
 # ------------------------------------------------------- residual invariants
