@@ -383,26 +383,28 @@ def frame(ch, x):
 
 
 def hessian(fr, sj, k=0):
-    """Hess(f)_ij for k = 0, its first derivatives d_a Hess(f)_ij for k = 1."""
+    """d^k Hess(f)_ij for k <= 2; a list sj shorter than [f, ..., d^(k+2) f]
+    raises ValueError, since ``leibniz`` would silently drop its terms."""
+    if len(sj) < k + 3:
+        raise ValueError(f"d^{k} of Hess f needs d^{k + 2} f")
     return sj[2 + k] - leibniz(
-        "...kij,...k->...ij", [fr.Gamma, fr.dGamma], sj[1:], k=k)
+        "...kij,...k->...ij", [fr.Gamma, fr.dGamma, fr.d2Gamma], sj[1:], k=k)
 
 
 def laplacian(fr, sj):
     return trace_g(fr, hessian(fr, sj))
 
 
-def gradient_vector_jets(fr, sj, known=()):
+def gradient_vector_jets(fr, sj):
     """[xi, dxi, ...] of xi = grad f from sj = [f, df, ...], one entry fewer
-    than sj: d^k xi needs d^(k+1) f.  The list continues ``known``, the
-    first jets of the same xi, and computes only the entries after them.
+    than sj: d^k xi needs d^(k+1) f.
 
     xi = g^{-1} df, so d^k xi is g^{-1} times d^(k+1) f less the terms of
     d^k (g xi) that hold lower derivatives of xi: ``leibniz`` leaves out the
     one term needing d^k xi, which the list of xi jets does not hold yet.
     """
-    Gs, X = [fr.g, fr.dg, fr.d2g, fr.d3g], list(known)
-    for k, dkf in enumerate(sj[len(X) + 1:], len(X)):
+    Gs, X = [fr.g, fr.dg, fr.d2g, fr.d3g], []
+    for k, dkf in enumerate(sj[1:]):
         rest = dkf - leibniz("...ab,...b->...a", Gs, X, k=k) if k else dkf
         axes = "cde"[:k]
         X.append(leibniz(f"...ab,...{axes}b->...{axes}a", [fr.ginv], [rest],

@@ -187,14 +187,16 @@ class Workspace:
 
     @cached_property
     def vj(self):
-        """Vector jets; a gradient's d3xi is left to ``dU``, its only reader."""
+        """[xi, dxi, d2xi, ...]; a gradient's stop at d2xi, as ``dU`` needs."""
         if isinstance(self.field, ScalarField):
             return gradient_vector_jets(self.fr, self.sj[:4])
         return vector_jets(self.field, self.x)
 
     @cached_property
     def Tjets(self):
-        """(T, dT) for T = L_xi g."""
+        """(T, dT) for T = L_xi g, which is 2 Hess f for xi = grad f."""
+        if isinstance(self.field, ScalarField):
+            return 2 * self.H, 2 * self.dH
         return lie_metric_jets(self.fr, self.vj)
 
     T = property(lambda self: self.Tjets[0])
@@ -207,11 +209,13 @@ class Workspace:
 
     @cached_property
     def dU(self):
-        fr, vj = self.fr, self.vj
+        """d(L_xi L_xi g); a gradient's d2T is 2 d^2 Hess f, from d4f."""
+        fr = self.fr
         if isinstance(self.field, ScalarField):
-            vj = gradient_vector_jets(fr, self.sj, vj)
-        d2T = lie_jet(vj, [fr.g, fr.dg, fr.d2g, fr.d3g], 2)
-        return lie_jet(vj, [self.T, self.dT, d2T], 1)
+            d2T = 2 * hessian(fr, self.sj, k=2)
+        else:
+            d2T = lie_jet(self.vj, [fr.g, fr.dg, fr.d2g, fr.d3g], 2)
+        return lie_jet(self.vj, [self.T, self.dT, d2T], 1)
 
     @cached_property
     def traceU(self):
@@ -261,8 +265,12 @@ class Workspace:
         return norm2_sym2(self.fr, self.H)
 
     @cached_property
+    def dH(self):
+        return hessian(self.fr, self.sj, k=1)
+
+    @cached_property
     def dlap(self):
-        return trace_g_jet(self.fr, self.H, hessian(self.fr, self.sj, k=1))
+        return trace_g_jet(self.fr, self.H, self.dH)
 
     @cached_property
     def glapf(self):

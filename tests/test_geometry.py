@@ -358,6 +358,37 @@ def test_hessian_jet_matches_fd():
         assert max_abs((Lp - Lm) / (2 * h) - dL[..., a]) < 2e-6
 
 
+def test_hessian_second_jet_matches_fd():
+    # d2Gamma enters through d2Gamma df, so the potential depends on both
+    # coordinates of a chart whose Christoffels vary.
+    ch = warped_sphere()
+    f = scalar_field(ch, "cos(th) + 0.3*sin(th)*cos(ph)")
+    rng = np.random.default_rng(5)
+    x = rng.uniform((0.4, 0.0), (math.pi - 0.4, TAU), size=(4, 2))
+    d2H = hessian(frame(ch, x), scalar_jets(f, x, order=4), k=2)
+    h = 1e-5
+    for a in range(2):
+        e = np.zeros(2)
+        e[a] = h
+        dHp = hessian(frame(ch, x + e), scalar_jets(f, x + e), k=1)
+        dHm = hessian(frame(ch, x - e), scalar_jets(f, x - e), k=1)
+        fd = (dHp - dHm) / (2 * h)
+        assert max_abs(fd - d2H[..., a, :, :, :]) < 2e-6 * (1.0 + max_abs(d2H))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_hessian_rejects_a_short_list(k):
+    # As for lie_jet, leibniz would leave out the terms a short list of f's
+    # jets cannot supply.
+    ch = warped_sphere()
+    x = mesh(ch, (3, 3))
+    fr = frame(ch, x)
+    sj = scalar_jets(scalar_field(ch, "cos(th)"), x, order=4)
+    assert hessian(fr, sj[:k + 3], k).shape == (3, 3) + (2,) * (k + 2)
+    with pytest.raises(ValueError, match=fr"needs d\^{k + 2} f"):
+        hessian(fr, sj[:k + 2], k)
+
+
 # ------------------------------------------------- the product rule helper
 # The jet oracle differentiates a product expression as a whole; leibniz
 # assembles the same derivatives from the factors' own jets.

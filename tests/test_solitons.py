@@ -19,6 +19,7 @@ from solitonlab.geometry import (
     div_sym2,
     frame,
     gradient_vector_jets,
+    lie_jet,
     lie_metric_jets,
     norm2_covec,
     norm2_sym2,
@@ -174,14 +175,22 @@ def test_bare_vector_field_never_builds_d2T(monkeypatch):
     assert calls == [1]
 
 
-def test_dU_continues_the_workspace_gradient_jets(monkeypatch):
-    # d3xi feeds only the derivative of L_xi L_xi g: the workspace's vector
-    # jets stop at d2xi, and dU continues that list rather than computing
-    # xi, dxi and d2xi again.
-    calls = []
-    original = solitons.gradient_vector_jets
+def test_gradient_dU_reads_the_hessian_jets(monkeypatch):
+    # L_{grad f} g = 2 Hess f, so a gradient's d2T is 2 d^2 Hess f: the
+    # workspace's vector jets stop at d2xi, nothing builds d3xi, and no
+    # second derivative of a Lie derivative is taken.
+    grad_calls, lie2_calls = [], []
+    original_grad, original_lie = solitons.gradient_vector_jets, solitons.lie_jet
     monkeypatch.setattr(solitons, "gradient_vector_jets",
-                        lambda *args: calls.append(args) or original(*args))
+                        lambda *args: grad_calls.append(args)
+                        or original_grad(*args))
+
+    def counting(vj, Ts, k):
+        if k == 2:
+            lie2_calls.append(1)
+        return original_lie(vj, Ts, k)
+
+    monkeypatch.setattr(solitons, "lie_jet", counting)
     ch = sphere2()
     spec = SolitonSpec(name="cos-th", chart=ch, kind="yamabe", lam=1.0,
                        mu=2.0, potential=scalar_field(ch, "cos(th)"))
@@ -190,20 +199,40 @@ def test_dU_continues_the_workspace_gradient_jets(monkeypatch):
     for cid in CHECK_IDS:
         run_check(spec, cid, grid)
     ws = workspace(spec, grid)
-    assert "dU" in vars(ws) and len(calls) == 2
-    assert len(calls[0]) == 2 and len(calls[0][1]) == 4
-    assert len(calls[1]) == 3 and calls[1][2] is ws.vj
-    assert len(ws.vj) == 3
+    assert "dU" in vars(ws) and len(grad_calls) == 1
+    assert len(grad_calls[0]) == 2 and len(grad_calls[0][1]) == 4
+    assert len(ws.sj) == 5 and len(ws.vj) == 3
+    assert lie2_calls == []
 
 
 def test_bare_scalar_field_jets_stop_at_order_three(rng):
     # d4f feeds only dU, which only a SolitonSpec's premise gates read; a
-    # bare field's workspace has no d3xi to build it from.
+    # bare field's workspace has no d4f to build d^2 Hess f from.
     ch = sphere2()
     ws = workspace(random_scalar(ch, rng), grid_for(ch))
     assert len(ws.sj) == 4
-    with pytest.raises(ValueError, match="needs 4 jets of xi"):
+    with pytest.raises(ValueError, match=r"needs d\^4 f"):
         ws.dU
+
+
+@pytest.mark.parametrize("kind", ["ricci", "yamabe"])
+@pytest.mark.parametrize("name", ["warped", "sphere3", "s2xs1"])
+def test_gradient_lie_jets_match_the_vector_route(name, kind, rng):
+    # The workspace builds T, dT and d2T of a gradient from the Hessian jets;
+    # the route every vector field takes, Lie derivatives of the metric over
+    # the jets of grad f to d3xi, must give the same T, dT and dU.
+    ch = CHART_BUILDERS[name]()
+    spec = SolitonSpec(name="scratch", chart=ch, kind=kind, lam=0.7, mu=1.3,
+                       potential=random_scalar(ch, rng))
+    ws = workspace(spec, grid_for(ch))
+    fr = ws.fr
+    vj = gradient_vector_jets(fr, ws.sj)
+    assert len(vj) == 4
+    T, dT = lie_metric_jets(fr, vj)
+    d2T = lie_jet(vj, [fr.g, fr.dg, fr.d2g, fr.d3g], 2)
+    dU = lie_jet(vj, [T, dT, d2T], 1)
+    for got, want in ((ws.T, T), (ws.dT, dT), (ws.dU, dU)):
+        assert max_abs(got - want) <= 1e-11 * max_abs(want)
 
 
 # ------------------------------------------------------------ pinned anchors
@@ -300,6 +329,29 @@ def test_div_lie_conclusion_is_the_residual_divergence_over_two_lambda(kind,
         want = float(np.sqrt(np.max(norm2_covec(fr, rhs / (2 * lam)))))
         assert rep.residuals["ric_gradf_conclusion"] == pytest.approx(
             want, rel=1e-10)
+
+
+@pytest.mark.parametrize("check_id, kind", [("T-1", "yamabe"), ("T-2", "ricci")])
+def test_pairing_integrals_are_the_residual_pairing_over_two_lambda(
+        check_id, kind, rng):
+    # On a closed chart, int |Hess f|^2 + int Ric(grad f, grad f)
+    # - c int g(grad f, grad r), c = n/(2 lam) for T-1 and 1/(2 lam) for
+    # T-2, is int lap f (tr S - tr U)/(2 lam) for any potential (Bochner and
+    # two integrations by parts).  With lam small and int g(grad f, grad r)
+    # > 0 the pairing hypothesis fails, and its residual is c int g(grad f,
+    # grad r) - int Ric(grad f, grad f).
+    ch = warped_sphere()
+    spec = SolitonSpec(name="scratch", chart=ch, kind=kind, lam=0.2, mu=1.3,
+                       potential=random_scalar(ch, rng))
+    grid = grid_for(ch)
+    rep = run_check(spec, check_id, grid)
+    ws = workspace(spec, grid)
+    assert rep.integrals["int_g_gradf_gradr"] > 1.0
+    bound = rep.hypothesis_residuals["ricci_pairing_lower_bound"]
+    assert bound > 0
+    rhs = ws.integral(ws.lap * (trace_g(ws.fr, ws.residual) - ws.traceU))
+    assert rep.integrals["int_hess_norm2"] - bound == pytest.approx(
+        rhs / (2 * spec.lam), rel=1e-10)
 
 
 # ------------------------------------------------------- residual invariants
