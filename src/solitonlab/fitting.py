@@ -296,6 +296,7 @@ class FitProblem:
             potential=scalar_field(ch, _potential_text(coeffs, self.terms)),
         )
         ws = workspace(soliton, self.full_grid)
+        ws.from_hessian = False  # T = L_xi g from xi's jets, as in set-up
         return FitResult(
             coefficients=tuple(float(c) for c in coeffs),
             lam=lam,

@@ -383,8 +383,7 @@ def frame(ch, x):
 
 
 def hessian(fr, sj, k=0):
-    """d^k Hess(f)_ij for k <= 2; a list sj shorter than [f, ..., d^(k+2) f]
-    raises ValueError, since ``leibniz`` would silently drop its terms."""
+    """d^k Hess(f)_ij for k <= 2 from sj = [f, ..., d^(k+2) f], or more."""
     if len(sj) < k + 3:
         raise ValueError(f"d^{k} of Hess f needs d^{k + 2} f")
     return sj[2 + k] - leibniz(

@@ -174,6 +174,8 @@ class Workspace:
             self.field = target
         self.x, self.w = grid_nodes(target.chart, grid)
         self.fr = grid_frame(target.chart, grid)
+        # L_grad f g = 2 Hess f; a FitProblem's result keeps the Lie route.
+        self.from_hessian = isinstance(self.field, ScalarField)
 
     def integral(self, values):
         """Quadrature of nodal values against the Riemannian volume."""
@@ -187,15 +189,16 @@ class Workspace:
 
     @cached_property
     def vj(self):
-        """[xi, dxi, d2xi, ...]; a gradient's stop at d2xi, as ``dU`` needs."""
+        """[xi, dxi, d2xi, d3xi]; from the Hessian route, only to d2xi."""
         if isinstance(self.field, ScalarField):
-            return gradient_vector_jets(self.fr, self.sj[:4])
+            return gradient_vector_jets(
+                self.fr, self.sj[:4] if self.from_hessian else self.sj)
         return vector_jets(self.field, self.x)
 
     @cached_property
     def Tjets(self):
         """(T, dT) for T = L_xi g, which is 2 Hess f for xi = grad f."""
-        if isinstance(self.field, ScalarField):
+        if self.from_hessian:
             return 2 * self.H, 2 * self.dH
         return lie_metric_jets(self.fr, self.vj)
 
@@ -209,12 +212,9 @@ class Workspace:
 
     @cached_property
     def dU(self):
-        """d(L_xi L_xi g); a gradient's d2T is 2 d^2 Hess f, from d4f."""
         fr = self.fr
-        if isinstance(self.field, ScalarField):
-            d2T = 2 * hessian(fr, self.sj, k=2)
-        else:
-            d2T = lie_jet(self.vj, [fr.g, fr.dg, fr.d2g, fr.d3g], 2)
+        d2T = (2 * hessian(fr, self.sj, k=2) if self.from_hessian
+               else lie_jet(self.vj, [fr.g, fr.dg, fr.d2g, fr.d3g], 2))
         return lie_jet(self.vj, [self.T, self.dT, d2T], 1)
 
     @cached_property

@@ -17,6 +17,7 @@ from solitonlab.fitting import (
 )
 from solitonlab.manifest import bundled
 from solitonlab.quadrature import default_grid
+from solitonlab.solitons import Workspace, workspace
 
 from test_geometry import generic_torus, sphere2, torus2
 
@@ -145,6 +146,23 @@ def test_fit_leaves_no_state_on_the_problem():
         assert problem.history == fresh.history
     assert np.array_equal(problem.residual_stack(coeffs, 1.1, 0.4), y)
     assert np.array_equal(problem._jacobian(coeffs, 1.1), A)
+
+
+def test_fit_result_workspace_keeps_the_vector_route():
+    # The fitted soliton's workspace takes T = L_xi g and d2T from xi's jets
+    # to d3xi, as the fit's own set-up does; a fresh workspace of the same
+    # potential takes them from Hess f.  Both give the same T, dT and dU.
+    problem = small_problem(torus2(), "ricci", "fourier", 1)
+    res = problem.fit(FitInit(coefficients=(0.3, 0.05, -0.1, 0.02, 0.0),
+                              lam=0.8, mu=0.3))
+    ws = workspace(res.soliton, problem.full_grid)
+    assert not ws.from_hessian and "Tjets" in vars(ws)
+    fresh = Workspace(res.soliton, problem.full_grid)
+    assert fresh.from_hessian
+    assert len(ws.vj) == 4 and len(fresh.vj) == 3
+    for name in ("T", "dT", "dU"):
+        got, want = getattr(ws, name), getattr(fresh, name)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------- structure
