@@ -34,13 +34,7 @@ import numpy as np
 from . import __version__
 from .expr import Geo, eval_values, parse_integrand
 from .fitting import FitProblem
-from .geometry import (
-    ScalarField,
-    _node_label,
-    norm2_sym2,
-    raise_covec,
-    ric_vv,
-)
+from .geometry import ScalarField, _node_label, raise_covec, ric_vv
 from .manifest import ManifestError, bundled, bundled_names, load_manifest
 from .quadrature import QuadratureError, axis_rules, default_grid, grid_nodes
 from .records import asdict
@@ -50,6 +44,8 @@ from .solitons import (
     SolitonError,
     Tolerances,
     grid_frame,
+    integral,
+    max_norm,
     run_check,
     workspace,
 )
@@ -159,9 +155,7 @@ def _integrand_values(man, grid, source):
 
 def cmd_describe(man, grid):
     ch = man.chart
-    spec = grid if grid is not None else default_grid(ch)
-    _, w = grid_nodes(ch, spec)
-    fr = grid_frame(ch, spec)
+    fr = grid_frame(ch, grid)
     dev = fr.Ric - (fr.r / ch.dim)[..., None, None] * fr.g
     report = {
         "command": "describe",
@@ -172,11 +166,11 @@ def cmd_describe(man, grid):
              "periodic": ch.periodic[i]}
             for i, c in enumerate(ch.coords)
         ],
-        "grid": list(spec.counts),
-        "volume": float(np.sum(w * fr.sqrtg)),
+        "grid": list(grid.counts),
+        "volume": integral(ch, grid, 1.0),
         "scalar_curvature": {"min": float(fr.r.min()),
                              "max": float(fr.r.max())},
-        "einstein_deviation_max": float(np.sqrt(np.max(norm2_sym2(fr, dev)))),
+        "einstein_deviation_max": max_norm(fr, dev),
     }
     if man.soliton is not None:
         sol = man.soliton
@@ -202,10 +196,10 @@ def _select_checks(man, ids):
     return ids
 
 
-def _run_suite(sol, ids, spec, tol):
+def _run_suite(sol, ids, grid, tol):
     """The checks ``ids`` on ``sol``: verdict counts, per-check reports and
     the exit code, 1 if any verdict is violated."""
-    reports = [run_check(sol, cid, spec, tol) for cid in ids]
+    reports = [run_check(sol, cid, grid, tol) for cid in ids]
     counts = {v: sum(1 for r in reports if r.verdict == v) for v in VERDICTS}
     return counts, [asdict(r) for r in reports], 1 if counts["violated"] else 0
 
@@ -213,13 +207,12 @@ def _run_suite(sol, ids, spec, tol):
 def cmd_check(man, ids, grid, tol):
     if man.soliton is None:
         raise ManifestError("soliton", "the check command needs a soliton block")
-    spec = grid if grid is not None else default_grid(man.chart)
-    counts, checks, code = _run_suite(man.soliton, ids, spec, tol)
+    counts, checks, code = _run_suite(man.soliton, ids, grid, tol)
     report = {
         "command": "check",
         "manifest": man.name,
         "kind": man.soliton.kind,
-        "grid": list(spec.counts),
+        "grid": list(grid.counts),
         "tolerances": asdict(tol),
         "verdict_counts": counts,
         "checks": checks,
@@ -230,8 +223,7 @@ def cmd_check(man, ids, grid, tol):
 def cmd_integrate(man, expression, grid):
     ch = man.chart
     spec = grid if grid is not None else default_grid(ch)
-    x, w = grid_nodes(ch, spec)
-    fr = grid_frame(ch, spec)
+    x, _ = grid_nodes(ch, spec)
     values = _integrand_values(man, spec, expression)
     finite = np.isfinite(values)
     if not finite.all():
@@ -240,7 +232,7 @@ def cmd_integrate(man, expression, grid):
             f"integrand not defined at {_node_label(ch, x, flat, values.shape)}: "
             f"value {float(values.flat[flat])!r}"
         )
-    total = float(np.sum(values * w * fr.sqrtg))
+    total = integral(ch, spec, values)
     if not math.isfinite(total):
         raise QuadratureError("integral of a finite integrand overflowed")
     report = {
@@ -258,9 +250,8 @@ def cmd_fit(man, grid, tol):
     fit = man.fit
     if fit is None:
         raise ManifestError("fit", "the fit command needs a fit block")
-    spec = grid if grid is not None else default_grid(man.chart)
-    result = FitProblem(fit.kind, fit.basis, grid=spec).fit(fit.init)
-    counts, checks, code = _run_suite(result.soliton, CHECK_IDS, spec, tol)
+    result = FitProblem(fit.kind, fit.basis, grid=grid).fit(fit.init)
+    counts, checks, code = _run_suite(result.soliton, CHECK_IDS, grid, tol)
     report = {
         "command": "fit",
         "manifest": man.name,
@@ -304,8 +295,9 @@ def _resolve_manifest(arg):
 
 
 def _parse_grid(text, ch):
+    """The grid ``--grid`` names, or the chart's default grid without one."""
     try:
-        counts = tuple(int(part) for part in text.split(","))
+        counts = tuple(int(part) for part in text.split(",")) if text else None
     except ValueError:
         raise QuadratureError(
             f"--grid expects comma separated integers, got {text!r}"
@@ -358,7 +350,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         man = _resolve_manifest(args.manifest)
-        grid = _parse_grid(args.grid, man.chart) if args.grid else None
+        grid = _parse_grid(args.grid, man.chart)
         tol = (Tolerances.uniform(args.tol) if args.tol is not None
                else Tolerances())
         if args.command == "describe":

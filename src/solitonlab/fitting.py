@@ -34,6 +34,7 @@ accepted steps.  ``iterations`` counts accepted steps, so ``history`` holds
 ``iterations + 1`` values.
 """
 
+from itertools import product
 from typing import Optional, Tuple
 
 import numpy as np
@@ -95,34 +96,18 @@ class BasisExpansion:
         """DSL texts, constant first; tensor products pruned by total degree."""
         factors = []
         for name, periodic in zip(self.chart.coords, self.chart.periodic):
-            if periodic and self.family in ("fourier", "product"):
-                fs = [("1", 0)]
-                for m in range(1, self.degree + 1):
+            fs = [("1", 0)]
+            for m in range(1, self.degree + 1):
+                if periodic and self.family in ("fourier", "product"):
                     arg = name if m == 1 else f"{m}*{name}"
                     fs += [(f"sin({arg})", m), (f"cos({arg})", m)]
-            elif not periodic and self.family in ("poly-cos", "product"):
-                fs = [("1", 0)]
-                for m in range(1, self.degree + 1):
+                elif not periodic and self.family in ("poly-cos", "product"):
                     power = f"cos({name})" if m == 1 else f"cos({name})^{m}"
                     fs.append((power, m))
-            else:
-                fs = [("1", 0)]
             factors.append(fs)
-        combos = [("", 0)]
-        for fs in factors:
-            grown = []
-            for acc, d in combos:
-                for text, m in fs:
-                    if d + m > self.degree:
-                        continue
-                    if text == "1":
-                        grown.append((acc, d))
-                    elif not acc:
-                        grown.append((text, d + m))
-                    else:
-                        grown.append((f"{acc}*{text}", d + m))
-            combos = grown
-        return tuple(text if text else "1" for text, _ in combos)
+        return tuple("*".join(t for t, _ in combo if t != "1") or "1"
+                      for combo in product(*factors)
+                      if sum(m for _, m in combo) <= self.degree)
 
 
 @record

@@ -161,25 +161,43 @@ grid_frame.cache_info = _grid_frame.cache_info
 grid_frame.cache_clear = _grid_frame.cache_clear
 
 
+def integral(ch, grid, values):
+    """Quadrature of nodal values against the Riemannian volume."""
+    return float(np.sum(values * grid_nodes(ch, grid)[1]
+                        * grid_frame(ch, grid).sqrtg))
+
+
+def max_norm(fr, values):
+    """The largest value over the nodes of |.| of a scalar field, or of the
+    g-norm of a covector or symmetric 2-tensor field; the rank is what
+    ``values`` has beyond the grid's axes.  A plain number passes through."""
+    rank = np.ndim(values) - fr.r.ndim
+    if rank < 0:
+        return values
+    if rank == 0:
+        return float(np.max(np.abs(values)))
+    norm2 = norm2_covec if rank == 1 else norm2_sym2
+    return float(np.sqrt(np.max(norm2(fr, values))))
+
+
 class Workspace:
     """The field quantities and gate maxima the checks read, for one soliton
     or one bare ScalarField/VectorField on one grid.  Each is computed the
     first time it is read; the residual and its maximum need a SolitonSpec."""
 
     def __init__(self, target, grid):
-        self.target = target
+        self.target, self.grid = target, grid
         if isinstance(target, SolitonSpec):
             self.field = target.potential if target.is_gradient else target.vector
         else:
             self.field = target
-        self.x, self.w = grid_nodes(target.chart, grid)
+        self.x, _ = grid_nodes(target.chart, grid)
         self.fr = grid_frame(target.chart, grid)
         # L_grad f g = 2 Hess f; a FitProblem's result keeps the Lie route.
         self.from_hessian = isinstance(self.field, ScalarField)
 
     def integral(self, values):
-        """Quadrature of nodal values against the Riemannian volume."""
-        return float(np.sum(values * self.w * self.fr.sqrtg))
+        return integral(self.target.chart, self.grid, values)
 
     @cached_property
     def sj(self):
@@ -223,15 +241,15 @@ class Workspace:
 
     @cached_property
     def trace_lie2_max(self):
-        return _max_abs(self.traceU)
+        return max_norm(self.fr, self.traceU)
 
     @cached_property
     def grad_trace_lie2_max(self):
-        return _max_covec(self.fr, trace_g_jet(self.fr, self.U, self.dU))
+        return max_norm(self.fr, trace_g_jet(self.fr, self.U, self.dU))
 
     @cached_property
     def div_lie2_max(self):
-        return _max_covec(self.fr, div_sym2(self.fr, self.U, self.dU))
+        return max_norm(self.fr, div_sym2(self.fr, self.U, self.dU))
 
     @cached_property
     def divxi(self):
@@ -244,7 +262,7 @@ class Workspace:
 
     @cached_property
     def soliton_residual(self):
-        return _max_sym2(self.fr, self.residual)
+        return max_norm(self.fr, self.residual)
 
     @cached_property
     def ric_xi(self):
@@ -316,32 +334,21 @@ def _vol_mean(ws, values):
 
 
 def _deviation(ws, values):
-    """max |values - their volume mean|."""
-    return _max_abs(values - _vol_mean(ws, values))
-
-
-def _max_sym2(fr, T):
-    return float(np.sqrt(np.max(norm2_sym2(fr, T))))
-
-
-def _max_covec(fr, w):
-    return float(np.sqrt(np.max(norm2_covec(fr, w))))
-
-
-def _max_abs(values):
-    return float(np.max(np.abs(values)))
+    """values less their volume mean."""
+    return values - _vol_mean(ws, values)
 
 
 # --------------------------------------------------------------- the reports
 
 
-def _build_report(check_id, grid, tol, conclusions, hypotheses,
+def _build_report(check_id, fr, grid, tol, conclusions, hypotheses,
                   integrals=None, info=None, notes=()):
-    """conclusions/hypotheses: name -> (value, tolerance)."""
-    residuals = {k: float(v) for k, (v, _) in conclusions.items()}
-    hyp = {k: float(v) for k, (v, _) in hypotheses.items()}
-    conclusions_ok = all(v <= t for v, t in conclusions.values())
-    hypotheses_ok = all(v <= t for v, t in hypotheses.values())
+    """conclusions/hypotheses: name -> (residual field or value, tolerance),
+    each reduced by ``max_norm`` on the frame ``fr``."""
+    residuals = {k: float(max_norm(fr, v)) for k, (v, _) in conclusions.items()}
+    hyp = {k: float(max_norm(fr, v)) for k, (v, _) in hypotheses.items()}
+    conclusions_ok = all(residuals[k] <= t for k, (_, t) in conclusions.items())
+    hypotheses_ok = all(hyp[k] <= t for k, (_, t) in hypotheses.items())
     if not hypotheses_ok:
         verdict = "hypothesis-not-met"
     elif conclusions_ok:
@@ -386,17 +393,18 @@ def _indicator_gate(ok, notes, failure, note):
 # ------------------------------------------------------------ the statements
 # Each takes the Workspace (the frame, for a frame-only check), the tolerances
 # and the notes, which it may append to, and returns the check's own
-# (conclusions, hypotheses, integrals, info), with name -> (value, tolerance).
+# (conclusions, hypotheses, integrals, info), with name -> (residual field or
+# value, tolerance); the report keeps each field's ``max_norm``.
 
 
 def _trace_lie2(ws, tol, notes):
     rhs = 2.0 * (nabla_vec_norm2(ws.fr, ws.vj) + ws.div_cov - ws.ric_xi)
-    return {"trace_formula": (_max_abs(ws.traceU - rhs), tol.pointwise)}, {}, {}, {}
+    return {"trace_formula": (ws.traceU - rhs, tol.pointwise)}, {}, {}, {}
 
 
 def _bochner(ws, tol, notes):
     rhs = ws.hess2 + ws.ric_xi + ws.glapf
-    return {"bochner": (_max_abs(0.5 * ws.lap_phi - rhs), tol.pointwise)}, {}, {}, {}
+    return {"bochner": (0.5 * ws.lap_phi - rhs, tol.pointwise)}, {}, {}, {}
 
 
 def _lemma_hessian(ws, tol, notes):
@@ -410,7 +418,7 @@ def _lemma_hessian(ws, tol, notes):
         "even_more_minus_div": lhs - (2 * ricff - ws.div_cov - c * ws.gfr),
         "traced_gradient": 2 * spec.lam * ws.glapf + n_or_1 * ws.gfr,
     }
-    return {k: (_max_abs(v), tol.pointwise) for k, v in lines.items()}, {}, {}, {}
+    return {k: (v, tol.pointwise) for k, v in lines.items()}, {}, {}, {}
 
 
 def _div_lie(ws, tol, notes):
@@ -426,8 +434,8 @@ def _div_lie(ws, tol, notes):
         "Ric(X, grad f) conclusion relies on the hypotheses"
     )
     return {
-        "div_lie_formula": (_max_covec(fr, unconditional), tol.pointwise),
-        "ric_gradf_conclusion": (_max_covec(fr, conditional), tol.pointwise),
+        "div_lie_formula": (unconditional, tol.pointwise),
+        "ric_gradf_conclusion": (conditional, tol.pointwise),
     }, {}, {}, {}
 
 
@@ -438,7 +446,7 @@ def _prop_p2(ws, tol, notes):
         rhs = ((n - 2) / (n - 1)) * ws.hess2 - ws.div_cov / (n - 1)
     else:
         rhs = -ws.div_cov
-    return {"prop_p2": (_max_abs(0.5 * ws.lap_phi - rhs), tol.pointwise)}, {}, {}, {}
+    return {"prop_p2": (0.5 * ws.lap_phi - rhs, tol.pointwise)}, {}, {}, {}
 
 
 def _contracted_trace(ws, tol, notes):
@@ -448,7 +456,7 @@ def _contracted_trace(ws, tol, notes):
         rhs = spec.dim * (spec.mu - ws.fr.r)
     else:
         rhs = spec.dim * spec.mu - ws.fr.r
-    conclusions = {"contracted_trace": (_max_abs(lhs - rhs), tol.pointwise)}
+    conclusions = {"contracted_trace": (lhs - rhs, tol.pointwise)}
     info = {"mean_lhs": _vol_mean(ws, lhs), "mean_rhs": _vol_mean(ws, rhs)}
     return conclusions, {}, {}, info
 
@@ -464,7 +472,7 @@ def _remark_csc(ws, tol, notes):
 
 def _schur(fr, tol, notes):
     residual = div_sym2(fr, fr.Ric, fr.dRic) - 0.5 * fr.dr
-    return {"schur": (_max_covec(fr, residual), tol.pointwise)}, {}, {}, {}
+    return {"schur": (residual, tol.pointwise)}, {}, {}, {}
 
 
 def _nonpositive(name, label, value, tol, notes):
@@ -478,8 +486,7 @@ def _t_c(ws, tol, notes):
     hypotheses, integrals = _nonpositive(
         "int_ric_xi_xi", "int_ric_xi_xi <= 0",
         ws.integral(ws.ric_xi), tol, notes)
-    killing = _max_sym2(ws.fr, ws.T)
-    return {"killing_residual": (killing, tol.pointwise)}, hypotheses, integrals, {}
+    return {"killing_residual": (ws.T, tol.pointwise)}, hypotheses, integrals, {}
 
 
 def _ricci_pairing(ws, tol, notes, coef, name, values, label):
@@ -507,9 +514,9 @@ def _pairing_triviality(ws, tol, notes, yamabe):
         "int_g_gradf_gradr", ws.gfr, "int g(grad f, grad r)",
     )
     r_target = spec.mu if yamabe else n * spec.mu
-    residual = _max_abs(ws.fr.r - r_target)
-    return ({"scalar_curvature_minus_target": (residual, tol.pointwise)},
-            hypotheses, integrals, {"r_target": r_target})
+    conclusions = {"scalar_curvature_minus_target": (ws.fr.r - r_target,
+                                                      tol.pointwise)}
+    return conclusions, hypotheses, integrals, {"r_target": r_target}
 
 
 def _t_cor(ws, tol, notes):
@@ -558,9 +565,9 @@ def _p_csc(ws, tol, notes):
                  "the trace deviation is reported as info")
     conclusions = {
         "scalar_curvature_deviation": (_deviation(ws, fr.r), tol.pointwise),
-        "proof_identity": (_max_abs(identity), tol.pointwise),
+        "proof_identity": (identity, tol.pointwise),
     }
-    info = {"trace_lie2_deviation": _deviation(ws, ws.traceU)}
+    info = {"trace_lie2_deviation": max_norm(fr, _deviation(ws, ws.traceU))}
     return conclusions, hypotheses, integrals, info
 
 
@@ -611,14 +618,31 @@ CHECK_IDS = tuple(_CATALOG)
 GRADIENT_ONLY = tuple(cid for cid, row in _CATALOG.items() if row.gradient)
 
 
+def _target_types(row):
+    """What a row takes: schur any target with a chart; a row without gates
+    also a bare field, a ScalarField if it needs a gradient; the rest a
+    SolitonSpec."""
+    if row.frame_only:
+        return Chart, ScalarField, VectorField, SolitonSpec
+    if row.gates is None:
+        return (SolitonSpec, ScalarField) + (() if row.gradient else (VectorField,))
+    return (SolitonSpec,)
+
+
 def evaluate_theorem(check_id, target, grid=None, tol=Tolerances()):
     """Evaluate one catalog entry on a SolitonSpec; the unconditional
-    identities also take a bare ScalarField or VectorField, schur a Chart."""
+    identities also take a bare field (bochner only a ScalarField), schur a
+    Chart."""
     row = _CATALOG.get(check_id)
     if row is None:
         raise SolitonError(
             f"unknown check id {check_id!r}; valid ids: {', '.join(CHECK_IDS)}"
         )
+    types = _target_types(row)
+    if not isinstance(target, types):
+        names = " or ".join(t.__name__ for t in types)
+        raise SolitonError(f"check {check_id!r} takes a {names}, "
+                           f"not a {type(target).__name__}")
     if row.gradient and isinstance(target, SolitonSpec) and not target.is_gradient:
         raise SolitonError(
             f"check {check_id!r} needs a gradient potential, and soliton "
@@ -626,7 +650,8 @@ def evaluate_theorem(check_id, target, grid=None, tol=Tolerances()):
         )
     ch = target if isinstance(target, Chart) else target.chart
     grid = default_grid(ch) if grid is None else grid
-    ws = grid_frame(ch, grid) if row.frame_only else workspace(target, grid)
+    fr = grid_frame(ch, grid)
+    ws = fr if row.frame_only else workspace(target, grid)
     notes = []
     hypotheses = {} if row.gates is None else _soliton_gates(ws, tol, row.gates)
     if row.kind is not None:
@@ -642,7 +667,7 @@ def evaluate_theorem(check_id, target, grid=None, tol=Tolerances()):
         integrals["int_hess_norm2"] = ws.integral(ws.hess2)
         conclusions = {"int_hess_norm2": (integrals["int_hess_norm2"],
                                           tol.integral), **conclusions}
-    return _build_report(check_id, grid, tol, conclusions,
+    return _build_report(check_id, fr, grid, tol, conclusions,
                          {**hypotheses, **more}, integrals, info, notes)
 
 

@@ -484,23 +484,24 @@ def test_integrate_coordinate_expression_matches_order_four_jets(monkeypatch,
 
 
 def test_integrate_errors_exit_2(capsys):
+    # A parse error names its offset; the rest fail after parsing.
     cases = [
-        ("sphere2", "f"),
-        ("sphere2", "gradf"),
-        ("sphere2", "lap(r)"),
-        ("sphere2", "ric(gradr)"),
-        ("sphere2", "ric(gradr, q)"),
-        ("sphere2", "unknown_name + 1"),
-        ("sphere2", "sin(th"),
-        ("sphere2", "exp(3^6)*r"),
+        (("sphere2", "f"), "declares no gradient potential"),
+        (("sphere2", "gradf"), "at offset"),
+        (("sphere2", "lap(r)"), "at offset"),
+        (("sphere2", "ric(gradr)"), "at offset"),
+        (("sphere2", "ric(gradr, q)"), "at offset"),
+        (("sphere2", "unknown_name + 1"), "at offset"),
+        (("sphere2", "sin(th"), "at offset"),
+        (("sphere2", "exp(3^6)*r"), "at offset"),
+        (("sphere2_yamabe_trivial", "g(xi,xi)"), "declares no vector potential"),
+        (("sphere2", "1", "--grid", "64,x"),
+         "--grid expects comma separated integers, got '64,x'"),
     ]
-    for manifest, expression in cases:
-        code, out, err = run(capsys, "integrate", manifest, expression)
-        assert code == 2, (manifest, expression)
-        assert err.startswith("error:")
-        # Only the first case fails after parsing: sphere2 declares no potential.
-        if expression != "f":
-            assert "at offset" in err, expression
+    for argv, message in cases:
+        code, out, err = run(capsys, "integrate", *argv)
+        assert code == 2, argv
+        assert err.startswith("error:") and message in err, argv
 
 
 def test_integrate_non_finite_names_first_bad_node(capsys):

@@ -122,6 +122,9 @@ def test_spans_cover_source():
         ("2 - 1e308/1e-10", 4),
         ("1 + 0*(1e308*10)", 7),
         ("1e400", 0),
+        ("(-8)^(1/3)", 1),
+        ("0^(-1)", 0),
+        ("10^400", 0),
     ],
 )
 def test_error_offsets(source, offset):

@@ -15,9 +15,10 @@ from solitonlab.fitting import (
     FitInit,
     FitProblem,
 )
+from solitonlab.geometry import chart
 from solitonlab.manifest import bundled
 from solitonlab.quadrature import default_grid
-from solitonlab.solitons import Workspace, workspace
+from solitonlab.solitons import SolitonError, Workspace, workspace
 
 from test_geometry import generic_torus, sphere2, torus2
 
@@ -280,6 +281,12 @@ def test_basis_validation():
         BasisExpansion(sphere2(), "fourier", -1)
     with pytest.raises(FitError, match="nonperiodic"):
         BasisExpansion(torus2(), "poly-cos", 1)
+    with pytest.raises(FitError, match="fourier basis needs a periodic"):
+        BasisExpansion(chart("box", ("x", "y"), (0, 0), (1, 1),
+                             (False, False), [["1", "0"], ["0", "1"]]),
+                       "fourier", 1)
+    with pytest.raises(SolitonError, match="unknown soliton kind 'gauss'"):
+        FitProblem("gauss", BasisExpansion(sphere2(), "product", 1))
 
 
 def test_init_length_mismatch():

@@ -118,12 +118,31 @@ def test_exclusion_margin_is_an_unknown_field():
         ("grid", [16, True], "grid"),
         ("grid", "fine", "grid"),
         ("dim", True, "dim: expected int, got bool"),
+        ("metric", ["1", "1"], "metric: expected 2 rows"),
+        ("domain", [[0, "1/0"], [0, 1]], r"domain\[0\]\[1\]: division by zero"),
     ],
 )
 def test_manifold_field_errors(key, value, path):
     data = base()
     data["manifold"][key] = value
     with pytest.raises(ManifestError, match=f"manifold.{path}"):
+        parse_manifest(data)
+
+
+@pytest.mark.parametrize(
+    "block,value,message",
+    [
+        ("manifold", [1], "manifold: expected an object"),
+        ("soliton", [1], "soliton: expected an object"),
+        ("fit", "fourier", "fit: expected an object"),
+        ("manifold", dict(base()["manifold"], domain=[[1, 1], [0, 1]]),
+         r"manifold: chart 'torus2': empty range \[1.0, 1.0\] for 'x'"),
+    ],
+)
+def test_block_errors(block, value, message):
+    data = base()
+    data[block] = value
+    with pytest.raises(ManifestError, match=f"^{message}$"):
         parse_manifest(data)
 
 
@@ -165,6 +184,9 @@ def test_soliton_bad_potential_shape():
         parse_manifest(with_soliton(potential={"vector": ["1"]}))
     with pytest.raises(ManifestError, match=r"potential.gradient"):
         parse_manifest(with_soliton(potential={"gradient": "sin(q)"}))
+    with pytest.raises(ManifestError,
+                       match=r"potential.gradient: expected an expression"):
+        parse_manifest(with_soliton(potential={"gradient": 1}))
 
 
 def test_fit_block_parses_with_defaults():
@@ -195,6 +217,10 @@ def test_fit_block_options_and_init():
     "block,path",
     [
         ({"basis": "fourier", "degree": 1}, "fit.kind"),
+        ({"kind": "gauss", "basis": "fourier", "degree": 1},
+         "fit.kind: expected one of"),
+        ({"kind": "ricci", "basis": "fourier", "degree": 1, "init": [0]},
+         "fit.init: expected an object"),
         ({"kind": "ricci", "basis": "wavelet", "degree": 1}, "fit.basis"),
         ({"kind": "ricci", "basis": "fourier", "degree": -1}, "fit.degree"),
         ({"kind": "ricci", "basis": "fourier", "degree": 1,

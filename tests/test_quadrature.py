@@ -207,6 +207,8 @@ def test_grid_validation():
         GridSpec((4, 16))
     with pytest.raises(QuadratureError):
         default_grid(ch, (16, 16, 16))
+    with pytest.raises(QuadratureError, match="grid spec has 3 axes"):
+        grid_nodes(ch, GridSpec((16, 16, 16)))
 
 
 def test_degenerate_metric_names_its_node():

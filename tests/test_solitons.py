@@ -9,6 +9,7 @@ hypothesis gates rather than the conclusions.
 
 import importlib.util
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +31,12 @@ from solitonlab.geometry import (
     vector_field,
 )
 from solitonlab import solitons
+from solitonlab.manifest import bundled
 from solitonlab.quadrature import default_grid, grid_nodes
 from solitonlab.solitons import (
     CHECK_IDS,
+    GRADIENT_ONLY,
+    CheckReport,
     SolitonError,
     SolitonSpec,
     Tolerances,
@@ -307,23 +311,34 @@ def test_contracted_trace_is_the_residual_trace_less_tr_U(kind, rng):
         assert rep.residuals["contracted_trace"] == pytest.approx(want, rel=1e-12)
 
 
+def residual_derivative(ws):
+    """dS, the first derivative of the soliton residual S, assembled from
+    the workspace's jets."""
+    spec, fr = ws.target, ws.fr
+    dS = ws.dU + spec.lam * ws.dT
+    if spec.kind == "ricci":
+        return dS + fr.dRic - spec.mu * fr.dg
+    return (dS + fr.dr[..., :, None, None] * fr.g[..., None, :, :]
+            - (spec.mu - fr.r)[..., None, None, None] * fr.dg)
+
+
+def trace_defect(ws):
+    """D = tr S - tr U, S the soliton residual: 2 lam lap f - n (mu - r)
+    for Yamabe, 2 lam lap f - (n mu - r) for Ricci."""
+    return trace_g(ws.fr, ws.residual) - ws.traceU
+
+
 @pytest.mark.parametrize("kind", ["ricci", "yamabe"])
 def test_div_lie_conclusion_is_the_residual_divergence_over_two_lambda(kind,
                                                                        rng):
     # Ric(grad f) - c dr, c = (n-1)/(2 lam) for Yamabe and 1/(4 lam) for
     # Ricci, is (div S - d tr S - div U + d tr U)/(2 lam) for any potential,
-    # S the soliton residual, whose derivative dS is assembled here.
+    # S the soliton residual.
     for spec in warped_random_solitons(kind, rng):
         grid = grid_for(spec.chart)
         rep = run_check(spec, "div_lie", grid)
         ws = workspace(spec, grid)
-        fr, lam, mu = ws.fr, spec.lam, spec.mu
-        dS = ws.dU + lam * ws.dT
-        if kind == "ricci":
-            dS = dS + fr.dRic - mu * fr.dg
-        else:
-            dS = (dS + fr.dr[..., :, None, None] * fr.g[..., None, :, :]
-                  - (mu - fr.r)[..., None, None, None] * fr.dg)
+        fr, lam, dS = ws.fr, spec.lam, residual_derivative(ws)
         rhs = (div_sym2(fr, ws.residual, dS) - trace_g_jet(fr, ws.residual, dS)
                - div_sym2(fr, ws.U, ws.dU) + trace_g_jet(fr, ws.U, ws.dU))
         want = float(np.sqrt(np.max(norm2_covec(fr, rhs / (2 * lam)))))
@@ -352,6 +367,67 @@ def test_pairing_integrals_are_the_residual_pairing_over_two_lambda(
     rhs = ws.integral(ws.lap * (trace_g(ws.fr, ws.residual) - ws.traceU))
     assert rep.integrals["int_hess_norm2"] - bound == pytest.approx(
         rhs / (2 * spec.lam), rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["ricci", "yamabe"])
+def test_t_sq_pairing_is_the_residual_trace_pairing(kind, rng):
+    # With rho = n(mu - r)/(2 lam) for Yamabe and (n mu - r)/(2 lam) for
+    # Ricci, T-SQ's hypothesis reads int Ric(grad f, grad f) >= int rho^2,
+    # and int |Hess f|^2 + int Ric(grad f, grad f) - int rho^2 is
+    # int (lap f + rho) D/(2 lam) for any potential (Bochner, integrated).
+    # With lam small the hypothesis fails, and its residual is
+    # int rho^2 - int Ric(grad f, grad f).
+    ch = warped_sphere()
+    spec = SolitonSpec(name="scratch", chart=ch, kind=kind, lam=0.05, mu=1.3,
+                       potential=random_scalar(ch, rng))
+    grid = grid_for(ch)
+    rep = evaluate_theorem("T-SQ", spec, grid)
+    ws = workspace(spec, grid)
+    n, lam, r = ch.dim, spec.lam, ws.fr.r
+    rho = (n * (spec.mu - r) if kind == "yamabe" else n * spec.mu - r) / (2 * lam)
+    bound = rep.hypothesis_residuals["ricci_pairing_lower_bound"]
+    assert bound > 0
+    rhs = ws.integral((ws.lap + rho) * trace_defect(ws)) / (2 * lam)
+    assert rep.integrals["int_hess_norm2"] - bound == pytest.approx(
+        rhs, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["ricci", "yamabe"])
+def test_t_cor_pairing_is_the_residual_trace_pairing(kind, rng):
+    # int (lap f)^2 - c int g(grad f, grad r), c = n/(2 lam) for Yamabe and
+    # 1/(2 lam) for Ricci, is int lap f D/(2 lam) for any potential; T-COR
+    # reports lam int g(grad f, grad r).
+    for spec in warped_random_solitons(kind, rng):
+        grid = grid_for(spec.chart)
+        rep = evaluate_theorem("T-COR", spec, grid)
+        ws = workspace(spec, grid)
+        lam = spec.lam
+        c = (spec.dim if kind == "yamabe" else 1.0) / (2 * lam)
+        lhs = (ws.integral(ws.lap**2)
+               - c / lam * rep.integrals["lam_int_g_gradf_gradr"])
+        rhs = ws.integral(ws.lap * trace_defect(ws)) / (2 * lam)
+        assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["ricci", "yamabe"])
+def test_lemma_hessian_lines_are_the_residual_trace_gradient(kind, rng):
+    # Differentiating D = 2 lam lap f - n (mu - r) (Yamabe; n mu - r for
+    # Ricci) gives g(grad D, grad f) = 2 lam g(grad lap f, grad f)
+    # + (n or 1) g(grad f, grad r), the traced_gradient line; with Bochner
+    # the main line is g(grad D, grad f)/(2 lam), for any potential.
+    for spec in warped_random_solitons(kind, rng):
+        grid = grid_for(spec.chart)
+        rep = evaluate_theorem("lemma_hessian", spec, grid)
+        ws = workspace(spec, grid)
+        fr = ws.fr
+        dD = (trace_g_jet(fr, ws.residual, residual_derivative(ws))
+              - trace_g_jet(fr, ws.U, ws.dU))
+        want = max_abs(np.einsum("...ab,...a,...b->...", fr.ginv, dD,
+                                 ws.sj[1]))
+        assert rep.residuals["traced_gradient"] == pytest.approx(want,
+                                                                 rel=1e-10)
+        assert rep.residuals["main"] == pytest.approx(want / (2 * spec.lam),
+                                                      rel=1e-10)
 
 
 # ------------------------------------------------------- residual invariants
@@ -415,8 +491,8 @@ def test_full_check_computes_each_shared_quantity_once(monkeypatch):
         monkeypatch.setattr(solitons, name, lambda *args: seen.append(
             (name, args)) or original(*args))
 
-    for name in ("_max_abs", "_max_covec", "_max_sym2", "norm2_sym2", "ric_vv",
-                 "trace_g_jet", "div_sym2"):
+    for name in ("max_norm", "norm2_sym2", "ric_vv", "trace_g_jet",
+                 "div_sym2"):
         spy(name)
     ch = sphere2()
     spec = SolitonSpec(name="scratch", chart=ch, kind="yamabe", lam=1.0,
@@ -425,13 +501,16 @@ def test_full_check_computes_each_shared_quantity_once(monkeypatch):
     workspace.cache_clear()
     for cid in CHECK_IDS:
         run_check(spec, cid, grid)
-    repeated = [(name, k) for k, (name, args) in enumerate(seen)
-                if any(n == name and a[-1] is args[-1] for n, a in seen[:k])]
+    # max_norm hands a number back as it is; only a field is reduced.
+    fields = [(name, args) for name, args in seen
+              if isinstance(args[-1], np.ndarray)]
+    repeated = [(name, k) for k, (name, args) in enumerate(fields)
+                if any(n == name and a[-1] is args[-1] for n, a in fields[:k])]
     assert repeated == []
     assert workspace.cache_info().misses == 1
     ws = workspace(spec, grid)
-    once = [(name, args[-1]) for name, args in seen]
-    for name, arg in [("_max_sym2", ws.residual), ("_max_abs", ws.traceU),
+    once = [(name, args[-1]) for name, args in fields]
+    for name, arg in [("max_norm", ws.residual), ("max_norm", ws.traceU),
                       ("norm2_sym2", ws.H), ("ric_vv", ws.vj[0])]:
         assert sum(n == name and a is arg for n, a in once) == 1, name
     for name in ("trace_g_jet", "div_sym2"):  # the const_trace, div_free gates
@@ -512,6 +591,23 @@ def test_tc_integral_hypothesis_on_nonsoliton():
     ) < 1e-10
 
 
+# Each theorem's premises, read from the paper's statement, as the hypothesis
+# keys of its report: a dropped gate shows here even where every bundled
+# soliton meets it.
+PREMISES = {
+    "T-N2": {"soliton_residual", "trace_lie2_max", "div_lie2_max", "kind",
+             "dimension_exceeds_two"},
+    "T-C": {"soliton_residual", "trace_lie2_max", "int_ric_xi_xi_nonpositive"},
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(PREMISES))
+def test_reports_gate_the_papers_premises(check_id):
+    spec = bundled("sphere3_yamabe_trivial").soliton
+    rep = evaluate_theorem(check_id, spec, default_grid(spec.chart, (8, 8, 8)))
+    assert set(rep.hypothesis_residuals) == PREMISES[check_id]
+
+
 def test_kind_mismatch_is_flagged_not_raised():
     ch = sphere2()
     rep = evaluate_theorem("T-1", trivial(ch, "ricci", 1.0), grid_for(ch))
@@ -573,8 +669,9 @@ def test_killing_residual_values():
     hyp=st.floats(0, 1e-3),
 )
 def test_verdict_lattice_property(res, hyp):
+    grid = default_grid(torus2(), (8, 8))
     rep = _build_report(
-        "trace_lie2", default_grid(torus2()), Tolerances(),
+        "trace_lie2", grid_frame(torus2(), grid), grid, Tolerances(),
         conclusions={"line": (res, 1e-8)},
         hypotheses={"gate": (hyp, 1e-7)},
     )
@@ -616,6 +713,38 @@ def test_gradient_only_checks_reject_vector_specs():
     for check_id in ("bochner", "lemma_hessian", "T-1", "P-CSC"):
         with pytest.raises(SolitonError, match="gradient"):
             run_check(spec, check_id, grid_for(flat))
+
+
+def test_every_check_reports_on_a_target_or_refuses_it():
+    # schur reads a frame only; trace_lie2 and bochner also take a bare
+    # field, bochner a ScalarField only; every other check a SolitonSpec.
+    ch = torus2()
+    grid = grid_for(ch)
+    vector = vector_field(ch, ("1", "0"))
+    targets = {
+        "chart": ch,
+        "scalar": scalar_field(ch, "sin(x)"),
+        "vector": vector,
+        "gradient spec": trivial(ch, "yamabe", 0.0),
+        "vector spec": SolitonSpec(name="torus-killing", chart=ch,
+                                   kind="yamabe", lam=1.0, mu=0.0,
+                                   vector=vector),
+    }
+    takes = {
+        "chart": {"schur"},
+        "scalar": {"schur", "trace_lie2", "bochner"},
+        "vector": {"schur", "trace_lie2"},
+        "gradient spec": set(CHECK_IDS),
+        "vector spec": set(CHECK_IDS) - set(GRADIENT_ONLY),
+    }
+    for name, target in targets.items():
+        for check_id in CHECK_IDS:
+            if check_id in takes[name]:
+                rep = evaluate_theorem(check_id, target, grid)
+                assert isinstance(rep, CheckReport), (name, check_id)
+            else:
+                with pytest.raises(SolitonError, match=re.escape(repr(check_id))):
+                    evaluate_theorem(check_id, target, grid)
 
 
 def test_spec_validation():
