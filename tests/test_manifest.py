@@ -217,10 +217,6 @@ def test_fit_block_options_and_init():
     "block,path",
     [
         ({"basis": "fourier", "degree": 1}, "fit.kind"),
-        ({"kind": "gauss", "basis": "fourier", "degree": 1},
-         "fit.kind: expected one of"),
-        ({"kind": "ricci", "basis": "fourier", "degree": 1, "init": [0]},
-         "fit.init: expected an object"),
         ({"kind": "ricci", "basis": "wavelet", "degree": 1}, "fit.basis"),
         ({"kind": "ricci", "basis": "fourier", "degree": -1}, "fit.degree"),
         ({"kind": "ricci", "basis": "fourier", "degree": 1,
@@ -238,6 +234,10 @@ def test_fit_block_options_and_init():
          "fit.init.coefficients: expected 5 coefficients"),
         ({"kind": "ricci", "basis": "poly-cos", "degree": 1},
          "fit.basis: poly-cos basis needs a nonperiodic coordinate"),
+        ({"kind": "gauss", "basis": "fourier", "degree": 1},
+         "fit.kind: expected one of"),
+        ({"kind": "ricci", "basis": "fourier", "degree": 1, "init": [0]},
+         "fit.init: expected an object"),
     ],
 )
 def test_fit_field_errors(block, path):
