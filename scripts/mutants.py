@@ -2,7 +2,7 @@
 
 Each entry names a file under ``src/solitonlab``, an exact text that occurs
 once in it, its replacement, and what is expected of the mutant: either the
-test that kills it (a pytest node id, or a prefix of one that names every
+test that kills it (a pytest node id, with or without its
 parametrization) or ``survives: item N``, a known gap that ROADMAP item N
 owns.
 
@@ -11,11 +11,11 @@ into a temporary directory, applies the mutant there and runs the fast
 subset: ``tests/test_solitons.py`` plus acceptance criterion 4.  A mutant is
 killed when that run fails.  The unmutated copy runs first and must pass.
 
-    python scripts/mutants.py [--out MUTANTS.json] [--check]
+    python scripts/mutants.py [--out MUTANTS.json]
 
 The report holds the git sha of the checkout, whether its sources differed
 from that commit, and each entry's outcome with the tests that failed.
-``--check`` exits 1 when a mutant expected to be killed survives, or is
+The script exits 1 when a mutant expected to be killed survives, or is
 killed only by other tests than the one the register names.  A survivor
 that gets killed is reported, so that the register can be updated, but
 does not fail the run.  Standard library only.
@@ -187,7 +187,9 @@ def evaluate(entry, tree):
         raise SystemExit(f"{entry['name']}: the test run did not complete")
     outcome = "killed" if failed else "survived"
     if "killed_by" in entry:
-        as_expected = any(f.startswith(entry["killed_by"]) for f in failed)
+        name = entry["killed_by"]
+        as_expected = any(f == name or f.startswith(name + "[")
+                          for f in failed)
     else:
         as_expected = not failed
     return {**entry, "outcome": outcome, "as_expected": as_expected,
@@ -198,8 +200,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(ROOT / "MUTANTS.json"),
                         help="report path (default MUTANTS.json at the root)")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 when a mutant expected killed survives")
     args = parser.parse_args(argv)
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
@@ -232,7 +232,7 @@ def main(argv=None):
           f"{time.perf_counter() - start:.0f} s; report in {args.out}")
     missed = [r["name"] for r in results
               if "killed_by" in r and not r["as_expected"]]
-    if args.check and missed:
+    if missed:
         print("expected killed, but not by the named test: "
               + "; ".join(missed), file=sys.stderr)
         return 1

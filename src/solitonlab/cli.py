@@ -167,7 +167,7 @@ def cmd_describe(man, grid):
             for i, c in enumerate(ch.coords)
         ],
         "grid": list(grid.counts),
-        "volume": integral(ch, grid, 1.0),
+        "volume": integral(fr, grid_nodes(ch, grid)[1], 1.0),
         "scalar_curvature": {"min": float(fr.r.min()),
                              "max": float(fr.r.max())},
         "einstein_deviation_max": max_norm(fr, dev),
@@ -223,7 +223,7 @@ def cmd_check(man, ids, grid, tol):
 def cmd_integrate(man, expression, grid):
     ch = man.chart
     spec = grid if grid is not None else default_grid(ch)
-    x, _ = grid_nodes(ch, spec)
+    x, w = grid_nodes(ch, spec)
     values = _integrand_values(man, spec, expression)
     finite = np.isfinite(values)
     if not finite.all():
@@ -232,7 +232,7 @@ def cmd_integrate(man, expression, grid):
             f"integrand not defined at {_node_label(ch, x, flat, values.shape)}: "
             f"value {float(values.flat[flat])!r}"
         )
-    total = integral(ch, spec, values)
+    total = integral(grid_frame(ch, spec), w, values)
     if not math.isfinite(total):
         raise QuadratureError("integral of a finite integrand overflowed")
     report = {
@@ -297,7 +297,8 @@ def _resolve_manifest(arg):
 def _parse_grid(text, ch):
     """The grid ``--grid`` names, or the chart's default grid without one."""
     try:
-        counts = tuple(int(part) for part in text.split(",")) if text else None
+        counts = (tuple(int(part) for part in text.split(","))
+                  if text is not None else None)
     except ValueError:
         raise QuadratureError(
             f"--grid expects comma separated integers, got {text!r}"

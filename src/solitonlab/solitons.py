@@ -161,10 +161,10 @@ grid_frame.cache_info = _grid_frame.cache_info
 grid_frame.cache_clear = _grid_frame.cache_clear
 
 
-def integral(ch, grid, values):
-    """Quadrature of nodal values against the Riemannian volume."""
-    return float(np.sum(values * grid_nodes(ch, grid)[1]
-                        * grid_frame(ch, grid).sqrtg))
+def integral(fr, w, values):
+    """Quadrature of nodal values against the Riemannian volume, given the
+    grid's frame and quadrature weights."""
+    return float(np.sum(values * w * fr.sqrtg))
 
 
 def max_norm(fr, values):
@@ -186,18 +186,18 @@ class Workspace:
     first time it is read; the residual and its maximum need a SolitonSpec."""
 
     def __init__(self, target, grid):
-        self.target, self.grid = target, grid
+        self.target = target
         if isinstance(target, SolitonSpec):
             self.field = target.potential if target.is_gradient else target.vector
         else:
             self.field = target
-        self.x, _ = grid_nodes(target.chart, grid)
+        self.x, self.w = grid_nodes(target.chart, grid)
         self.fr = grid_frame(target.chart, grid)
         # L_grad f g = 2 Hess f; a FitProblem's result keeps the Lie route.
         self.from_hessian = isinstance(self.field, ScalarField)
 
     def integral(self, values):
-        return integral(self.target.chart, self.grid, values)
+        return integral(self.fr, self.w, values)
 
     @cached_property
     def sj(self):

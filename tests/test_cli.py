@@ -497,6 +497,8 @@ def test_integrate_errors_exit_2(capsys):
         (("sphere2_yamabe_trivial", "g(xi,xi)"), "declares no vector potential"),
         (("sphere2", "1", "--grid", "64,x"),
          "--grid expects comma separated integers, got '64,x'"),
+        (("sphere2", "1", "--grid", ""),
+         "--grid expects comma separated integers, got ''"),
     ]
     for argv, message in cases:
         code, out, err = run(capsys, "integrate", *argv)
