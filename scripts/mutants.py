@@ -6,10 +6,13 @@ test that kills it (a pytest node id, with or without its
 parametrization) or ``survives: item N``, a known gap that ROADMAP item N
 owns.
 
-For each entry the script copies the package, the tests and what they read
-into a temporary directory, applies the mutant there and runs the fast
-subset: ``tests/test_solitons.py`` plus acceptance criterion 4.  A mutant is
-killed when that run fails.  The unmutated copy runs first and must pass.
+The script first checks that every entry's text occurs exactly once, and
+names each one that does not in a single error, before it runs any mutant.
+It then copies the package, the tests and what they read into two temporary
+directories.  The unmutated copy runs first and must pass.  Then each entry,
+two at a time, is applied to one copy, which runs the fast subset:
+``tests/test_solitons.py`` plus acceptance criterion 4.  A mutant is killed
+when that run fails.
 
     python scripts/mutants.py [--out MUTANTS.json]
 
@@ -24,11 +27,13 @@ does not fail the run.  Standard library only.
 import argparse
 import json
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,27 +44,73 @@ SUBSET = ("tests/test_solitons.py",
 SOLITONS = "src/solitonlab/solitons.py"
 T = "tests/test_solitons.py::"
 CRITERION_4 = "tests/test_acceptance.py::test_criterion_4_theorem_verdicts"
+WORKERS = 2  # mutants run at once, each in its own copy
 
 REGISTER = [
     {
-        "name": "T-SQ Yamabe coefficient n^2 -> n",
+        "name": "yamabe s = n -> 1",
         "file": SOLITONS,
-        "text": "n * n / (4 * spec.lam**2)",
-        "replacement": "n / (4 * spec.lam**2)",
+        "text": "return n, mu,",
+        "replacement": "return 1, mu,",
+        "killed_by": T + "test_contracted_trace_is_the_residual_trace_less_tr_U[yamabe]",
+    },
+    {
+        "name": "yamabe r_target mu -> n mu",
+        "file": SOLITONS,
+        "text": "n, mu, (n - 1)",
+        "replacement": "n, n * mu, (n - 1)",
+        "killed_by": T + "test_contracted_trace_is_the_residual_trace_less_tr_U[yamabe]",
+    },
+    {
+        "name": "yamabe c_dr (n-1)/(2 lambda) -> n/(2 lambda)",
+        "file": SOLITONS,
+        "text": "(n - 1) / (2 * lam)",
+        "replacement": "n / (2 * lam)",
+        "killed_by": T + "test_div_lie_conclusion_is_the_residual_divergence"
+                         "_over_two_lambda[yamabe]",
+    },
+    {
+        "name": "ricci s = 1 -> n",
+        "file": SOLITONS,
+        "text": "return 1, n * mu,",
+        "replacement": "return n, n * mu,",
+        "killed_by": T + "test_contracted_trace_is_the_residual_trace_less_tr_U[ricci]",
+    },
+    {
+        "name": "ricci r_target n mu -> mu",
+        "file": SOLITONS,
+        "text": "1, n * mu, 1",
+        "replacement": "1, mu, 1",
+        "killed_by": T + "test_contracted_trace_is_the_residual_trace_less_tr_U[ricci]",
+    },
+    {
+        "name": "ricci c_dr 1/(4 lambda) -> 1/(2 lambda)",
+        "file": SOLITONS,
+        "text": "1 / (4 * lam)",
+        "replacement": "1 / (2 * lam)",
+        "killed_by": T + "test_div_lie_conclusion_is_the_residual_divergence"
+                         "_over_two_lambda[ricci]",
+    },
+    {
+        "name": "T-SQ coefficient s^2 -> s",
+        "file": SOLITONS,
+        "text": "s * s / (4 * spec.lam**2)",
+        "replacement": "s / (4 * spec.lam**2)",
         "killed_by": T + "test_t_sq_pairing_is_the_residual_trace_pairing[yamabe]",
     },
     {
-        "name": "P-CSC coefficient (n-1)/2 -> n/2",
+        "name": "T-1 pairing coefficient s/(2 lambda) -> s/(4 lambda)",
         "file": SOLITONS,
-        "text": "coef = (spec.dim - 1) / 2.0 if",
-        "replacement": "coef = spec.dim / 2.0 if",
-        "survives": "item 1",
+        "text": "ws, tol, notes, s / (2 * spec.lam),",
+        "replacement": "ws, tol, notes, s / (4 * spec.lam),",
+        "killed_by": T + "test_pairing_integrals_are_the_residual_pairing"
+                         "_over_two_lambda[T-1-yamabe]",
     },
     {
-        "name": "lemma_hessian c = n/(2 lambda) -> n/(4 lambda)",
+        "name": "lemma_hessian c = s/(2 lambda) -> s/(4 lambda)",
         "file": SOLITONS,
-        "text": "c = n_or_1 / (2 * spec.lam)",
-        "replacement": "c = n_or_1 / (4 * spec.lam)",
+        "text": "c = s / (2 * spec.lam)",
+        "replacement": "c = s / (4 * spec.lam)",
         "killed_by": T + "test_lemma_hessian_lines_are_the_residual_trace_gradient",
     },
     {
@@ -91,40 +142,24 @@ REGISTER = [
         "killed_by": T + "test_reports_gate_the_papers_premises[T-N2]",
     },
     {
-        "name": "contracted_trace Ricci n mu - r -> n (mu - r)",
+        "name": "div_lie without its constant-trace gate",
         "file": SOLITONS,
-        "text": "rhs = spec.dim * spec.mu - ws.fr.r",
-        "replacement": "rhs = spec.dim * (spec.mu - ws.fr.r)",
-        "killed_by": T + "test_contracted_trace_is_the_residual_trace_less_tr_U[ricci]",
+        "text": 'gates=("grad_trace_lie2_max",) + _DF)',
+        "replacement": "gates=_DF)",
+        "killed_by": T + "test_reports_gate_the_papers_premises[div_lie]",
     },
     {
-        "name": "div_lie Yamabe coefficient (n-1)/(2 lambda) -> (n-1)/(4 lambda)",
+        "name": "P-CSC without its divergence-free gate",
         "file": SOLITONS,
-        "text": "coef = (spec.dim - 1) / (2 * spec.lam) if yamabe",
-        "replacement": "coef = (spec.dim - 1) / (4 * spec.lam) if yamabe",
-        "killed_by": T + "test_div_lie_conclusion_is_the_residual_divergence"
-                         "_over_two_lambda[yamabe]",
-    },
-    {
-        "name": "T-1 pairing coefficient n/(2 lambda) -> n/(4 lambda)",
-        "file": SOLITONS,
-        "text": "(n if yamabe else 1.0) / (2 * spec.lam)",
-        "replacement": "(n if yamabe else 1.0) / (4 * spec.lam)",
-        "killed_by": T + "test_pairing_integrals_are_the_residual_pairing"
-                         "_over_two_lambda[T-1-yamabe]",
+        "text": '"P-CSC": _Check(_p_csc, gradient=True, gates=_DF)',
+        "replacement": '"P-CSC": _Check(_p_csc, gradient=True, gates=())',
+        "killed_by": T + "test_reports_gate_the_papers_premises[P-CSC]",
     },
     {
         "name": "T-N2 without its n > 2 premise",
         "file": SOLITONS,
         "text": "above_two=True, hess_free=True)",
         "replacement": "hess_free=True)",
-        "killed_by": CRITERION_4,
-    },
-    {
-        "name": "T-2 target n mu -> mu",
-        "file": SOLITONS,
-        "text": "r_target = spec.mu if yamabe else n * spec.mu",
-        "replacement": "r_target = spec.mu",
         "killed_by": CRITERION_4,
     },
 ]
@@ -170,13 +205,22 @@ def imported_from(tree):
     return Path(out.stdout.strip()).resolve()
 
 
+def misplaced(register):
+    """One line per entry whose text does not occur exactly once in its
+    file, so that every stale entry shows before any mutant runs."""
+    lines = []
+    for entry in register:
+        text = (ROOT / entry["file"]).read_text(encoding="utf-8")
+        count = text.count(entry["text"])
+        if count != 1:
+            lines.append(f"{entry['name']}: text occurs {count} times in "
+                         f"{entry['file']}, not once")
+    return lines
+
+
 def evaluate(entry, tree):
     path = tree / entry["file"]
     original = path.read_text(encoding="utf-8")
-    count = original.count(entry["text"])
-    if count != 1:
-        raise SystemExit(f"{entry['name']}: text occurs {count} times in "
-                         f"{entry['file']}, not once")
     path.write_text(original.replace(entry["text"], entry["replacement"]),
                     encoding="utf-8")
     try:
@@ -202,22 +246,37 @@ def main(argv=None):
                         help="report path (default MUTANTS.json at the root)")
     args = parser.parse_args(argv)
     start = time.perf_counter()
+    stale = misplaced(REGISTER)
+    if stale:
+        raise SystemExit("\n".join(stale))
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
-        tree = Path(tmp)
-        copy_tree(tree)
+        trees = queue.SimpleQueue()
+        for k in range(WORKERS):
+            tree = Path(tmp) / str(k)
+            copy_tree(tree)
+            trees.put(tree)
         if tree.resolve() not in imported_from(tree).parents:
             raise SystemExit("the copy imports solitonlab from outside itself")
         if run_subset(tree) != []:
             raise SystemExit("the unmutated subset does not pass")
+
+        def run(entry):
+            tree = trees.get()
+            try:
+                return evaluate(entry, tree)
+            finally:
+                trees.put(tree)
+
         results = []
-        for entry in REGISTER:
-            result = evaluate(entry, tree)
-            results.append(result)
-            expect = (f"killed by {entry['killed_by']}" if "killed_by" in entry
-                      else f"survives: {entry['survives']}")
-            flag = "ok" if result["as_expected"] else "UNEXPECTED"
-            print(f"{flag:10} {result['outcome']:8} {entry['name']} "
-                  f"(expected: {expect})", flush=True)
+        with ThreadPoolExecutor(WORKERS) as pool:
+            for entry, result in zip(REGISTER, pool.map(run, REGISTER)):
+                results.append(result)
+                expect = (f"killed by {entry['killed_by']}"
+                          if "killed_by" in entry
+                          else f"survives: {entry['survives']}")
+                flag = "ok" if result["as_expected"] else "UNEXPECTED"
+                print(f"{flag:10} {result['outcome']:8} {entry['name']} "
+                      f"(expected: {expect})", flush=True)
     report = {
         "sha": git("rev-parse", "HEAD"),
         "dirty": bool(git("status", "--porcelain", "--", "src", "tests")),

@@ -20,7 +20,7 @@ from .expr import ExprError, eval_number, parse
 from .fitting import BasisExpansion, FitError, FitInit
 from .geometry import Chart, GeometryError, chart, scalar_field, vector_field
 from .records import record
-from .solitons import KINDS, SolitonError, SolitonSpec
+from .solitons import KINDS, SolitonSpec
 
 
 class ManifestError(ValueError):
@@ -98,6 +98,10 @@ def _parse_manifold(block):
     coords = _need(block, "coords", path, list)
     if len(coords) != dim or not all(isinstance(c, str) for c in coords):
         raise ManifestError(f"{path}.coords", f"expected {dim} coordinate names")
+    try:
+        parse("0", coords)  # the coordinate naming rule lives in expr
+    except ValueError as err:
+        raise ManifestError(f"{path}.coords", str(err)) from err
     domain = _need(block, "domain", path, list)
     if len(domain) != dim:
         raise ManifestError(f"{path}.domain", f"expected {dim} [lo, hi] pairs")
@@ -175,13 +179,10 @@ def _parse_soliton(block, ch):
         raise ManifestError(
             f"{path}.potential", 'expected {"gradient": expr} or {"vector": [exprs]}'
         )
-    try:
-        return SolitonSpec(
-            name=ch.name, chart=ch, kind=kind, lam=lam, mu=mu,
-            potential=potential, vector=vector,
-        )
-    except SolitonError as err:
-        raise ManifestError(path, str(err)) from err
+    return SolitonSpec(
+        name=ch.name, chart=ch, kind=kind, lam=lam, mu=mu,
+        potential=potential, vector=vector,
+    )
 
 
 def _parse_fit(block, ch):

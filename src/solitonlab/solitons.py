@@ -397,38 +397,63 @@ def _indicator_gate(ok, notes, failure, note):
 # value, tolerance); the report keeps each field's ``max_norm``.
 
 
+def _kind_constants(kind, n, lam, mu):
+    """The per-kind constants (s, r_target, c_dr): the trace of the soliton
+    equation with trace-free L_xi L_xi g reads 2 lambda lap f =
+    s (r_target - r), and its divergence Ric(grad f) = c_dr dr."""
+    if kind == "yamabe":
+        return n, mu, (n - 1) / (2 * lam)
+    return 1, n * mu, 1 / (4 * lam)
+
+
 def _trace_lie2(ws, tol, notes):
+    """trace(L_xi L_xi g) = 2(|nabla xi|^2 + div(nabla_xi xi) - Ric(xi, xi))."""
     rhs = 2.0 * (nabla_vec_norm2(ws.fr, ws.vj) + ws.div_cov - ws.ric_xi)
     return {"trace_formula": (ws.traceU - rhs, tol.pointwise)}, {}, {}, {}
 
 
 def _bochner(ws, tol, notes):
+    """(1/2) lap |grad f|^2 = |Hess f|^2 + Ric(grad f, grad f) + g(grad lap f, grad f)."""
     rhs = ws.hess2 + ws.ric_xi + ws.glapf
     return {"bochner": (0.5 * ws.lap_phi - rhs, tol.pointwise)}, {}, {}, {}
 
 
 def _lemma_hessian(ws, tol, notes):
+    """The Hessian lemma for gradient solitons with trace-free L_xi L_xi g.
+
+    Four display lines, with c = s/(2 lambda) (n/(2 lambda) for yamabe and
+    1/(2 lambda) for ricci), phi = |grad f|^2 and A = nabla_{grad f} grad f:
+
+        (1/2) lap phi = |Hess f|^2 + Ric(grad f, grad f) - c g(grad f, grad r)
+        (1/2) lap phi = 2 |Hess f|^2 + div A - c g(grad f, grad r)
+        (1/2) lap phi = 2 Ric(grad f, grad f) - div A - c g(grad f, grad r)
+        2 lambda g(grad lap f, grad f) = -s g(grad f, grad r)
+    """
     spec, hess2, ricff = ws.target, ws.hess2, ws.ric_xi
+    s, _, _ = _kind_constants(spec.kind, spec.dim, spec.lam, spec.mu)
     lhs = 0.5 * ws.lap_phi
-    n_or_1 = float(spec.dim if spec.kind == "yamabe" else 1)
-    c = n_or_1 / (2 * spec.lam)
+    c = s / (2 * spec.lam)
     lines = {
         "main": lhs - (hess2 + ricff - c * ws.gfr),
         "even_more_plus_div": lhs - (2 * hess2 + ws.div_cov - c * ws.gfr),
         "even_more_minus_div": lhs - (2 * ricff - ws.div_cov - c * ws.gfr),
-        "traced_gradient": 2 * spec.lam * ws.glapf + n_or_1 * ws.gfr,
+        "traced_gradient": 2 * spec.lam * ws.glapf + s * ws.gfr,
     }
     return {k: (v, tol.pointwise) for k, v in lines.items()}, {}, {}, {}
 
 
 def _div_lie(ws, tol, notes):
+    """div(L_{grad f} g)(X) = 2 X(lap f) + 2 Ric(X, grad f) unconditionally;
+    gated on the soliton equation with constant-trace and divergence-free
+    L_xi L_xi g, Ric(X, grad f) = c_dr g(X, grad r), c_dr = (n-1)/(2 lambda)
+    for yamabe and 1/(4 lambda) for ricci.  X runs over the coordinate
+    basis, so the lines compare covectors."""
     spec, fr = ws.target, ws.fr
+    _, _, c_dr = _kind_constants(spec.kind, spec.dim, spec.lam, spec.mu)
     divT = div_sym2(fr, ws.T, ws.dT)
     ric_gradf = np.einsum("...jb,...b->...j", fr.Ric, ws.vj[0])
     unconditional = divT - 2.0 * ws.dlap - 2.0 * ric_gradf
-    yamabe = spec.kind == "yamabe"
-    coef = (spec.dim - 1) / (2 * spec.lam) if yamabe else 1.0 / (4 * spec.lam)
-    conditional = ric_gradf - coef * fr.dr
+    conditional = ric_gradf - c_dr * fr.dr
     notes.append(
         "the divergence formula line is unconditional; only the "
         "Ric(X, grad f) conclusion relies on the hypotheses"
@@ -440,8 +465,10 @@ def _div_lie(ws, tol, notes):
 
 
 def _prop_p2(ws, tol, notes):
-    spec = ws.target
-    n = spec.dim
+    """(1/2) lap |grad f|^2 against the trace-free divergence-free forms:
+    ((n-2)/(n-1)) |Hess f|^2 - (1/(n-1)) div A for yamabe, -div A for ricci,
+    with A = nabla_{grad f} grad f."""
+    spec, n = ws.target, ws.target.dim
     if spec.kind == "yamabe":
         rhs = ((n - 2) / (n - 1)) * ws.hess2 - ws.div_cov / (n - 1)
     else:
@@ -450,18 +477,20 @@ def _prop_p2(ws, tol, notes):
 
 
 def _contracted_trace(ws, tol, notes):
+    """Pointwise 2 lambda lap f = s (r_target - r): n(mu - r) for yamabe,
+    n mu - r for ricci; the two sides agree for solitons with trace-free
+    L_xi L_xi g."""
     spec = ws.target
+    s, r_target, _ = _kind_constants(spec.kind, spec.dim, spec.lam, spec.mu)
     lhs = 2 * spec.lam * ws.lap
-    if spec.kind == "yamabe":
-        rhs = spec.dim * (spec.mu - ws.fr.r)
-    else:
-        rhs = spec.dim * spec.mu - ws.fr.r
-    conclusions = {"contracted_trace": (lhs - rhs, tol.pointwise)}
+    rhs = s * (r_target - ws.fr.r)
     info = {"mean_lhs": _vol_mean(ws, lhs), "mean_rhs": _vol_mean(ws, rhs)}
-    return conclusions, {}, {}, info
+    return {"contracted_trace": (lhs - rhs, tol.pointwise)}, {}, {}, info
 
 
 def _remark_csc(ws, tol, notes):
+    """Constant div(xi) and constant trace(L_xi L_xi g) on a soliton force
+    constant scalar curvature; deviations are measured from volume means."""
     hypotheses = {
         "div_xi_deviation": (_deviation(ws, ws.divxi), tol.hypothesis),
         "trace_lie2_deviation": (_deviation(ws, ws.traceU), tol.hypothesis),
@@ -471,6 +500,7 @@ def _remark_csc(ws, tol, notes):
 
 
 def _schur(fr, tol, notes):
+    """div Ric = dr / 2, the contracted second Bianchi identity."""
     residual = div_sym2(fr, fr.Ric, fr.dRic) - 0.5 * fr.dr
     return {"schur": (residual, tol.pointwise)}, {}, {}, {}
 
@@ -503,17 +533,16 @@ def _ricci_pairing(ws, tol, notes, coef, name, values, label):
     return {"ricci_pairing_lower_bound": bound}, integrals
 
 
-def _pairing_triviality(ws, tol, notes, yamabe):
+def _pairing_triviality(ws, tol, notes, kind):
     """T-1 (yamabe) and T-2 (ricci): trace-free L_xi L_xi g and
-    int Ric(grad f, grad f) >= c int g(grad f, grad r), c = n/(2 lambda)
-    resp. 1/(2 lambda), make the soliton trivial with r = mu resp. n mu."""
+    int Ric(grad f, grad f) >= c int g(grad f, grad r), c = s/(2 lambda),
+    make the soliton trivial with r = r_target (mu resp. n mu)."""
     spec = ws.target
-    n = spec.dim
+    s, r_target, _ = _kind_constants(kind, spec.dim, spec.lam, spec.mu)
     hypotheses, integrals = _ricci_pairing(
-        ws, tol, notes, (n if yamabe else 1.0) / (2 * spec.lam),
+        ws, tol, notes, s / (2 * spec.lam),
         "int_g_gradf_gradr", ws.gfr, "int g(grad f, grad r)",
     )
-    r_target = spec.mu if yamabe else n * spec.mu
     conclusions = {"scalar_curvature_minus_target": (ws.fr.r - r_target,
                                                       tol.pointwise)}
     return conclusions, hypotheses, integrals, {"r_target": r_target}
@@ -530,16 +559,13 @@ def _t_cor(ws, tol, notes):
 
 def _t_sq(ws, tol, notes):
     """Trace-free L_xi L_xi g and int Ric(grad f, grad f) >= c int D^2, with
-    D = mu - r, c = n^2/(4 lambda^2) for yamabe and D = n mu - r,
-    c = 1/(4 lambda^2) for ricci, make the soliton trivial."""
-    spec, r = ws.target, ws.fr.r
-    n = spec.dim
-    if spec.kind == "yamabe":
-        deficit, coef = (spec.mu - r) ** 2, n * n / (4 * spec.lam**2)
-    else:
-        deficit, coef = (n * spec.mu - r) ** 2, 1.0 / (4 * spec.lam**2)
+    D = r_target - r and c = s^2/(4 lambda^2) (D = mu - r, c = n^2/(4 lambda^2)
+    for yamabe; D = n mu - r, c = 1/(4 lambda^2) for ricci), force triviality."""
+    spec = ws.target
+    s, r_target, _ = _kind_constants(spec.kind, spec.dim, spec.lam, spec.mu)
     hypotheses, integrals = _ricci_pairing(
-        ws, tol, notes, coef, "int_deficit_sq", deficit, "int deficit^2")
+        ws, tol, notes, s * s / (4 * spec.lam**2), "int_deficit_sq",
+        (r_target - ws.fr.r) ** 2, "int deficit^2")
     return {}, hypotheses, integrals, {}
 
 
@@ -551,16 +577,17 @@ def _t_n2(ws, tol, notes):
 
 def _p_csc(ws, tol, notes):
     """Divergence-free L_xi L_xi g and lambda int Ric(grad f, grad r) <= 0
-    force constant r, via lambda Ric(grad f, grad r) = c |grad r|^2.  The
-    Remark weakens the constant-trace premise, so only divergence-free is
-    gated; the trace deviation is reported as info."""
+    force constant r, via lambda (Ric(grad f, grad r) - c_dr |grad r|^2) = 0,
+    div_lie's conclusion paired with lambda grad r.  The Remark weakens the
+    constant-trace premise, so only divergence-free is gated; the trace
+    deviation is reported as info."""
     spec, fr = ws.target, ws.fr
+    _, _, c_dr = _kind_constants(spec.kind, spec.dim, spec.lam, spec.mu)
     pairing = ric_vv(fr, ws.vj[0], raise_covec(fr, fr.dr))
     hypotheses, integrals = _nonpositive(
         "lam_int_ric_gradf_gradr", "lam int Ric(grad f, grad r) <= 0",
         spec.lam * ws.integral(pairing), tol, notes)
-    coef = (spec.dim - 1) / 2.0 if spec.kind == "yamabe" else 0.25
-    identity = spec.lam * pairing - coef * norm2_covec(fr, fr.dr)
+    identity = spec.lam * (pairing - c_dr * norm2_covec(fr, fr.dr))
     notes.append("constant-trace is not gated here, only divergence-free; "
                  "the trace deviation is reported as info")
     conclusions = {
@@ -602,9 +629,9 @@ _CATALOG = {
     "remark_csc": _Check(_remark_csc, gates=()),
     "schur": _Check(_schur, frame_only=True),
     "T-C": _Check(_t_c, gates=_TF),
-    "T-1": _Check(partial(_pairing_triviality, yamabe=True), gradient=True,
+    "T-1": _Check(partial(_pairing_triviality, kind="yamabe"), gradient=True,
                   gates=_TF, kind="yamabe", hess_free=True),
-    "T-2": _Check(partial(_pairing_triviality, yamabe=False), gradient=True,
+    "T-2": _Check(partial(_pairing_triviality, kind="ricci"), gradient=True,
                   gates=_TF, kind="ricci", hess_free=True),
     "T-COR": _Check(_t_cor, gradient=True, gates=_TF, hess_free=True),
     "T-SQ": _Check(_t_sq, gradient=True, gates=_TF, hess_free=True),
@@ -678,58 +705,11 @@ def run_check(spec, check_id, grid=None, tol=Tolerances()):
 
 # ------------------------------------------------------ the named entry points
 
-
-def identity_trace_lie2(target, grid=None, tol=Tolerances()):
-    """trace(L_xi L_xi g) = 2(|nabla xi|^2 + div(nabla_xi xi) - Ric(xi, xi))."""
-    return evaluate_theorem("trace_lie2", target, grid, tol)
-
-
-def identity_bochner(target, grid=None, tol=Tolerances()):
-    """(1/2) lap |grad f|^2 = |Hess f|^2 + Ric(grad f, grad f) + g(grad lap f, grad f)."""
-    return evaluate_theorem("bochner", target, grid, tol)
-
-
-def identity_lemma_hessian(spec, grid=None, tol=Tolerances()):
-    """The Hessian lemma for gradient solitons with trace-free L_xi L_xi g.
-
-    Four display lines, with c = n/(2 lambda) for yamabe and 1/(2 lambda)
-    for ricci, phi = |grad f|^2 and A = nabla_{grad f} grad f:
-
-        (1/2) lap phi = |Hess f|^2 + Ric(grad f, grad f) - c g(grad f, grad r)
-        (1/2) lap phi = 2 |Hess f|^2 + div A - c g(grad f, grad r)
-        (1/2) lap phi = 2 Ric(grad f, grad f) - div A - c g(grad f, grad r)
-        2 lambda g(grad lap f, grad f) = -(n or 1) g(grad f, grad r)
-    """
-    return evaluate_theorem("lemma_hessian", spec, grid, tol)
-
-
-def identity_div_lie(spec, grid=None, tol=Tolerances()):
-    """div(L_{grad f} g)(X) = 2 X(lap f) + 2 Ric(X, grad f), unconditionally,
-    plus the conditional conclusion Ric(X, grad f) = coef g(X, grad r) with
-    coef (n-1)/(2 lambda) for yamabe and 1/(4 lambda) for ricci, gated on the
-    soliton equation with constant-trace and divergence-free L_xi L_xi g.
-    X runs over the coordinate basis, so the lines compare covectors."""
-    return evaluate_theorem("div_lie", spec, grid, tol)
-
-
-def identity_prop_p2(spec, grid=None, tol=Tolerances()):
-    """(1/2) lap |grad f|^2 against the trace-free divergence-free forms:
-    ((n-2)/(n-1)) |Hess f|^2 - (1/(n-1)) div A for yamabe, -div A for ricci."""
-    return evaluate_theorem("prop_p2", spec, grid, tol)
-
-
-def check_contracted_trace(spec, grid=None, tol=Tolerances()):
-    """Pointwise 2 lambda lap f = n(mu - r) for yamabe, n mu - r for ricci;
-    the two sides agree for solitons with trace-free L_xi L_xi g."""
-    return evaluate_theorem("contracted_trace", spec, grid, tol)
-
-
-def remark_csc(spec, grid=None, tol=Tolerances()):
-    """Constant div(xi) and constant trace(L_xi L_xi g) on a soliton force
-    constant scalar curvature; deviations are measured from volume means."""
-    return evaluate_theorem("remark_csc", spec, grid, tol)
-
-
-def check_schur(ch, grid=None, tol=Tolerances()):
-    """div Ric = dr / 2, the contracted second Bianchi identity."""
-    return evaluate_theorem("schur", ch, grid, tol)
+identity_trace_lie2 = partial(evaluate_theorem, "trace_lie2")
+identity_bochner = partial(evaluate_theorem, "bochner")
+identity_lemma_hessian = partial(evaluate_theorem, "lemma_hessian")
+identity_div_lie = partial(evaluate_theorem, "div_lie")
+identity_prop_p2 = partial(evaluate_theorem, "prop_p2")
+check_contracted_trace = partial(evaluate_theorem, "contracted_trace")
+remark_csc = partial(evaluate_theorem, "remark_csc")
+check_schur = partial(evaluate_theorem, "schur")

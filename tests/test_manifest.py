@@ -120,6 +120,10 @@ def test_exclusion_margin_is_an_unknown_field():
         ("dim", True, "dim: expected int, got bool"),
         ("metric", ["1", "1"], "metric: expected 2 rows"),
         ("domain", [[0, "1/0"], [0, 1]], r"domain\[0\]\[1\]: division by zero"),
+        ("coords", ["pi", "y"],
+         "coords: coordinate name 'pi' shadows a builtin"),
+        ("coords", ["x", "x"],
+         r"coords: duplicate coordinate names in \('x', 'x'\)"),
     ],
 )
 def test_manifold_field_errors(key, value, path):

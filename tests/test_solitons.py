@@ -33,6 +33,7 @@ from solitonlab.geometry import (
 from solitonlab import solitons
 from solitonlab.manifest import bundled
 from solitonlab.quadrature import default_grid, grid_nodes
+from solitonlab.records import asdict
 from solitonlab.solitons import (
     CHECK_IDS,
     GRADIENT_ONLY,
@@ -591,14 +592,31 @@ def test_tc_integral_hypothesis_on_nonsoliton():
     ) < 1e-10
 
 
-# Each theorem's premises, read from the paper's statement, as the hypothesis
-# keys of its report: a dropped gate shows here even where every bundled
-# soliton meets it.
+# Each check's premises, read from its statement's docstring, as the
+# hypothesis keys of its report: a dropped gate shows here even where every
+# bundled soliton meets it.  The unconditional identities have none.
+_S, _TF, _DF = "soliton_residual", "trace_lie2_max", "div_lie2_max"
 PREMISES = {
-    "T-N2": {"soliton_residual", "trace_lie2_max", "div_lie2_max", "kind",
-             "dimension_exceeds_two"},
-    "T-C": {"soliton_residual", "trace_lie2_max", "int_ric_xi_xi_nonpositive"},
+    "trace_lie2": set(),
+    "bochner": set(),
+    "lemma_hessian": {_S, _TF},
+    "div_lie": {_S, "grad_trace_lie2_max", _DF},
+    "prop_p2": {_S, _TF, _DF},
+    "contracted_trace": {_S, _TF},
+    "remark_csc": {_S, "div_xi_deviation", "trace_lie2_deviation"},
+    "schur": set(),
+    "T-C": {_S, _TF, "int_ric_xi_xi_nonpositive"},
+    "T-1": {_S, _TF, "kind", "ricci_pairing_lower_bound"},
+    "T-2": {_S, _TF, "kind", "ricci_pairing_lower_bound"},
+    "T-COR": {_S, _TF, "lam_int_g_gradf_gradr_nonpositive"},
+    "T-SQ": {_S, _TF, "ricci_pairing_lower_bound"},
+    "T-N2": {_S, _TF, _DF, "kind", "dimension_exceeds_two"},
+    "P-CSC": {_S, _DF, "lam_int_ric_gradf_gradr_nonpositive"},
 }
+
+
+def test_premise_table_covers_the_catalog():
+    assert set(PREMISES) == set(CHECK_IDS)
 
 
 @pytest.mark.parametrize("check_id", sorted(PREMISES))
@@ -796,6 +814,21 @@ def test_tracer_check_names_exist():
     assert set(tracer.CHECK_IDS) == set(CHECK_IDS)
     for name in tracer.CHECK_FUNCTIONS.values():
         assert callable(getattr(solitons, name))
+
+
+def test_named_entry_points_are_catalog_bindings():
+    # The tracer times each named entry point as the span of its check id, so
+    # each must give that id's report; the formula it checks is the docstring
+    # of the statement its catalog row runs.
+    spec = warped_random_solitons("yamabe", np.random.default_rng(7))[0]
+    grid = grid_for(spec.chart)
+    for check_id, name in load_tracer().CHECK_FUNCTIONS.items():
+        target = spec.chart if check_id == "schur" else spec
+        want = asdict(evaluate_theorem(check_id, target, grid))
+        assert asdict(getattr(solitons, name)(target, grid)) == want, name
+    for check_id, row in solitons._CATALOG.items():
+        statement = getattr(row.conclude, "func", row.conclude)
+        assert statement.__doc__, check_id
 
 
 def test_run_check_passes_through_a_traced_name(monkeypatch):
