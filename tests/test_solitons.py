@@ -615,11 +615,7 @@ PREMISES = {
 }
 
 
-def test_premise_table_covers_the_catalog():
-    assert set(PREMISES) == set(CHECK_IDS)
-
-
-@pytest.mark.parametrize("check_id", sorted(PREMISES))
+@pytest.mark.parametrize("check_id", CHECK_IDS)
 def test_reports_gate_the_papers_premises(check_id):
     spec = bundled("sphere3_yamabe_trivial").soliton
     rep = evaluate_theorem(check_id, spec, default_grid(spec.chart, (8, 8, 8)))
