@@ -5,10 +5,13 @@ order, node count: the default grids of torus2, sphere2 and the 16^3
 charts), the script times ``a * b`` for two dense jets and ``sin(a)``, which
 runs ``Jet.compose`` and its powers.
 
-``--layer geometry`` (``BENCH_2.json``): for each bundled chart of
-``GEOMETRY_CASES`` on its default grid, the script times ``frame`` and the
-order-4 ``scalar_jets`` of three seeded potentials, each a random
-combination of trigonometric terms in the chart's coordinates.
+``--layer geometry`` (``BENCH_2.json``; ``BENCH_7.json`` holds the sets
+with ``hessian``): for each bundled chart of ``GEOMETRY_CASES`` on its
+default grid, the script times ``frame`` and the order-4 ``scalar_jets`` of
+three seeded potentials, each a random combination of trigonometric terms
+in the chart's coordinates.  On those jets it times ``hessian`` for k = 0,
+1 and 2, and records the tracemalloc peak of one ``hessian`` with k = 2,
+its result included, next to the result's size.
 
 ``--layer fit`` (``BENCH_3.json``): for each problem of ``FIT_CASES`` (a
 bundled chart and grid, a soliton kind and a basis of K terms), the script
@@ -34,8 +37,8 @@ no change to solitonlab can move is timed next to every case, so a reader
 can tell a slow host from slow code.
 
 Only the public API is used (``jets.seed``, ``jets.sin``, ``*``, the bundled
-manifests, ``grid_nodes``, ``frame``, ``scalar_jets``, ``FitProblem`` and
-its ``residual_stack`` and ``fit``), so the same script
+manifests, ``grid_nodes``, ``frame``, ``scalar_jets``, ``hessian``,
+``FitProblem`` and its ``residual_stack`` and ``fit``), so the same script
 times any source tree: it imports whichever ``solitonlab`` is on
 ``PYTHONPATH``.  The set is stored under ``--label`` in ``--out``; sets under
 other labels stay, so two trees sit side by side in one file::
@@ -43,6 +46,7 @@ other labels stay, so two trees sit side by side in one file::
     PYTHONPATH=/path/to/parent/src python3 scripts/bench.py --label parent
     PYTHONPATH=src python3 scripts/bench.py --label change
     PYTHONPATH=src python3 scripts/bench.py --layer geometry --label change
+    PYTHONPATH=src python3 scripts/bench.py --layer geometry --label change --out BENCH_7.json
     PYTHONPATH=src python3 scripts/bench.py --layer fit --label change
     PYTHONPATH=src python3 scripts/bench.py --layer import --label change
     PYTHONPATH=src python3 scripts/bench.py --layer workspace --label change
@@ -58,13 +62,14 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 from solitonlab import jets
 from solitonlab.fitting import BasisExpansion, FitInit, FitProblem
-from solitonlab.geometry import frame, scalar_field, scalar_jets
+from solitonlab.geometry import frame, hessian, scalar_field, scalar_jets
 from solitonlab.manifest import bundled
 from solitonlab.quadrature import default_grid, grid_nodes
 from solitonlab.solitons import workspace
@@ -160,6 +165,16 @@ def seeded_potentials(coords, count):
             for _ in range(count)]
 
 
+def traced_peak_mib(fn):
+    """Peak of the heap that tracemalloc sees while ``fn`` runs, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def jet_cases(repeats):
     cases = []
     for dim, order, nodes in CASES:
@@ -181,15 +196,24 @@ def geometry_cases(repeats):
         x, _ = grid_nodes(ch, spec)
         fields = [scalar_field(ch, text)
                   for text in seeded_potentials(ch.coords, POTENTIALS)]
-        cases.append({
+        fr = frame(ch, x)
+        sjs = [scalar_jets(f, x, order=4) for f in fields]
+        case = {
             "chart": name, "grid": list(spec.counts),
             "nodes": int(np.prod(spec.counts)),
             "frame_ms": median_ms(lambda: frame(ch, x), repeats),
             "field_jets_ms": median_ms(
                 lambda: [scalar_jets(f, x, order=4) for f in fields], repeats),
-            "potentials": [f.source for f in fields],
-            "host_kernel_ms": median_ms(host_kernel, repeats),
-        })
+        }
+        for k in range(3):
+            case[f"hessian_k{k}_ms"] = median_ms(
+                lambda: [hessian(fr, sj, k) for sj in sjs], repeats)
+        case["hessian_k2_peak_mib"] = traced_peak_mib(
+            lambda: hessian(fr, sjs[0], 2))
+        case["hessian_k2_result_mib"] = hessian(fr, sjs[0], 2).nbytes / 2**20
+        case["potentials"] = [f.source for f in fields]
+        case["host_kernel_ms"] = median_ms(host_kernel, repeats)
+        cases.append(case)
     return cases
 
 
@@ -342,7 +366,11 @@ LAYERS = {  # layer -> (case timer, default output, line per case)
     "geometry": (geometry_cases, "BENCH_2.json",
                  lambda c: f"{c['chart']} nodes {c['nodes']}: frame "
                            f"{c['frame_ms']:.2f} ms, {POTENTIALS} field jets "
-                           f"{c['field_jets_ms']:.2f} ms"),
+                           f"{c['field_jets_ms']:.2f} ms, {POTENTIALS} hessians "
+                           f"k = 0, 1, 2 {c['hessian_k0_ms']:.2f}, "
+                           f"{c['hessian_k1_ms']:.2f}, {c['hessian_k2_ms']:.2f} "
+                           f"ms, k = 2 peak {c['hessian_k2_peak_mib']:.2f} MiB "
+                           f"for {c['hessian_k2_result_mib']:.2f} MiB"),
     "fit": (fit_cases, "BENCH_3.json",
             lambda c: f"{c['chart']} {c['basis']} {c['degree']} K {c['terms']} "
                       f"fit nodes {c['fit_nodes']}: set-up {c['setup_ms']:.2f} ms, "

@@ -42,6 +42,7 @@ SUBSET = ("tests/test_solitons.py",
           "tests/test_acceptance.py::test_criterion_4_theorem_verdicts")
 
 SOLITONS = "src/solitonlab/solitons.py"
+GEOMETRY = "src/solitonlab/geometry.py"
 T = "tests/test_solitons.py::"
 CRITERION_4 = "tests/test_acceptance.py::test_criterion_4_theorem_verdicts"
 WORKERS = 2  # mutants run at once, each in its own copy
@@ -161,6 +162,13 @@ REGISTER = [
         "text": "above_two=True, hess_free=True)",
         "replacement": "hess_free=True)",
         "killed_by": CRITERION_4,
+    },
+    {
+        "name": "hessian without d2Gamma: d^2 Hess f loses its d2Gamma df term",
+        "file": GEOMETRY,
+        "text": "_own([fr.Gamma, fr.dGamma, fr.d2Gamma], fr.r.ndim)",
+        "replacement": "_own([fr.Gamma, fr.dGamma], fr.r.ndim)",
+        "killed_by": T + "test_gradient_lie_jets_match_the_vector_route",
     },
 ]
 

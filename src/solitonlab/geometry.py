@@ -11,7 +11,9 @@ depends on, and ``frame`` runs on the broadcast batch of the metric entries:
 (64, 1) for a metric in the first of two coordinates, (1, 1) for a constant
 one.  ``frame``, ``scalar_jets`` and ``vector_jets`` hand out read-only
 broadcast views of the full batch shape, and error messages name the first
-failing node of the full grid.
+failing node of the full grid.  An einsum copies such a view to the full grid
+when it reshapes it, so ``hessian`` contracts the Christoffel jets on the
+frame's own batch; f's jets and the result keep the full batch.
 
 Index conventions for the arrays built here, with n the chart dimension:
 
@@ -212,6 +214,12 @@ def _full(arrays, batch):
     return [np.broadcast_to(a, batch + a.shape[len(batch):]) for a in arrays]
 
 
+def _own(arrays, nb):
+    """Undo ``_full``: each of the first nb axes with stride 0 cut to length 1."""
+    return [a[tuple(slice(1 if s == 0 else None) for s in a.strides[:nb])]
+            for a in arrays]
+
+
 def scalar_jets(field, x, order=3):
     """[f, df, ..., d^order f] at the points x."""
     return _full(_derivatives(field.chart, x, field.node, order,
@@ -383,11 +391,13 @@ def frame(ch, x):
 
 
 def hessian(fr, sj, k=0):
-    """d^k Hess(f)_ij for k <= 2 from sj = [f, ..., d^(k+2) f], or more."""
+    """d^k Hess(f)_ij for k <= 2 from sj = [f, ..., d^(k+2) f], or more; the
+    Christoffel jets stay on the frame's batch (``_own``), so the einsum
+    broadcasts d^2 Gamma, n^5 per node, instead of copying it to the grid."""
     if len(sj) < k + 3:
         raise ValueError(f"d^{k} of Hess f needs d^{k + 2} f")
-    return sj[2 + k] - leibniz(
-        "...kij,...k->...ij", [fr.Gamma, fr.dGamma, fr.d2Gamma], sj[1:], k=k)
+    Gam = _own([fr.Gamma, fr.dGamma, fr.d2Gamma], fr.r.ndim)
+    return sj[2 + k] - leibniz("...kij,...k->...ij", Gam, sj[1:], k=k)
 
 
 def laplacian(fr, sj):

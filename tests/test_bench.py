@@ -42,6 +42,9 @@ def test_geometry_layer_times_frame_and_field_jets(tmp_path, monkeypatch, capsys
             ("sphere2", [8, 12], 96), ("torus3", [8, 8, 10], 640)]
         for case in entry["cases"]:
             assert case["frame_ms"] > 0 and case["field_jets_ms"] > 0
+            assert min(case[f"hessian_k{k}_ms"] for k in range(3)) > 0
+            # The traced peak holds the result at least.
+            assert case["hessian_k2_peak_mib"] >= case["hessian_k2_result_mib"] > 0
             assert len(case["potentials"]) == bench.POTENTIALS
     assert "change: torus3 nodes 640: frame" in capsys.readouterr().out
 

@@ -11,7 +11,9 @@ Oracles, in decreasing order of authority:
   on randomized metrics, which exercise the whole pipeline at once.
 """
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from hypothesis import given, strategies as st
 
 from solitonlab.geometry import (
     GeometryError,
+    _own,
     chart,
     cov_accel,
     div_sym2,
@@ -589,6 +592,75 @@ def test_mesh_evaluation_matches_point_list(name):
     for key in FRAME_FIELDS:
         with pytest.raises(ValueError, match="read-only"):
             getattr(on_mesh, key)[...] = 0.0
+
+
+def seeded_potential(ch, seed=4):
+    """A random combination of sin(a)*cos(b) over every ordered pair of the
+    chart's coordinates, so that its jets vary along every axis."""
+    rng = np.random.default_rng(seed)
+    return scalar_field(ch, " + ".join(
+        f"({c:.3f})*sin({a})*cos({b})" for c, (a, b) in
+        zip(rng.uniform(-1.0, 1.0, ch.dim**2),
+            itertools.product(ch.coords, repeat=2))))
+
+
+@pytest.mark.parametrize("potential", ["seeded", "constant"])
+@pytest.mark.parametrize("name", BASE_CHARTS)
+def test_hessian_contracts_the_christoffels_on_the_frames_batch(name, potential):
+    # hessian hands leibniz the Christoffel jets on the frame's own batch,
+    # which the einsum broadcasts against f's full-grid jets; that must give
+    # the bits of the contraction of the frame's full broadcast views.  The
+    # constant is the f = 0 of the bundled trivial solitons.
+    ch = bundled(name).chart
+    x, _ = grid_nodes(ch, default_grid(ch))
+    fr = frame(ch, x)
+    f = seeded_potential(ch) if potential == "seeded" else scalar_field(ch, "0")
+    sj = scalar_jets(f, x, order=4)
+    for k in range(3):
+        got = hessian(fr, sj, k)
+        want = sj[2 + k] - leibniz("...kij,...k->...ij",
+                                   [fr.Gamma, fr.dGamma, fr.d2Gamma], sj[1:], k=k)
+        assert got.shape == x.shape[:-1] + (ch.dim,) * (k + 2)
+        assert got.flags.writeable
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ("sphere2", "warped_sphere", "sphere3"))
+def test_frame_batch_views_leave_a_point_list_unchanged(name):
+    # The metrics of these charts read only their first coordinate, so on a
+    # mesh the Christoffels are broadcast along every other axis, and those
+    # axes are cut to length 1.  On a point list every coordinate is read at
+    # every point, so nothing is cut.
+    ch = bundled(name).chart
+    x, _ = grid_nodes(ch, default_grid(ch))
+    nb = x.ndim - 1
+    arrays = lambda fr: [fr.Gamma, fr.dGamma, fr.d2Gamma]
+    on_mesh = arrays(frame(ch, x))
+    for got, full in zip(_own(on_mesh, nb), on_mesh):
+        assert got.shape == x.shape[:1] + (1,) * (nb - 1) + full.shape[nb:]
+        assert np.array_equal(np.broadcast_to(got, full.shape), full)
+    on_points = arrays(frame(ch, x.reshape(-1, ch.dim)))
+    for got, a in zip(_own(on_points, 1), on_points):
+        assert (got.shape, got.strides) == (a.shape, a.strides)
+        assert got.__array_interface__["data"] == a.__array_interface__["data"]
+
+
+def test_second_hessian_jet_does_not_copy_d2gamma_to_the_grid():
+    # d2Gamma holds n^5 entries per node against d^2 Hess f's n^4, so a
+    # full-grid copy of it takes the traced peak of hessian(k=2) to 4 times
+    # the result's size; on the frame's batch it stays near 2.
+    ch = bundled("sphere3").chart
+    x, _ = grid_nodes(ch, default_grid(ch))
+    fr = frame(ch, x)
+    sj = scalar_jets(seeded_potential(ch), x, order=4)
+    size = hessian(fr, sj, k=2).nbytes
+    tracemalloc.start()
+    try:
+        hessian(fr, sj, k=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * size
 
 
 def test_stacked_scalar_jets_match_one_field_at_a_time():
