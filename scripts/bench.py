@@ -24,13 +24,17 @@ solitonlab.cli`` after ``import numpy`` in fresh interpreters, after one
 untimed run, and records whether every module's bytecode was cached, that
 is whether the interpreters read ``__pycache__`` or compiled the sources.
 
-``--layer workspace`` (``BENCH_5.json``): in fresh interpreters, the script
-builds the frames of the charts of ``WORKSPACE_CASES`` on their default
-grids, then runs the library loop over them: per chart the field
-identities of a soliton with a seeded potential, ``identity_trace_lie2`` on
-a seeded vector field and the integrands of ``INTEGRANDS``.  It records the
-loop's time, the interpreter's peak RSS and the workspace cache's hits,
-misses and final size.
+``--layer workspace`` (``BENCH_5.json``; ``BENCH_8.json`` holds the sets
+with the check suites): in fresh interpreters, the script builds the frames
+of the charts of ``WORKSPACE_CASES`` on their default grids, then runs the
+library loop over them: per chart the field identities of a soliton with a
+seeded potential, ``identity_trace_lie2`` on a seeded vector field and the
+integrands of ``INTEGRANDS``.  In other fresh interpreters it builds the
+frames of the bundled soliton manifests of ``CHECK_MANIFESTS``, then runs
+``cmd_check`` on each with every check its potential admits, as ``solitonlab
+check`` does.  For each it records the loop's time (and each manifest's),
+the interpreter's peak RSS and the workspace cache's hits, misses and final
+size.
 
 Each figure is the median of ``--repeats`` runs.  A fixed numpy kernel that
 no change to solitonlab can move is timed next to every case, so a reader
@@ -50,6 +54,7 @@ other labels stay, so two trees sit side by side in one file::
     PYTHONPATH=src python3 scripts/bench.py --layer fit --label change
     PYTHONPATH=src python3 scripts/bench.py --layer import --label change
     PYTHONPATH=src python3 scripts/bench.py --layer workspace --label change
+    PYTHONPATH=src python3 scripts/bench.py --layer workspace --label change --out BENCH_8.json
 """
 
 import argparse
@@ -112,6 +117,20 @@ WORKSPACE_CASES = (
 # {s} is a second seeded potential, read as a coordinate expression.
 INTEGRANDS = ("1", "r", "lap(f)", "lap({s})", "g(gradf,gradf) + f*lap(f)",
               "norm2_hess(f) + ric(gradf,gradf) - lap(f)^2")
+
+# (bundled manifest, node counts): the nine with a soliton block, whose
+# check suites ``solitonlab check`` runs.  None is the chart's default grid.
+CHECK_MANIFESTS = (
+    ("sphere2_nonsoliton_ricci", None),
+    ("sphere2_nonsoliton_yamabe", None),
+    ("sphere2_ricci_trivial", None),
+    ("sphere2_yamabe_trivial", None),
+    ("sphere3_ricci_trivial", None),
+    ("sphere3_yamabe_trivial", None),
+    ("torus2_killing_vector", None),
+    ("torus2_ricci_trivial", None),
+    ("torus2_yamabe_trivial", None),
+)
 
 
 def median_ms(fn, repeats):
@@ -327,9 +346,61 @@ print(json.dumps({"loop_s": loop, "hits": info.hits, "misses": info.misses,
 """
 
 
-def workspace_cases(repeats):
+CHECKS_CHILD = """
+import json, resource, sys, time
+from solitonlab.cli import cmd_check
+from solitonlab.manifest import bundled
+from solitonlab.quadrature import default_grid
+from solitonlab.solitons import (CHECK_IDS, GRADIENT_ONLY, Tolerances,
+                                 grid_frame, workspace)
+
+runs = []
+for name, counts in json.loads(sys.argv[1]):
+    man = bundled(name)
+    grid = default_grid(man.chart, counts)
+    ids = [c for c in CHECK_IDS
+           if man.soliton.is_gradient or c not in GRADIENT_ONLY]
+    grid_frame(man.chart, grid)
+    runs.append((name, man, ids, grid))
+times = {}
+start = time.perf_counter()
+for name, man, ids, grid in runs:
+    begin = time.perf_counter()
+    cmd_check(man, ids, grid, Tolerances())
+    times[name] = time.perf_counter() - begin
+loop = time.perf_counter() - start
+info = workspace.cache_info()
+print(json.dumps({"loop_s": loop, "manifest_s": times, "hits": info.hits,
+                  "misses": info.misses, "currsize": info.currsize,
+                  "maxrss_kib":
+                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+
+
+def loop_case(code, plan, repeats):
+    """The runs of ``code`` on ``plan`` in ``repeats`` fresh interpreters
+    that import the solitonlab imported here, and their case: the median
+    loop time and peak RSS, and the workspace cache's hits, misses and final
+    size, which must be the same in every run."""
     package = Path(jets.__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=str(package.parent))
+    runs = [json.loads(subprocess.run(
+        [sys.executable, "-c", code, json.dumps(plan)], env=env,
+        capture_output=True, text=True, check=True).stdout)
+        for _ in range(repeats)]
+    cache = {(r["hits"], r["misses"], r["currsize"]) for r in runs}
+    if len(cache) != 1:
+        raise RuntimeError(f"workspace cache counts differ between runs: {cache}")
+    [(hits, misses, currsize)] = cache
+    return runs, {
+        "loop_ms": 1e3 * statistics.median(r["loop_s"] for r in runs),
+        "peak_rss_mib": statistics.median(r["maxrss_kib"] for r in runs) / 1024,
+        "hits": hits, "misses": misses, "currsize": currsize,
+        "host_kernel_ms": median_ms(host_kernel, repeats),
+    }
+
+
+def workspace_cases(repeats):
     plan = []
     for name, counts in WORKSPACE_CASES:
         ch = bundled(name).chart
@@ -338,25 +409,17 @@ def workspace_cases(repeats):
                      "counts": list(default_grid(ch, counts).counts),
                      "potential": potential, "vector": vector,
                      "integrands": [t.format(s=other) for t in INTEGRANDS]})
-
-    def child():
-        run = subprocess.run([sys.executable, "-c", WORKSPACE_CHILD,
-                              json.dumps(plan)], env=env, capture_output=True,
-                             text=True, check=True)
-        return json.loads(run.stdout)
-
-    runs = [child() for _ in range(repeats)]
-    cache = {(r["hits"], r["misses"], r["currsize"]) for r in runs}
-    if len(cache) != 1:
-        raise RuntimeError(f"workspace cache counts differ between runs: {cache}")
-    [(hits, misses, currsize)] = cache
-    return [{
-        "charts": [[entry["chart"], entry["counts"]] for entry in plan],
-        "loop_ms": 1e3 * statistics.median(r["loop_s"] for r in runs),
-        "peak_rss_mib": statistics.median(r["maxrss_kib"] for r in runs) / 1024,
-        "hits": hits, "misses": misses, "currsize": currsize,
-        "host_kernel_ms": median_ms(host_kernel, repeats),
-    }]
+    manifests = [[name, list(default_grid(bundled(name).chart, counts).counts)]
+                 for name, counts in CHECK_MANIFESTS]
+    _, library = loop_case(WORKSPACE_CHILD, plan, repeats)
+    runs, checks = loop_case(CHECKS_CHILD, manifests, repeats)
+    checks["manifest_ms"] = {name: 1e3 * statistics.median(
+        r["manifest_s"][name] for r in runs) for name, _ in manifests}
+    return [
+        {"charts": [[entry["chart"], entry["counts"]] for entry in plan],
+         **library},
+        {"manifests": manifests, **checks},
+    ]
 
 
 LAYERS = {  # layer -> (case timer, default output, line per case)
@@ -381,8 +444,10 @@ LAYERS = {  # layer -> (case timer, default output, line per case)
                          f"{c['import_ms']:.2f} ms (numpy {c['numpy_ms']:.2f} ms, "
                          f"bytecode {'cached' if c['bytecode_cached'] else 'compiled'})"),
     "workspace": (workspace_cases, "BENCH_5.json",
-                  lambda c: f"library loop on {len(c['charts'])} charts "
-                            f"{c['loop_ms']:.2f} ms, peak RSS "
+                  lambda c: (f"library loop on {len(c['charts'])} charts "
+                             if "charts" in c else
+                             f"check suites of {len(c['manifests'])} manifests ")
+                            + f"{c['loop_ms']:.2f} ms, peak RSS "
                             f"{c['peak_rss_mib']:.1f} MiB, workspace hits "
                             f"{c['hits']} misses {c['misses']} size "
                             f"{c['currsize']}"),

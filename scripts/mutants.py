@@ -170,6 +170,20 @@ REGISTER = [
         "replacement": "_own([fr.Gamma, fr.dGamma], fr.r.ndim)",
         "killed_by": T + "test_gradient_lie_jets_match_the_vector_route",
     },
+    {
+        "name": "Workspace.fr cut to its own batch on the Lie route too",
+        "file": SOLITONS,
+        "text": "return own_frame(self.full_fr) if self.from_hessian else self.full_fr",
+        "replacement": "return own_frame(self.full_fr)",
+        "killed_by": T + "test_lie_route_workspace_keeps_the_full_grid",
+    },
+    {
+        "name": "Workspace.sj without _own: f's jets stay full-grid views",
+        "file": SOLITONS,
+        "text": "return _own(sj, self.x.ndim - 1) if self.from_hessian else sj",
+        "replacement": "return sj",
+        "killed_by": T + "test_hessian_route_keeps_the_frames_and_fs_own_batch",
+    },
 ]
 
 

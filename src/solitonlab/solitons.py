@@ -34,6 +34,7 @@ from .geometry import (
     Chart,
     ScalarField,
     VectorField,
+    _own,
     cov_accel,
     div_sym2,
     div_vector,
@@ -47,6 +48,7 @@ from .geometry import (
     nabla_vec_norm2,
     norm2_covec,
     norm2_sym2,
+    own_frame,
     raise_covec,
     ric_vv,
     scalar_jets,
@@ -183,7 +185,11 @@ def max_norm(fr, values):
 class Workspace:
     """The field quantities and gate maxima the checks read, for one soliton
     or one bare ScalarField/VectorField on one grid.  Each is computed the
-    first time it is read; the residual and its maximum need a SolitonSpec."""
+    first time it is read; the residual and its maximum need a SolitonSpec.
+    On a potential's Hessian route (``from_hessian`` when first read), ``fr``
+    and ``sj`` keep their own batches.  The Lie route, a vector field's or a
+    fitted soliton's, keeps full-grid views: a faster post-fit check would
+    end a cold fit before the benchmark's first sample (ROADMAP item 3)."""
 
     def __init__(self, target, grid):
         self.target = target
@@ -192,18 +198,22 @@ class Workspace:
         else:
             self.field = target
         self.x, self.w = grid_nodes(target.chart, grid)
-        self.fr = grid_frame(target.chart, grid)
-        # L_grad f g = 2 Hess f; a FitProblem's result keeps the Lie route.
+        self.full_fr = grid_frame(target.chart, grid)
         self.from_hessian = isinstance(self.field, ScalarField)
 
     def integral(self, values):
         return integral(self.fr, self.w, values)
 
     @cached_property
+    def fr(self):
+        return own_frame(self.full_fr) if self.from_hessian else self.full_fr
+
+    @cached_property
     def sj(self):
         """f's jets; only ``dU``, which a SolitonSpec's gates read, needs d4f."""
         order = 4 if isinstance(self.target, SolitonSpec) else 3
-        return scalar_jets(self.field, self.x, order=order)
+        sj = scalar_jets(self.field, self.x, order=order)
+        return _own(sj, self.x.ndim - 1) if self.from_hessian else sj
 
     @cached_property
     def vj(self):

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from solitonlab.manifest import bundled, bundled_names
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
 _spec = importlib.util.spec_from_file_location("bench", SCRIPT)
 bench = importlib.util.module_from_spec(_spec)
@@ -94,6 +96,9 @@ def test_import_layer_times_fresh_interpreters(tmp_path, capsys):
 def test_workspace_layer_runs_the_library_loop(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bench, "WORKSPACE_CASES",
                         (("sphere2", (8, 12)), ("torus3", (8, 8, 8))))
+    monkeypatch.setattr(bench, "CHECK_MANIFESTS",
+                        (("sphere2_yamabe_trivial", (8, 12)),
+                         ("torus2_killing_vector", (8, 8))))
     out = tmp_path / "BENCH_5.json"
     for label in ("parent", "change"):
         assert bench.main(["--layer", "workspace", "--label", label, "--out",
@@ -103,11 +108,26 @@ def test_workspace_layer_runs_the_library_loop(tmp_path, monkeypatch, capsys):
     assert set(data["sets"]) == {"parent", "change"}
     for entry in data["sets"].values():
         assert {"git_sha", "git_dirty", "nproc", "numpy", "python"} <= set(entry)
-        [case] = entry["cases"]
+        case, checks = entry["cases"]
         assert case["charts"] == [["sphere2", [8, 12]], ["torus3", [8, 8, 8]]]
         # Per chart: the soliton, the vector field and the coordinate
         # expression under lap, each built once.
         assert case["misses"] == 6
         assert case["currsize"] <= 2
         assert min(case["loop_ms"], case["peak_rss_mib"]) > 0
-    assert "change: library loop on 2 charts" in capsys.readouterr().out
+        # One workspace per manifest's soliton, read by every check.
+        assert checks["manifests"] == [["sphere2_yamabe_trivial", [8, 12]],
+                                       ["torus2_killing_vector", [8, 8]]]
+        assert checks["misses"] == 2
+        assert set(checks["manifest_ms"]) == {"sphere2_yamabe_trivial",
+                                              "torus2_killing_vector"}
+        assert min(checks["loop_ms"], checks["peak_rss_mib"],
+                   *checks["manifest_ms"].values()) > 0
+    printed = capsys.readouterr().out
+    assert "change: library loop on 2 charts" in printed
+    assert "change: check suites of 2 manifests" in printed
+
+
+def test_check_manifests_are_the_bundled_solitons():
+    names = [name for name in bundled_names() if bundled(name).soliton]
+    assert [name for name, _ in bench.CHECK_MANIFESTS] == names

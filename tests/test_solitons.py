@@ -8,8 +8,10 @@ hypothesis gates rather than the conclusions.
 """
 
 import importlib.util
+import itertools
 import math
 import re
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,7 @@ from solitonlab.solitons import (
     SolitonError,
     SolitonSpec,
     Tolerances,
+    Workspace,
     _build_report,
     _phi_laplacian,
     check_contracted_trace,
@@ -57,7 +60,7 @@ from solitonlab.solitons import (
     workspace,
 )
 
-from conftest import random_scalar, random_vector
+from conftest import SCALAR_TERMS, random_scalar, random_vector
 from test_geometry import (
     annulus,
     max_abs,
@@ -238,6 +241,75 @@ def test_gradient_lie_jets_match_the_vector_route(name, kind, rng):
     dU = lie_jet(vj, [T, dT, d2T], 1)
     for got, want in ((ws.T, T), (ws.dT, dT), (ws.dU, dU)):
         assert max_abs(got - want) <= 1e-11 * max_abs(want)
+
+
+def test_hessian_route_keeps_the_frames_and_fs_own_batch():
+    # The flat torus with f = 0 is one node's numbers; on the round sphere
+    # the metric and cos(th) vary along th only.  The Hessian route keeps
+    # every quantity on that batch instead of expanding it to the grid.
+    for ch, text, batch in ((torus2(), "0", (1, 1)),
+                            (sphere2(), "cos(th)", (64, 1))):
+        spec = SolitonSpec(name="scratch", chart=ch, kind="yamabe", lam=1.0,
+                           mu=2.0, potential=scalar_field(ch, text))
+        ws = Workspace(spec, default_grid(ch))
+        for name in ("U", "dU", "residual", "H"):
+            assert getattr(ws, name).shape[:2] == batch, (ch.name, name)
+
+
+def test_lie_route_workspace_keeps_the_full_grid():
+    # FitProblem.fit sets from_hessian False after workspace() builds the
+    # entry and before anything is read.  That workspace, and so a cold
+    # fit, stays on the full-grid views until the benchmark can time a
+    # faster fit (ROADMAP item 3).
+    ch = torus2()
+    grid = grid_for(ch)
+    ws = Workspace(trivial(ch, "ricci", 0.0), grid)
+    ws.from_hessian = False
+    full = tuple(grid.counts)
+    for name in ("U", "dU", "residual", "H"):
+        assert getattr(ws, name).shape[:2] == full, name
+    for name, a in vars(ws.fr).items():
+        if name != "chart":
+            assert a.shape[:2] == full, name
+    assert all(a.shape[:2] == full for a in ws.sj)
+
+
+def workspace_arrays(ws):
+    """Every field quantity of ``ws`` after f's jets, by name: the cached
+    properties in class order, lists and pairs split into their arrays."""
+    names = [k for k, v in vars(Workspace).items()
+             if isinstance(v, cached_property) and k not in ("fr", "sj")]
+    out = {}
+    for name in names:
+        value = getattr(ws, name)
+        if isinstance(value, (list, tuple)):
+            out.update({f"{name}[{i}]": v for i, v in enumerate(value)})
+        else:
+            out[name] = value
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CHART_BUILDERS))
+def test_hessian_route_agrees_with_the_full_grid_views(name, rng):
+    # The reference workspace reads the frame and f's jets as full-grid
+    # views; the Hessian route reads them on their own batches.  Both must
+    # give every quantity to rounding, on the grid.
+    ch = CHART_BUILDERS[name]()
+    grid = grid_for(ch)
+    x, _ = grid_nodes(ch, grid)
+    potentials = ("0", SCALAR_TERMS[name][0], random_scalar(ch, rng).source)
+    for text, kind in itertools.product(potentials, ("ricci", "yamabe")):
+        spec = SolitonSpec(name="scratch", chart=ch, kind=kind, lam=0.7,
+                           mu=1.3, potential=scalar_field(ch, text))
+        ws, ref = Workspace(spec, grid), Workspace(spec, grid)
+        ref.__dict__.update(fr=grid_frame(ch, grid),
+                            sj=scalar_jets(spec.potential, x, order=4))
+        got, want = workspace_arrays(ws), workspace_arrays(ref)
+        assert list(got) == list(want)
+        for key, value in want.items():
+            diff = np.abs(np.broadcast_to(got[key], np.shape(value)) - value)
+            assert np.max(diff) <= 1e-13 * (1 + np.max(np.abs(value))), (
+                text, kind, key)
 
 
 # ------------------------------------------------------------ pinned anchors
@@ -477,7 +549,11 @@ def test_default_grid_spellings_share_one_cache_entry():
     assert workspace(spec, None) is ws
     assert workspace(spec, grid) is ws
     assert workspace(spec, grid=grid) is ws
-    assert ws.fr is fr
+    # The Hessian route cuts the cached frame's arrays to their own batch,
+    # so its frame holds views of that entry's arrays, not copies.
+    for name, a in vars(fr).items():
+        if name != "chart":
+            assert np.shares_memory(getattr(ws.fr, name), a), name
     assert grid_frame.cache_info().misses - misses <= 1
 
 
