@@ -75,7 +75,7 @@ import numpy as np
 from solitonlab import jets
 from solitonlab.fitting import BasisExpansion, FitInit, FitProblem
 from solitonlab.geometry import frame, hessian, scalar_field, scalar_jets
-from solitonlab.manifest import bundled
+from solitonlab.manifest import bundled, bundled_names
 from solitonlab.quadrature import default_grid, grid_nodes
 from solitonlab.solitons import workspace
 
@@ -118,19 +118,10 @@ WORKSPACE_CASES = (
 INTEGRANDS = ("1", "r", "lap(f)", "lap({s})", "g(gradf,gradf) + f*lap(f)",
               "norm2_hess(f) + ric(gradf,gradf) - lap(f)^2")
 
-# (bundled manifest, node counts): the nine with a soliton block, whose
-# check suites ``solitonlab check`` runs.  None is the chart's default grid.
-CHECK_MANIFESTS = (
-    ("sphere2_nonsoliton_ricci", None),
-    ("sphere2_nonsoliton_yamabe", None),
-    ("sphere2_ricci_trivial", None),
-    ("sphere2_yamabe_trivial", None),
-    ("sphere3_ricci_trivial", None),
-    ("sphere3_yamabe_trivial", None),
-    ("torus2_killing_vector", None),
-    ("torus2_ricci_trivial", None),
-    ("torus2_yamabe_trivial", None),
-)
+# (bundled manifest, node counts): every manifest with a soliton block, on
+# its chart's default grid (None), as ``solitonlab check`` runs it.
+CHECK_MANIFESTS = tuple((name, None) for name in bundled_names()
+                        if bundled(name).soliton is not None)
 
 
 def median_ms(fn, repeats):

@@ -331,7 +331,7 @@ def workspace(target, grid=None):
 
 
 # No caller reads more than two (README, Python API); each entry holds
-# full-grid field arrays, so more would only keep dead ones alive.
+# field arrays up to the grid's size, so more would only keep dead ones alive.
 _workspace = lru_cache(maxsize=2)(Workspace)
 
 

@@ -4,8 +4,6 @@ import importlib.util
 import json
 from pathlib import Path
 
-from solitonlab.manifest import bundled, bundled_names
-
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
 _spec = importlib.util.spec_from_file_location("bench", SCRIPT)
 bench = importlib.util.module_from_spec(_spec)
@@ -126,8 +124,3 @@ def test_workspace_layer_runs_the_library_loop(tmp_path, monkeypatch, capsys):
     printed = capsys.readouterr().out
     assert "change: library loop on 2 charts" in printed
     assert "change: check suites of 2 manifests" in printed
-
-
-def test_check_manifests_are_the_bundled_solitons():
-    names = [name for name in bundled_names() if bundled(name).soliton]
-    assert [name for name, _ in bench.CHECK_MANIFESTS] == names
