@@ -339,18 +339,16 @@ print(json.dumps({"loop_s": loop, "hits": info.hits, "misses": info.misses,
 
 CHECKS_CHILD = """
 import json, resource, sys, time
-from solitonlab.cli import cmd_check
+from solitonlab.cli import _select_checks, cmd_check
 from solitonlab.manifest import bundled
 from solitonlab.quadrature import default_grid
-from solitonlab.solitons import (CHECK_IDS, GRADIENT_ONLY, Tolerances,
-                                 grid_frame, workspace)
+from solitonlab.solitons import Tolerances, grid_frame, workspace
 
 runs = []
 for name, counts in json.loads(sys.argv[1]):
     man = bundled(name)
     grid = default_grid(man.chart, counts)
-    ids = [c for c in CHECK_IDS
-           if man.soliton.is_gradient or c not in GRADIENT_ONLY]
+    ids = _select_checks(man, [])
     grid_frame(man.chart, grid)
     runs.append((name, man, ids, grid))
 times = {}

@@ -171,18 +171,25 @@ REGISTER = [
         "killed_by": T + "test_gradient_lie_jets_match_the_vector_route",
     },
     {
-        "name": "Workspace.fr cut to its own batch on the Lie route too",
+        "name": "Workspace.fr cut to its own batch in a fitted workspace too",
         "file": SOLITONS,
-        "text": "return own_frame(self.full_fr) if self.from_hessian else self.full_fr",
-        "replacement": "return own_frame(self.full_fr)",
-        "killed_by": T + "test_lie_route_workspace_keeps_the_full_grid",
+        "text": "return self.full_fr  # a fitted soliton's workspace",
+        "replacement": "pass",
+        "killed_by": T + "test_fitted_workspace_keeps_the_full_grid",
     },
     {
         "name": "Workspace.sj without _own: f's jets stay full-grid views",
         "file": SOLITONS,
         "text": "return _own(sj, self.x.ndim - 1) if self.from_hessian else sj",
         "replacement": "return sj",
-        "killed_by": T + "test_hessian_route_keeps_the_frames_and_fs_own_batch",
+        "killed_by": T + "test_workspace_keeps_the_frames_and_fields_own_batch",
+    },
+    {
+        "name": "Workspace.vj without _own: xi's jets stay full-grid views",
+        "file": SOLITONS,
+        "text": "return _own(vector_jets(self.field, self.x), self.x.ndim - 1)",
+        "replacement": "return vector_jets(self.field, self.x)",
+        "killed_by": T + "test_workspace_keeps_the_frames_and_fields_own_batch",
     },
 ]
 

@@ -13,9 +13,7 @@ one.  ``frame``, ``scalar_jets`` and ``vector_jets`` hand out read-only
 broadcast views of the full batch shape, and error messages name the first
 failing node of the full grid.  An einsum copies such a view to the full grid
 when it reshapes it, so ``hessian`` contracts the Christoffel jets on the
-frame's own batch, and a ``solitons.Workspace`` on the Hessian route reads
-the whole frame (``own_frame``) and f's jets on their own batches; its Lie
-route keeps the full views (ROADMAP item 3).
+frame's own batch, and ``solitons.Workspace`` reads frame and jets on theirs.
 
 Index conventions for the arrays built here, with n the chart dimension:
 
@@ -220,13 +218,6 @@ def _own(arrays, nb):
     """Undo ``_full``: each of the first nb axes with stride 0 cut to length 1."""
     return [a[tuple(slice(1 if s == 0 else None) for s in a.strides[:nb])]
             for a in arrays]
-
-
-def own_frame(fr):
-    """``fr`` with every array cut to the frame's own batch by ``_own``."""
-    arrays = {k: v for k, v in vars(fr).items() if k != "chart"}
-    return PointFrame(chart=fr.chart, **dict(
-        zip(arrays, _own(arrays.values(), fr.r.ndim))))
 
 
 def scalar_jets(field, x, order=3):

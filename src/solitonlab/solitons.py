@@ -48,7 +48,6 @@ from .geometry import (
     nabla_vec_norm2,
     norm2_covec,
     norm2_sym2,
-    own_frame,
     raise_covec,
     ric_vv,
     scalar_jets,
@@ -186,9 +185,8 @@ class Workspace:
     """The field quantities and gate maxima the checks read, for one soliton
     or one bare ScalarField/VectorField on one grid.  Each is computed the
     first time it is read; the residual and its maximum need a SolitonSpec.
-    On a potential's Hessian route (``from_hessian`` when first read), ``fr``
-    and ``sj`` keep their own batches.  The Lie route, a vector field's or a
-    fitted soliton's, keeps full-grid views: a faster post-fit check would
+    ``fr`` and the field's jets keep their own batches (``geometry._own``),
+    but not in a fitted soliton's workspace: a faster post-fit check would
     end a cold fit before the benchmark's first sample (ROADMAP item 3)."""
 
     def __init__(self, target, grid):
@@ -199,6 +197,7 @@ class Workspace:
             self.field = target
         self.x, self.w = grid_nodes(target.chart, grid)
         self.full_fr = grid_frame(target.chart, grid)
+        # L_grad f g = 2 Hess f; a FitProblem's result keeps the Lie route.
         self.from_hessian = isinstance(self.field, ScalarField)
 
     def integral(self, values):
@@ -206,7 +205,10 @@ class Workspace:
 
     @cached_property
     def fr(self):
-        return own_frame(self.full_fr) if self.from_hessian else self.full_fr
+        if isinstance(self.field, ScalarField) and not self.from_hessian:
+            return self.full_fr  # a fitted soliton's workspace
+        return type(self.full_fr)(**{k: v if k == "chart" else _own(
+            [v], self.x.ndim - 1)[0] for k, v in vars(self.full_fr).items()})
 
     @cached_property
     def sj(self):
@@ -221,7 +223,7 @@ class Workspace:
         if isinstance(self.field, ScalarField):
             return gradient_vector_jets(
                 self.fr, self.sj[:4] if self.from_hessian else self.sj)
-        return vector_jets(self.field, self.x)
+        return _own(vector_jets(self.field, self.x), self.x.ndim - 1)
 
     @cached_property
     def Tjets(self):

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from solitonlab.geometry import (
+    ScalarField,
     div_sym2,
     frame,
     gradient_vector_jets,
@@ -31,6 +32,7 @@ from solitonlab.geometry import (
     trace_g,
     trace_g_jet,
     vector_field,
+    vector_jets,
 )
 from solitonlab import solitons
 from solitonlab.manifest import bundled
@@ -60,7 +62,7 @@ from solitonlab.solitons import (
     workspace,
 )
 
-from conftest import SCALAR_TERMS, random_scalar, random_vector
+from conftest import SCALAR_TERMS, VECTOR_TERMS, random_scalar, random_vector
 from test_geometry import (
     annulus,
     max_abs,
@@ -243,20 +245,25 @@ def test_gradient_lie_jets_match_the_vector_route(name, kind, rng):
         assert max_abs(got - want) <= 1e-11 * max_abs(want)
 
 
-def test_hessian_route_keeps_the_frames_and_fs_own_batch():
-    # The flat torus with f = 0 is one node's numbers; on the round sphere
-    # the metric and cos(th) vary along th only.  The Hessian route keeps
-    # every quantity on that batch instead of expanding it to the grid.
-    for ch, text, batch in ((torus2(), "0", (1, 1)),
-                            (sphere2(), "cos(th)", (64, 1))):
+def test_workspace_keeps_the_frames_and_fields_own_batch():
+    # The flat torus with f = 0 or a constant field is one node's numbers;
+    # on the round sphere the metric and cos(th) vary along th only.  The
+    # workspace keeps every quantity on that batch instead of expanding it
+    # to the grid.
+    cases = ((torus2(), scalar_field(torus2(), "0"), (1, 1)),
+             (sphere2(), scalar_field(sphere2(), "cos(th)"), (64, 1)),
+             (torus2(), vector_field(torus2(), ("1", "0")), (1, 1)))
+    for ch, field, batch in cases:
+        gradient = isinstance(field, ScalarField)
         spec = SolitonSpec(name="scratch", chart=ch, kind="yamabe", lam=1.0,
-                           mu=2.0, potential=scalar_field(ch, text))
+                           mu=2.0, potential=field if gradient else None,
+                           vector=None if gradient else field)
         ws = Workspace(spec, default_grid(ch))
-        for name in ("U", "dU", "residual", "H"):
+        for name in ("U", "dU", "residual") + (("H",) if gradient else ()):
             assert getattr(ws, name).shape[:2] == batch, (ch.name, name)
 
 
-def test_lie_route_workspace_keeps_the_full_grid():
+def test_fitted_workspace_keeps_the_full_grid():
     # FitProblem.fit sets from_hessian False after workspace() builds the
     # entry and before anything is read.  That workspace, and so a cold
     # fit, stays on the full-grid views until the benchmark can time a
@@ -274,11 +281,17 @@ def test_lie_route_workspace_keeps_the_full_grid():
     assert all(a.shape[:2] == full for a in ws.sj)
 
 
+# The quantities that read f's jets, which a vector field's workspace has not.
+POTENTIAL_ONLY = ("H", "lap", "hess2", "dH", "dlap", "glapf", "gfr", "lap_phi")
+
+
 def workspace_arrays(ws):
-    """Every field quantity of ``ws`` after f's jets, by name: the cached
-    properties in class order, lists and pairs split into their arrays."""
+    """Every field quantity of ``ws`` after the field's jets, by name: the
+    cached properties in class order, lists and pairs split into their
+    arrays."""
+    skip = ("fr", "sj", "vj") + (() if ws.from_hessian else POTENTIAL_ONLY)
     names = [k for k, v in vars(Workspace).items()
-             if isinstance(v, cached_property) and k not in ("fr", "sj")]
+             if isinstance(v, cached_property) and k not in skip]
     out = {}
     for name in names:
         value = getattr(ws, name)
@@ -290,25 +303,35 @@ def workspace_arrays(ws):
 
 
 @pytest.mark.parametrize("name", sorted(CHART_BUILDERS))
-def test_hessian_route_agrees_with_the_full_grid_views(name, rng):
-    # The reference workspace reads the frame and f's jets as full-grid
-    # views; the Hessian route reads them on their own batches.  Both must
-    # give every quantity to rounding, on the grid.
+def test_own_batch_workspace_agrees_with_the_full_grid_views(name, rng):
+    # The reference workspace reads the frame and the field's jets as
+    # full-grid views; the workspace reads them on their own batches.  Both
+    # must give every quantity to rounding, on the grid.
     ch = CHART_BUILDERS[name]()
     grid = grid_for(ch)
     x, _ = grid_nodes(ch, grid)
-    potentials = ("0", SCALAR_TERMS[name][0], random_scalar(ch, rng).source)
-    for text, kind in itertools.product(potentials, ("ricci", "yamabe")):
+    potentials = [scalar_field(ch, t) for t in ("0", SCALAR_TERMS[name][0])]
+    vectors = [vector_field(ch, (t,) + ("0",) * (ch.dim - 1))
+               for t in ("0", VECTOR_TERMS[name][0][0])]
+    fields = (potentials + [random_scalar(ch, rng)] + vectors
+              + [random_vector(ch, rng)])
+    for field, kind in itertools.product(fields, ("ricci", "yamabe")):
+        gradient = isinstance(field, ScalarField)
         spec = SolitonSpec(name="scratch", chart=ch, kind=kind, lam=0.7,
-                           mu=1.3, potential=scalar_field(ch, text))
+                           mu=1.3, potential=field if gradient else None,
+                           vector=None if gradient else field)
         ws, ref = Workspace(spec, grid), Workspace(spec, grid)
-        ref.__dict__.update(fr=grid_frame(ch, grid),
-                            sj=scalar_jets(spec.potential, x, order=4))
+        ref.__dict__["fr"] = grid_frame(ch, grid)
+        if gradient:
+            ref.__dict__["sj"] = scalar_jets(field, x, order=4)
+        else:
+            ref.__dict__["vj"] = vector_jets(field, x)
         got, want = workspace_arrays(ws), workspace_arrays(ref)
+        assert got.keys() == want.keys()
         for key, value in want.items():
             diff = np.abs(np.broadcast_to(got[key], np.shape(value)) - value)
             assert np.max(diff) <= 1e-13 * (1 + np.max(np.abs(value))), (
-                text, kind, key)
+                field.source if gradient else field, kind, key)
 
 
 # ------------------------------------------------------------ pinned anchors
