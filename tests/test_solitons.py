@@ -245,6 +245,13 @@ def test_gradient_lie_jets_match_the_vector_route(name, kind, rng):
         assert max_abs(got - want) <= 1e-11 * max_abs(want)
 
 
+def scratch_soliton(field, kind="yamabe", lam=1.0, mu=2.0):
+    """A soliton over a potential or a vector field."""
+    key = "potential" if isinstance(field, ScalarField) else "vector"
+    return SolitonSpec(name="scratch", chart=field.chart, kind=kind, lam=lam,
+                       mu=mu, **{key: field})
+
+
 def test_workspace_keeps_the_frames_and_fields_own_batch():
     # The flat torus with f = 0 or a constant field is one node's numbers;
     # on the round sphere the metric and cos(th) vary along th only.  The
@@ -254,12 +261,9 @@ def test_workspace_keeps_the_frames_and_fields_own_batch():
              (sphere2(), scalar_field(sphere2(), "cos(th)"), (64, 1)),
              (torus2(), vector_field(torus2(), ("1", "0")), (1, 1)))
     for ch, field, batch in cases:
-        gradient = isinstance(field, ScalarField)
-        spec = SolitonSpec(name="scratch", chart=ch, kind="yamabe", lam=1.0,
-                           mu=2.0, potential=field if gradient else None,
-                           vector=None if gradient else field)
-        ws = Workspace(spec, default_grid(ch))
-        for name in ("U", "dU", "residual") + (("H",) if gradient else ()):
+        ws = Workspace(scratch_soliton(field), default_grid(ch))
+        hess = ("H",) if isinstance(field, ScalarField) else ()
+        for name in ("U", "dU", "residual") + hess:
             assert getattr(ws, name).shape[:2] == batch, (ch.name, name)
 
 
@@ -316,13 +320,10 @@ def test_own_batch_workspace_agrees_with_the_full_grid_views(name, rng):
     fields = (potentials + [random_scalar(ch, rng)] + vectors
               + [random_vector(ch, rng)])
     for field, kind in itertools.product(fields, ("ricci", "yamabe")):
-        gradient = isinstance(field, ScalarField)
-        spec = SolitonSpec(name="scratch", chart=ch, kind=kind, lam=0.7,
-                           mu=1.3, potential=field if gradient else None,
-                           vector=None if gradient else field)
+        spec = scratch_soliton(field, kind, lam=0.7, mu=1.3)
         ws, ref = Workspace(spec, grid), Workspace(spec, grid)
         ref.__dict__["fr"] = grid_frame(ch, grid)
-        if gradient:
+        if spec.is_gradient:
             ref.__dict__["sj"] = scalar_jets(field, x, order=4)
         else:
             ref.__dict__["vj"] = vector_jets(field, x)
@@ -331,7 +332,7 @@ def test_own_batch_workspace_agrees_with_the_full_grid_views(name, rng):
         for key, value in want.items():
             diff = np.abs(np.broadcast_to(got[key], np.shape(value)) - value)
             assert np.max(diff) <= 1e-13 * (1 + np.max(np.abs(value))), (
-                field.source if gradient else field, kind, key)
+                field, kind, key)
 
 
 # ------------------------------------------------------------ pinned anchors
