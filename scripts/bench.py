@@ -24,12 +24,13 @@ solitonlab.cli`` after ``import numpy`` in fresh interpreters, after one
 untimed run, and records whether every module's bytecode was cached, that
 is whether the interpreters read ``__pycache__`` or compiled the sources.
 
-``--layer workspace`` (``BENCH_5.json``; ``BENCH_8.json`` holds the sets
-with the check suites): in fresh interpreters, the script builds the frames
-of the charts of ``WORKSPACE_CASES`` on their default grids, then runs the
-library loop over them: per chart the field identities of a soliton with a
-seeded potential, ``identity_trace_lie2`` on a seeded vector field and the
-integrands of ``INTEGRANDS``.  In other fresh interpreters it builds the
+``--layer workspace`` (``BENCH_5.json``; ``BENCH_8.json`` and
+``BENCH_9.json`` hold the sets with the check suites): in fresh
+interpreters, the script builds the frames of the charts of
+``WORKSPACE_CASES`` on their default grids, then runs the library loop over
+them: per chart the field identities of a soliton with a seeded potential,
+``identity_trace_lie2`` on a seeded vector field and the integrands of
+``INTEGRANDS``.  In other fresh interpreters it builds the
 frames of the bundled soliton manifests of ``CHECK_MANIFESTS``, then runs
 ``cmd_check`` on each with every check its potential admits, as ``solitonlab
 check`` does.  For each it records the loop's time (and each manifest's),
@@ -54,7 +55,7 @@ other labels stay, so two trees sit side by side in one file::
     PYTHONPATH=src python3 scripts/bench.py --layer fit --label change
     PYTHONPATH=src python3 scripts/bench.py --layer import --label change
     PYTHONPATH=src python3 scripts/bench.py --layer workspace --label change
-    PYTHONPATH=src python3 scripts/bench.py --layer workspace --label change --out BENCH_8.json
+    PYTHONPATH=src python3 scripts/bench.py --layer workspace --label change --out BENCH_9.json
 """
 
 import argparse

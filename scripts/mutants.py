@@ -191,6 +191,21 @@ REGISTER = [
         "replacement": "return vector_jets(self.field, self.x)",
         "killed_by": T + "test_workspace_keeps_the_frames_and_fields_own_batch",
     },
+    {
+        "name": "schur reads the cached full frame",
+        "file": SOLITONS,
+        "text": "div_sym2(ws.fr, ws.fr.Ric, ws.fr.dRic) - 0.5 * ws.fr.dr",
+        "replacement": "div_sym2(ws.full_fr, ws.full_fr.Ric, ws.full_fr.dRic)"
+                       " - 0.5 * ws.full_fr.dr",
+        "killed_by": T + "test_schur_contracts_on_the_frames_own_batch",
+    },
+    {
+        "name": "_build_report reduces on the full frame",
+        "file": SOLITONS,
+        "text": "return _build_report(check_id, ws.fr, grid,",
+        "replacement": "return _build_report(check_id, ws.full_fr, grid,",
+        "killed_by": T + "test_report_maxima_reduce_on_the_workspace_frame",
+    },
 ]
 
 

@@ -13,7 +13,8 @@ one.  ``frame``, ``scalar_jets`` and ``vector_jets`` hand out read-only
 broadcast views of the full batch shape, and error messages name the first
 failing node of the full grid.  An einsum copies such a view to the full grid
 when it reshapes it, so ``hessian`` contracts the Christoffel jets on the
-frame's own batch, and ``solitons.Workspace`` reads frame and jets on theirs.
+frame's own batch, and the checks, their report maxima and the command line
+read frame and jets on theirs from ``solitons.Workspace`` (not a fit's).
 
 Index conventions for the arrays built here, with n the chart dimension:
 
@@ -71,6 +72,8 @@ class Chart:
     @property
     def dim(self):
         return len(self.coords)
+
+    chart = property(lambda self: self)  # a Workspace takes it like a field
 
 
 def chart(name, coords, lo, hi, periodic, metric_texts, grid_hint=None):

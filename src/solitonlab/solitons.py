@@ -182,10 +182,11 @@ def max_norm(fr, values):
 
 
 class Workspace:
-    """The field quantities and gate maxima the checks read, for one soliton
-    or one bare ScalarField/VectorField on one grid.  Each is computed the
-    first time it is read; the residual and its maximum need a SolitonSpec.
-    ``fr`` and the field's jets keep their own batches (``geometry._own``),
+    """The field quantities and gate maxima the checks read, for one soliton,
+    one bare ScalarField/VectorField or a bare Chart (only ``fr``) on one
+    grid.  Each is computed the first time it is read; the residual and its
+    maximum need a SolitonSpec.  ``fr``, which every report maximum reduces
+    on, and the field's jets keep their own batches (``geometry._own``),
     but not in a fitted soliton's workspace: a faster post-fit check would
     end a cold fit before the benchmark's first sample (ROADMAP item 3)."""
 
@@ -356,7 +357,7 @@ def _deviation(ws, values):
 def _build_report(check_id, fr, grid, tol, conclusions, hypotheses,
                   integrals=None, info=None, notes=()):
     """conclusions/hypotheses: name -> (residual field or value, tolerance),
-    each reduced by ``max_norm`` on the frame ``fr``."""
+    each reduced by ``max_norm`` on ``fr``, the Workspace's frame."""
     residuals = {k: float(max_norm(fr, v)) for k, (v, _) in conclusions.items()}
     hyp = {k: float(max_norm(fr, v)) for k, (v, _) in hypotheses.items()}
     conclusions_ok = all(residuals[k] <= t for k, (_, t) in conclusions.items())
@@ -403,7 +404,7 @@ def _indicator_gate(ok, notes, failure, note):
 
 
 # ------------------------------------------------------------ the statements
-# Each takes the Workspace (the frame, for a frame-only check), the tolerances
+# Each takes the Workspace (a Chart's too, for schur), the tolerances
 # and the notes, which it may append to, and returns the check's own
 # (conclusions, hypotheses, integrals, info), with name -> (residual field or
 # value, tolerance); the report keeps each field's ``max_norm``.
@@ -511,9 +512,9 @@ def _remark_csc(ws, tol, notes):
     return {"scalar_curvature_deviation": (r_dev, tol.pointwise)}, hypotheses, {}, {}
 
 
-def _schur(fr, tol, notes):
+def _schur(ws, tol, notes):
     """div Ric = dr / 2, the contracted second Bianchi identity."""
-    residual = div_sym2(fr, fr.Ric, fr.dRic) - 0.5 * fr.dr
+    residual = div_sym2(ws.fr, ws.fr.Ric, ws.fr.dRic) - 0.5 * ws.fr.dr
     return {"schur": (residual, tol.pointwise)}, {}, {}, {}
 
 
@@ -687,10 +688,8 @@ def evaluate_theorem(check_id, target, grid=None, tol=Tolerances()):
             f"check {check_id!r} needs a gradient potential, and soliton "
             f"{target.name!r} carries an explicit vector field"
         )
-    ch = target if isinstance(target, Chart) else target.chart
-    grid = default_grid(ch) if grid is None else grid
-    fr = grid_frame(ch, grid)
-    ws = fr if row.frame_only else workspace(target, grid)
+    grid = default_grid(target.chart) if grid is None else grid
+    ws = workspace(target, grid)
     notes = []
     hypotheses = {} if row.gates is None else _soliton_gates(ws, tol, row.gates)
     if row.kind is not None:
@@ -706,7 +705,7 @@ def evaluate_theorem(check_id, target, grid=None, tol=Tolerances()):
         integrals["int_hess_norm2"] = ws.integral(ws.hess2)
         conclusions = {"int_hess_norm2": (integrals["int_hess_norm2"],
                                           tol.integral), **conclusions}
-    return _build_report(check_id, fr, grid, tol, conclusions,
+    return _build_report(check_id, ws.fr, grid, tol, conclusions,
                          {**hypotheses, **more}, integrals, info, notes)
 
 

@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import solitonlab.cli as cli
@@ -82,6 +83,34 @@ def test_describe_torus_flat(capsys):
     assert abs(rep["scalar_curvature"]["min"]) <= 1e-10
     assert abs(rep["scalar_curvature"]["max"]) <= 1e-10
     assert rep["einstein_deviation_max"] <= 1e-10
+
+
+def test_describe_and_frame_leaves_read_the_frame_on_its_own_batch(
+        monkeypatch, capsys):
+    # The flat torus's metric is one node's numbers.  describe's maxima and
+    # volume, and the integrand leaves r, gradr, ric and g, read it as a
+    # (1, 1) frame rather than as a copy per grid node.
+    frames = []
+    for name in ("max_norm", "integral"):
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda fr, *args, original=original:
+                            frames.append(fr.r.shape) or original(fr, *args))
+    report(capsys, "describe", "torus2")
+    assert frames == [(1, 1), (1, 1)]
+    leaves, original_values = {}, cli.eval_values
+
+    def recording(node, x, leaf=None):
+        def spy(nd):
+            value = leaf(nd)
+            leaves[nd.name] = np.shape(value)
+            return value
+        return original_values(node, x, spy if leaf else None)
+
+    monkeypatch.setattr(cli, "eval_values", recording)
+    man = bundled("torus2_ricci_trivial")
+    cli._integrand_values(man, default_grid(man.chart),
+                          "r + ric(gradr,gradr) + g(gradr,gradf)")
+    assert leaves == {"r": (1, 1), "ric": (1, 1), "g": (1, 1)}
 
 
 def test_describe_soliton_block_summary(capsys):

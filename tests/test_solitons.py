@@ -267,14 +267,25 @@ def test_workspace_keeps_the_frames_and_fields_own_batch():
             assert getattr(ws, name).shape[:2] == batch, (ch.name, name)
 
 
-def test_fitted_workspace_keeps_the_full_grid():
+def spy_frames(monkeypatch, name):
+    """Replace ``solitons.<name>``, whose first argument is a frame, by a
+    spy; returns the list of the frames it is called with."""
+    frames, original = [], getattr(solitons, name)
+    monkeypatch.setattr(solitons, name, lambda fr, *args: frames.append(fr)
+                        or original(fr, *args))
+    return frames
+
+
+def test_fitted_workspace_keeps_the_full_grid(monkeypatch):
     # FitProblem.fit sets from_hessian False after workspace() builds the
     # entry and before anything is read.  That workspace, and so a cold
-    # fit, stays on the full-grid views until the benchmark can time a
-    # faster fit (ROADMAP item 3).
+    # fit with its post-fit schur and report maxima, stays on the full-grid
+    # views until the benchmark can time a faster fit (ROADMAP item 3).
     ch = torus2()
     grid = grid_for(ch)
-    ws = Workspace(trivial(ch, "ricci", 0.0), grid)
+    spec = trivial(ch, "ricci", 0.0)
+    workspace.cache_clear()
+    ws = workspace(spec, grid)
     ws.from_hessian = False
     full = tuple(grid.counts)
     for name in ("U", "dU", "residual", "H"):
@@ -283,6 +294,48 @@ def test_fitted_workspace_keeps_the_full_grid():
         if name != "chart":
             assert a.shape[:2] == full, name
     assert all(a.shape[:2] == full for a in ws.sj)
+    contracted = spy_frames(monkeypatch, "div_sym2")
+    reduced = spy_frames(monkeypatch, "max_norm")
+    for cid in CHECK_IDS:
+        assert run_check(spec, cid, grid).verdict != "violated", cid
+    assert contracted and reduced
+    assert all(fr.r.shape == full for fr in contracted + reduced)
+
+
+def test_schur_contracts_on_the_frames_own_batch(monkeypatch):
+    # Schur is a statement about the metric, which varies along th on the
+    # round sphere and along no axis on the flat torus.  On a Chart, a bare
+    # field and a soliton that no fit made, div Ric is contracted on that
+    # batch, not on one copy of it per grid node.
+    contracted = spy_frames(monkeypatch, "div_sym2")
+    workspace.cache_clear()
+    for ch, batch in ((torus2(), (1, 1)), (sphere2(), (64, 1))):
+        field = scalar_field(ch, "0")
+        for target in (ch, field, scratch_soliton(field)):
+            contracted.clear()
+            assert check_schur(target).verdict == "identity-holds"
+            assert [fr.r.shape for fr in contracted] == [batch], (ch, target)
+
+
+def test_report_maxima_reduce_on_the_workspace_frame(monkeypatch):
+    # Every conclusion and hypothesis field is reduced by max_norm on the
+    # frame of the Workspace the check read, on its own batch: the flat
+    # torus's is (1, 1), whatever f's batch.
+    ch = torus2()
+    grid = grid_for(ch)
+    field = scalar_field(ch, "sin(x)")
+    reduced = spy_frames(monkeypatch, "max_norm")
+    workspace.cache_clear()
+    for target in (ch, field, scratch_soliton(field)):
+        reduced.clear()
+        ids = [cid for cid in CHECK_IDS
+               if isinstance(target, solitons._target_types(
+                   solitons._CATALOG[cid]))]
+        for cid in ids:
+            evaluate_theorem(cid, target, grid)
+        fr = workspace(target, grid).fr
+        assert fr.r.shape == (1, 1)
+        assert len(reduced) >= len(ids) and all(f is fr for f in reduced)
 
 
 # The quantities that read f's jets, which a vector field's workspace has not.
