@@ -206,6 +206,13 @@ REGISTER = [
         "replacement": "return _build_report(check_id, ws.full_fr, grid,",
         "killed_by": T + "test_report_maxima_reduce_on_the_workspace_frame",
     },
+    {
+        "name": "div_sym2's second Christoffel term repeats the first's indices",
+        "file": GEOMETRY,
+        "text": '"...ik,...lij,...kl->...j"',
+        "replacement": '"...ik,...lik,...lj->...j"',
+        "killed_by": T + "test_div_lie_formula_unconditional",
+    },
 ]
 
 

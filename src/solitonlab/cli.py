@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .expr import Geo, eval_values, parse_integrand
 from .fitting import FitProblem
-from .geometry import ScalarField, _node_label, raise_covec, ric_vv
+from .geometry import ScalarField, _node_label, pair, raise_covec, ric_vv
 from .manifest import ManifestError, bundled, bundled_names, load_manifest
 from .quadrature import QuadratureError, axis_rules, default_grid, grid_nodes
 from .records import asdict
@@ -145,8 +145,7 @@ def _integrand_values(man, grid, source):
         if node.name == "ric":
             return ric_vv(fr, *map(vector, node.args))
         if node.name == "g":
-            v, w = map(vector, node.args)
-            return np.einsum("...ab,...a,...b->...", fr.g, v, w)
+            return pair(fr.g, *map(vector, node.args))
         ws = field(node.args[0])
         return ws.lap if node.name == "lap" else ws.hess2
 

@@ -11,10 +11,13 @@ depends on, and ``frame`` runs on the broadcast batch of the metric entries:
 (64, 1) for a metric in the first of two coordinates, (1, 1) for a constant
 one.  ``frame``, ``scalar_jets`` and ``vector_jets`` hand out read-only
 broadcast views of the full batch shape, and error messages name the first
-failing node of the full grid.  An einsum copies such a view to the full grid
-when it reshapes it, so ``hessian`` contracts the Christoffel jets on the
-frame's own batch, and the checks, their report maxima and the command line
-read frame and jets on theirs from ``solitons.Workspace`` (not a fit's).
+failing node of the full grid.  Every tensor contraction is ``contract``:
+numpy's einsum on its optimized path, pairwise batched matrix products in a
+greedy order (Smith and Gray, "opt_einsum", JOSS 3(26) 753, 2018).  Such a
+product copies a broadcast view to the full grid when it reshapes it, so
+``hessian`` contracts the Christoffel jets on the frame's own batch, and the
+checks, their report maxima and the command line read frame and jets on
+theirs from ``solitons.Workspace`` (not a fit's).
 
 Index conventions for the arrays built here, with n the chart dimension:
 
@@ -251,8 +254,16 @@ def vector_jets(field, x):
 # ---------------------------------------------------------------- product rule
 
 
+def contract(subscripts, *operands):
+    """The one tensor contraction: numpy's einsum on the optimized path.  An
+    overflow stays silent, as in ``_derivatives``; the inf or nan it leaves
+    is reported where a check or report reads it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.einsum(subscripts, *operands, optimize=True)
+
+
 def leibniz(subscripts, *operands, k):
-    """d^k of ``np.einsum(subscripts, A, B, ...)`` for operands given as
+    """d^k of ``contract(subscripts, A, B, ...)`` for operands given as
     lists [A, dA, d^2 A, ...] in the layout of the module docstring.
 
     Each way of handing the k new derivative axes to the operands adds one
@@ -269,9 +280,8 @@ def leibniz(subscripts, *operands, k):
         if any(len(ax) >= len(op) for ax, op in zip(axes, operands)):
             continue
         spec = ",".join("..." + ax + sub[3:] for ax, sub in zip(axes, inputs))
-        term = np.einsum(f"{spec}->...{new}{output[3:]}",
-                         *(op[len(ax)] for ax, op in zip(axes, operands)),
-                         optimize=True)
+        term = contract(f"{spec}->...{new}{output[3:]}",
+                        *(op[len(ax)] for ax, op in zip(axes, operands)))
         if total is None:
             total = term
         else:
@@ -369,8 +379,8 @@ def frame(ch, x):
     # S_lij = d_i g_lj + d_j g_li - d_l g_ij and its derivatives, stored as
     # S[..., i, j, l] so that einsum's matrix products read S in place; the
     # ellipsis carries the batch axes and any further derivative axes.
-    S = [np.einsum("...ilj->...ijl", D) + np.einsum("...jli->...ijl", D)
-         - np.einsum("...lij->...ijl", D) for D in DG]
+    S = [contract("...ilj->...ijl", D) + contract("...jli->...ijl", D)
+         - contract("...lij->...ijl", D) for D in DG]
     Gamma, dGamma, d2Gamma = Gam = [
         0.5 * leibniz("...kl,...ijl->...kij", G, S, k=k) for k in range(3)
     ]
@@ -469,22 +479,20 @@ def cov_accel(fr, vj):
 
 
 def div_vector(fr, xi, dxi):
-    return np.einsum("...aa->...", dxi) + np.einsum(
-        "...aab,...b->...", fr.Gamma, xi
-    )
+    return contract("...aa->...", dxi) + contract("...aab,...b->...", fr.Gamma, xi)
 
 
 def div_sym2(fr, T, dT):
     """(div T)_j = g^{ik} (nabla_i T)_{kj}, covariant components."""
     return (
-        np.einsum("...ik,...ikj->...j", fr.ginv, dT)
-        - np.einsum("...ik,...lik,...lj->...j", fr.ginv, fr.Gamma, T)
-        - np.einsum("...ik,...lij,...kl->...j", fr.ginv, fr.Gamma, T)
+        contract("...ik,...ikj->...j", fr.ginv, dT)
+        - contract("...ik,...lik,...lj->...j", fr.ginv, fr.Gamma, T)
+        - contract("...ik,...lij,...kl->...j", fr.ginv, fr.Gamma, T)
     )
 
 
 def trace_g(fr, T):
-    return np.einsum("...ij,...ij->...", fr.ginv, T)
+    return contract("...ij,...ij->...", fr.ginv, T)
 
 
 def trace_g_jet(fr, T, dT):
@@ -493,22 +501,28 @@ def trace_g_jet(fr, T, dT):
 
 
 def norm2_sym2(fr, T):
-    return np.einsum("...ik,...jl,...ij,...kl->...", fr.ginv, fr.ginv, T, T)
+    return contract("...ik,...jl,...ij,...kl->...", fr.ginv, fr.ginv, T, T)
+
+
+def pair(M, v, w):
+    """M(v, w) = M_ab v^a w^b of a 2-tensor field M: g^{-1}(a, b) of two
+    covectors with M = g^{-1}, g(v, w) or Ric(v, w) of two vectors."""
+    return contract("...ab,...a,...b->...", M, v, w)
 
 
 def norm2_covec(fr, w):
-    return np.einsum("...ab,...a,...b->...", fr.ginv, w, w)
+    return pair(fr.ginv, w, w)
 
 
 def raise_covec(fr, w):
-    return np.einsum("...ab,...b->...a", fr.ginv, w)
+    return contract("...ab,...b->...a", fr.ginv, w)
 
 
 def ric_vv(fr, v, w):
-    return np.einsum("...ij,...i,...j->...", fr.Ric, v, w)
+    return pair(fr.Ric, v, w)
 
 
 def nabla_vec_norm2(fr, vj):
     """|nabla xi|^2 with nabla xi read as the (1,1) tensor nabla_i xi^k."""
-    A = vj[1] + np.einsum("...kil,...l->...ik", fr.Gamma, vj[0])
-    return np.einsum("...ij,...kl,...ik,...jl->...", fr.ginv, fr.g, A, A)
+    A = vj[1] + contract("...kil,...l->...ik", fr.Gamma, vj[0])
+    return contract("...ij,...kl,...ik,...jl->...", fr.ginv, fr.g, A, A)

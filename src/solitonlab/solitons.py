@@ -35,6 +35,7 @@ from .geometry import (
     ScalarField,
     VectorField,
     _own,
+    contract,
     cov_accel,
     div_sym2,
     div_vector,
@@ -48,6 +49,7 @@ from .geometry import (
     nabla_vec_norm2,
     norm2_covec,
     norm2_sym2,
+    pair,
     raise_covec,
     ric_vv,
     scalar_jets,
@@ -306,14 +308,12 @@ class Workspace:
     @cached_property
     def glapf(self):
         """g(grad lap f, grad f)."""
-        return np.einsum("...ab,...a,...b->...", self.fr.ginv, self.dlap,
-                         self.sj[1])
+        return pair(self.fr.ginv, self.dlap, self.sj[1])
 
     @cached_property
     def gfr(self):
         """g(grad f, grad r)."""
-        return np.einsum("...ab,...a,...b->...", self.fr.ginv, self.sj[1],
-                         self.fr.dr)
+        return pair(self.fr.ginv, self.sj[1], self.fr.dr)
 
     @cached_property
     def div_cov(self):
@@ -464,7 +464,7 @@ def _div_lie(ws, tol, notes):
     spec, fr = ws.target, ws.fr
     _, _, c_dr = _kind_constants(spec.kind, spec.dim, spec.lam, spec.mu)
     divT = div_sym2(fr, ws.T, ws.dT)
-    ric_gradf = np.einsum("...jb,...b->...j", fr.Ric, ws.vj[0])
+    ric_gradf = contract("...jb,...b->...j", fr.Ric, ws.vj[0])
     unconditional = divT - 2.0 * ws.dlap - 2.0 * ric_gradf
     conditional = ric_gradf - c_dr * fr.dr
     notes.append(

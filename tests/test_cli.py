@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -299,9 +300,13 @@ def test_unwritable_out_exits_2_before_stdout(tmp_path, capsys):
 
 def test_non_finite_report_value_exits_2(tmp_path, capsys):
     # The potential's jets stay finite, but the norm of the soliton residual
-    # overflows to inf, which the report cannot render.
+    # overflows to inf, which the report cannot render.  The overflow itself
+    # raises no numpy warning, so stderr holds only the error line.
     path = torus_manifest(tmp_path, "1", "exp(300*sin(x))")
-    code, out, err = run(capsys, "check", path, "T-1", "--grid", "16,16")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "check", path, "T-1", "--grid", "16,16")
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert code == 2 and out == ""
     assert "error: non-finite value in report" in err
     assert ("at $.checks[0].hypothesis_residuals.soliton_residual: inf"

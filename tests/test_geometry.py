@@ -14,6 +14,7 @@ Oracles, in decreasing order of authority:
 import itertools
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from solitonlab.geometry import (
     GeometryError,
     _own,
     chart,
+    contract,
     cov_accel,
     div_sym2,
     div_vector,
@@ -36,6 +38,7 @@ from solitonlab.geometry import (
     nabla_vec_norm2,
     norm2_covec,
     norm2_sym2,
+    pair,
     raise_covec,
     ric_vv,
     scalar_field,
@@ -48,6 +51,7 @@ from solitonlab.geometry import (
 )
 from solitonlab.manifest import bundled
 from solitonlab.quadrature import default_grid, grid_nodes
+from solitonlab.solitons import Workspace
 
 TAU = 2 * math.pi
 
@@ -699,6 +703,86 @@ def test_algebra_helpers():
     norm2_v = np.einsum("...ab,...a,...b->...", fr.g, v, v)
     assert max_abs(norm2_v - norm2_covec(fr, w)) < 1e-13
     assert max_abs(ric_vv(fr, v, v) - np.einsum("...ij,...i,...j->...", fr.Ric, v, v)) < 1e-15
+
+
+def plain(subscripts, *operands):
+    return np.einsum(subscripts, *operands, optimize=False)
+
+
+# Each operator that contracts through ``contract``, next to numpy's plain
+# einsum loop over every index combination.  t holds the seeded fields.
+CONTRACTIONS = {
+    "div_vector": (
+        lambda fr, t: div_vector(fr, t.v, t.dv),
+        lambda fr, t: plain("...aa->...", t.dv)
+        + plain("...aab,...b->...", fr.Gamma, t.v)),
+    "div_sym2": (
+        lambda fr, t: div_sym2(fr, t.T, t.dT),
+        lambda fr, t: plain("...ik,...ikj->...j", fr.ginv, t.dT)
+        - plain("...ik,...lik,...lj->...j", fr.ginv, fr.Gamma, t.T)
+        - plain("...ik,...lij,...kl->...j", fr.ginv, fr.Gamma, t.T)),
+    "trace_g": (
+        lambda fr, t: trace_g(fr, t.T),
+        lambda fr, t: plain("...ij,...ij->...", fr.ginv, t.T)),
+    "trace_g_jet": (
+        lambda fr, t: trace_g_jet(fr, t.T, t.dT),
+        lambda fr, t: plain("...ij,...aij->...a", fr.ginv, t.dT)
+        + plain("...aij,...ij->...a", fr.dginv, t.T)),
+    "norm2_sym2": (
+        lambda fr, t: norm2_sym2(fr, t.T),
+        lambda fr, t: plain("...ik,...jl,...ij,...kl->...", fr.ginv, fr.ginv,
+                            t.T, t.T)),
+    "norm2_covec": (
+        lambda fr, t: norm2_covec(fr, t.w),
+        lambda fr, t: plain("...ab,...a,...b->...", fr.ginv, t.w, t.w)),
+    "pair_ginv": (  # Workspace.glapf and Workspace.gfr
+        lambda fr, t: pair(fr.ginv, t.w, t.u),
+        lambda fr, t: plain("...ab,...a,...b->...", fr.ginv, t.w, t.u)),
+    "pair_g": (  # the g(v, w) integrand leaf
+        lambda fr, t: pair(fr.g, t.v, t.u),
+        lambda fr, t: plain("...ab,...a,...b->...", fr.g, t.v, t.u)),
+    "raise_covec": (
+        lambda fr, t: raise_covec(fr, t.w),
+        lambda fr, t: plain("...ab,...b->...a", fr.ginv, t.w)),
+    "ric_vv": (
+        lambda fr, t: ric_vv(fr, t.v, t.u),
+        lambda fr, t: plain("...ij,...i,...j->...", fr.Ric, t.v, t.u)),
+    "ric_gradf": (  # solitons._div_lie
+        lambda fr, t: contract("...jb,...b->...j", fr.Ric, t.v),
+        lambda fr, t: plain("...jb,...b->...j", fr.Ric, t.v)),
+    "nabla_vec_norm2": (
+        lambda fr, t: nabla_vec_norm2(fr, [t.v, t.dv]),
+        lambda fr, t: plain("...ij,...kl,...ik,...jl->...", fr.ginv, fr.g,
+                            *[t.dv + plain("...kil,...l->...ik", fr.Gamma,
+                                           t.v)] * 2)),
+}
+
+
+@pytest.mark.parametrize("route", ["own", "full"])
+@pytest.mark.parametrize("op", CONTRACTIONS)
+def test_contractions_match_the_plain_einsum_loop(op, route):
+    # The check route contracts sphere3's frame cut to its own batch
+    # (16, 1, 1) against full-grid fields; the fitted route reads the frame's
+    # full-grid views.  The optimized path only reorders sums.
+    ch = bundled("sphere3").chart
+    grid = default_grid(ch)
+    x, _ = grid_nodes(ch, grid)
+    fr = Workspace(ch, grid).fr if route == "own" else frame(ch, x)
+    assert fr.r.shape == ((16, 1, 1) if route == "own" else (16, 16, 16))
+    rng = np.random.default_rng(7)
+    n, batch = ch.dim, x.shape[:-1]
+    T = rng.uniform(-1.0, 1.0, batch + (n, n))
+    dT = rng.uniform(-1.0, 1.0, batch + (n, n, n))
+    t = types.SimpleNamespace(
+        v=rng.uniform(-1.0, 1.0, batch + (n,)),
+        u=rng.uniform(-1.0, 1.0, batch + (n,)),
+        w=rng.uniform(-1.0, 1.0, batch + (n,)),
+        dv=rng.uniform(-1.0, 1.0, batch + (n, n)),
+        T=T + np.swapaxes(T, -1, -2), dT=dT + np.swapaxes(dT, -1, -2))
+    got_fn, want_fn = CONTRACTIONS[op]
+    got, want = got_fn(fr, t), want_fn(fr, t)
+    assert got.shape == want.shape and got.shape[:3] == batch
+    assert max_abs(got - want) <= 1e-13 * max_abs(want)
 
 
 # ---------------------------------------------------------------- validation
