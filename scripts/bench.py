@@ -24,8 +24,8 @@ solitonlab.cli`` after ``import numpy`` in fresh interpreters, after one
 untimed run, and records whether every module's bytecode was cached, that
 is whether the interpreters read ``__pycache__`` or compiled the sources.
 
-``--layer workspace`` (``BENCH_5.json``; ``BENCH_8.json`` and
-``BENCH_9.json`` hold the sets with the check suites): in fresh
+``--layer workspace`` (``BENCH_5.json``; ``BENCH_8.json`` to
+``BENCH_10.json`` hold the sets with the check suites): in fresh
 interpreters, the script builds the frames of the charts of
 ``WORKSPACE_CASES`` on their default grids, then runs the library loop over
 them: per chart the field identities of a soliton with a seeded potential,

@@ -505,8 +505,8 @@ def norm2_sym2(fr, T):
 
 
 def pair(M, v, w):
-    """M(v, w) = M_ab v^a w^b of a 2-tensor field M: g^{-1}(a, b) of two
-    covectors with M = g^{-1}, g(v, w) or Ric(v, w) of two vectors."""
+    """M(v, w) = M_ab v^a w^b for a 2-tensor field M: g^{-1}(a, b) of two
+    covectors, or g(v, w) and Ric(v, w) of two vectors."""
     return contract("...ab,...a,...b->...", M, v, w)
 
 
