@@ -166,44 +166,38 @@ REGISTER = [
     {
         "name": "hessian without d2Gamma: d^2 Hess f loses its d2Gamma df term",
         "file": GEOMETRY,
-        "text": "_own([fr.Gamma, fr.dGamma, fr.d2Gamma], fr.r.ndim)",
-        "replacement": "_own([fr.Gamma, fr.dGamma], fr.r.ndim)",
+        "text": "[fr.Gamma, fr.dGamma, fr.d2Gamma]",
+        "replacement": "[fr.Gamma, fr.dGamma]",
         "killed_by": T + "test_gradient_lie_jets_match_the_vector_route",
     },
     {
-        "name": "Workspace.fr cut to its own batch in a fitted workspace too",
+        "name": "Workspace.fr on its own batch in a fitted workspace too",
         "file": SOLITONS,
-        "text": "return self.full_fr  # a fitted soliton's workspace",
+        "text": "return full_grid_frame(fr, self.x.shape[:-1])  # a fitted soliton's",
         "replacement": "pass",
         "killed_by": T + "test_fitted_workspace_keeps_the_full_grid",
     },
     {
-        "name": "Workspace.sj without _own: f's jets stay full-grid views",
+        "name": "Workspace.sj on its own batch in a fitted workspace too",
         "file": SOLITONS,
-        "text": "return _own(sj, self.x.ndim - 1) if self.from_hessian else sj",
+        "text": "return [np.broadcast_to(a, batch + a.shape[len(batch):]) for a in sj]",
         "replacement": "return sj",
-        "killed_by": T + "test_workspace_keeps_the_frames_and_fields_own_batch",
+        "killed_by": T + "test_fitted_workspace_keeps_the_full_grid",
     },
     {
-        "name": "Workspace.vj without _own: xi's jets stay full-grid views",
-        "file": SOLITONS,
-        "text": "return _own(vector_jets(self.field, self.x), self.x.ndim - 1)",
-        "replacement": "return vector_jets(self.field, self.x)",
-        "killed_by": T + "test_workspace_keeps_the_frames_and_fields_own_batch",
-    },
-    {
-        "name": "schur reads the cached full frame",
+        "name": "schur reads the frame expanded to the grid",
         "file": SOLITONS,
         "text": "div_sym2(ws.fr, ws.fr.Ric, ws.fr.dRic) - 0.5 * ws.fr.dr",
-        "replacement": "div_sym2(ws.full_fr, ws.full_fr.Ric, ws.full_fr.dRic)"
-                       " - 0.5 * ws.full_fr.dr",
+        "replacement": "(lambda fr: div_sym2(fr, fr.Ric, fr.dRic) - 0.5 * fr.dr)("
+                       "full_grid_frame(ws.fr, ws.x.shape[:-1]))",
         "killed_by": T + "test_schur_contracts_on_the_frames_own_batch",
     },
     {
-        "name": "_build_report reduces on the full frame",
+        "name": "_build_report reduces on the frame expanded to the grid",
         "file": SOLITONS,
         "text": "return _build_report(check_id, ws.fr, grid,",
-        "replacement": "return _build_report(check_id, ws.full_fr, grid,",
+        "replacement": "return _build_report(check_id, full_grid_frame("
+                       "ws.fr, ws.x.shape[:-1]), grid,",
         "killed_by": T + "test_report_maxima_reduce_on_the_workspace_frame",
     },
     {
@@ -212,6 +206,20 @@ REGISTER = [
         "text": '"...ik,...lij,...kl->...j"',
         "replacement": '"...ik,...lik,...lj->...j"',
         "killed_by": T + "test_div_lie_formula_unconditional",
+    },
+    {
+        "name": "lie_jet drops the transpose of P from P + P^T",
+        "file": GEOMETRY,
+        "text": "L += np.swapaxes(P, -1, -2)",
+        "replacement": "pass",
+        "killed_by": T + "test_gradient_lie_jets_match_the_vector_route",
+    },
+    {
+        "name": "frame's S adds d_l g_ij instead of subtracting it",
+        "file": GEOMETRY,
+        "text": '- contract("...lij->...ijl", D) for D in DG]',
+        "replacement": '+ contract("...lij->...ijl", D) for D in DG]',
+        "killed_by": T + "test_bochner_pinned_on_sphere",
     },
 ]
 

@@ -43,7 +43,6 @@ from .solitons import (
     GRADIENT_ONLY,
     SolitonError,
     Tolerances,
-    Workspace,
     grid_frame,
     integral,
     max_norm,
@@ -102,11 +101,11 @@ def render_json(obj, indent=0, path="$"):
 def _integrand_values(man, grid, source):
     """Values of the integrand ``source`` on the nodes of ``grid``; ``lap``,
     ``norm2_hess`` and ``gradf`` read the Workspace the checks read, so f's
-    is the one ``check`` caches in this process; the frame leaves read a
-    chart's Workspace, built uncached so that it evicts no field's."""
+    is the one ``check`` caches in this process; the frame leaves read the
+    cached frame."""
     ch, sol = man.chart, man.soliton
     x, _ = grid_nodes(ch, grid)
-    fr = Workspace(ch, grid).fr
+    fr = grid_frame(ch, grid)
 
     def gradient_spec():
         if sol is None or sol.potential is None:
@@ -156,7 +155,7 @@ def _integrand_values(man, grid, source):
 
 def cmd_describe(man, grid):
     ch = man.chart
-    fr = Workspace(ch, grid).fr
+    fr = grid_frame(ch, grid)
     dev = fr.Ric - (fr.r / ch.dim)[..., None, None] * fr.g
     report = {
         "command": "describe",

@@ -53,6 +53,7 @@ from .solitons import (
     KINDS,
     SolitonError,
     SolitonSpec,
+    full_grid_frame,
     grid_frame,
     residual_tensor,
     workspace,
@@ -172,7 +173,8 @@ class FitProblem:
         self.fit_grid = _half_grid(self.full_grid)
         self.terms = basis.terms()
         x, w = grid_nodes(ch, self.fit_grid)
-        self.fr = fr = grid_frame(ch, self.fit_grid)
+        self.fr = fr = full_grid_frame(grid_frame(ch, self.fit_grid),
+                                       x.shape[:-1])
         # The basis term k is the leading batch axis of xi_k, dxi_k, and
         # T_k = L_{xi_k} g and dT_k, which need d2xi_k.
         vj = gradient_vector_jets(fr, stacked_scalar_jets(

@@ -3,21 +3,16 @@
 A chart is a box in coordinates, some axes periodic, carrying a metric given
 entrywise as expressions.  Everything numerical happens on batches of points:
 an array of shape (..., n) of coordinates goes in, and every derived tensor
-comes back with the same batch axes in front.
+comes back with as many batch axes in front.
 
 On a tensor mesh, where x[..., i] varies only along batch axis i (every
 quadrature grid is one), each expression is evaluated only over the axes it
-depends on, and ``frame`` runs on the broadcast batch of the metric entries:
-(64, 1) for a metric in the first of two coordinates, (1, 1) for a constant
-one.  ``frame``, ``scalar_jets`` and ``vector_jets`` hand out read-only
-broadcast views of the full batch shape, and error messages name the first
-failing node of the full grid.  Every tensor contraction is ``contract``:
-numpy's einsum on its optimized path, pairwise batched matrix products in a
-greedy order (Smith and Gray, "opt_einsum", JOSS 3(26) 753, 2018).  Such a
-product copies a broadcast view to the full grid when it reshapes it, so
-``hessian`` contracts the Christoffel jets on the frame's own batch, and the
-checks, their report maxima and the command line read frame and jets on
-theirs from ``solitons.Workspace`` (not a fit's).
+depends on, and every array comes on that own batch, of size 1 along each
+axis no entry varies on: (64, 1) for a metric in the first of two
+coordinates, (1, 1) for a constant one; only the fit expands them to the
+grid.  Error messages name the first failing node of the full grid.  Every
+tensor contraction is ``contract``: numpy's einsum on its optimized path
+(Smith and Gray, "opt_einsum", JOSS 3(26) 753, 2018).
 
 Index conventions for the arrays built here, with n the chart dimension:
 
@@ -214,22 +209,9 @@ def _derivatives(ch, x, nodes, order, what):
     return out
 
 
-def _full(arrays, batch):
-    """Read-only views of ``arrays`` whose leading axes, which broadcast
-    against ``batch``, are expanded to it."""
-    return [np.broadcast_to(a, batch + a.shape[len(batch):]) for a in arrays]
-
-
-def _own(arrays, nb):
-    """Undo ``_full``: each of the first nb axes with stride 0 cut to length 1."""
-    return [a[tuple(slice(1 if s == 0 else None) for s in a.strides[:nb])]
-            for a in arrays]
-
-
 def scalar_jets(field, x, order=3):
     """[f, df, ..., d^order f] at the points x."""
-    return _full(_derivatives(field.chart, x, field.node, order,
-                              repr(field.source)), np.shape(x)[:-1])
+    return _derivatives(field.chart, x, field.node, order, repr(field.source))
 
 
 def stacked_scalar_jets(fields, x):
@@ -240,15 +222,13 @@ def stacked_scalar_jets(fields, x):
     arrays = _derivatives(ch, x, tuple(f.node for f in fields), 3,
                           "fields (" + ", ".join(repr(f.source) for f in fields)
                           + ")")
-    return _full([np.moveaxis(a, -1, 0) for a in arrays],
-                 (len(fields),) + np.shape(x)[:-1])
+    return [np.moveaxis(a, -1, 0) for a in arrays]
 
 
 def vector_jets(field, x):
     """[xi, dxi, d2xi, d3xi] at the points x; dxi[..., i, a] = d_i xi^a."""
-    return _full(_derivatives(field.chart, x, field.nodes, 3,
-                              f"vector field on {field.chart.name!r}"),
-                 np.shape(x)[:-1])
+    return _derivatives(field.chart, x, field.nodes, 3,
+                        f"vector field on {field.chart.name!r}")
 
 
 # ---------------------------------------------------------------- product rule
@@ -332,8 +312,8 @@ def _node_label(ch, x, flat, shape):
 def frame(ch, x):
     """Evaluate the metric with three derivative orders and assemble curvature.
 
-    The work runs on the broadcast batch of the metric entries (see
-    ``_derivatives``); the frame holds read-only views expanded to x's batch.
+    The frame's arrays are read-only and on the broadcast batch of the
+    metric entries (see ``_derivatives``).
     """
     x = np.asarray(x, dtype=float)
     n = ch.dim
@@ -395,22 +375,21 @@ def frame(ch, x):
     fields = dict(g=g, ginv=ginv, sqrtg=sqrtg, dg=dg, d2g=d2g, d3g=d3g,
                   dginv=G[1], d2ginv=G[2], Gamma=Gamma, dGamma=dGamma,
                   d2Gamma=d2Gamma, Ric=Ric, dRic=dRic, r=r, dr=dr)
-    views = _full([a.reshape(batch + a.shape[1:]) for a in fields.values()],
-                  x.shape[:-1])
-    return PointFrame(chart=ch, **dict(zip(fields, views)))
+    fields = {key: a.reshape(batch + a.shape[1:]) for key, a in fields.items()}
+    for a in fields.values():
+        a.flags.writeable = False  # a cached frame is shared by every reader
+    return PointFrame(chart=ch, **fields)
 
 
 # ----------------------------------------------------- scalar field operators
 
 
 def hessian(fr, sj, k=0):
-    """d^k Hess(f)_ij for k <= 2 from sj = [f, ..., d^(k+2) f], or more; the
-    Christoffel jets stay on the frame's batch (``_own``), so the einsum
-    broadcasts d^2 Gamma, n^5 per node, instead of copying it to the grid."""
+    """d^k Hess(f)_ij for k <= 2 from sj = [f, ..., d^(k+2) f], or more."""
     if len(sj) < k + 3:
         raise ValueError(f"d^{k} of Hess f needs d^{k + 2} f")
-    Gam = _own([fr.Gamma, fr.dGamma, fr.d2Gamma], fr.r.ndim)
-    return sj[2 + k] - leibniz("...kij,...k->...ij", Gam, sj[1:], k=k)
+    return sj[2 + k] - leibniz("...kij,...k->...ij",
+                               [fr.Gamma, fr.dGamma, fr.d2Gamma], sj[1:], k=k)
 
 
 def laplacian(fr, sj):

@@ -34,7 +34,6 @@ from .geometry import (
     Chart,
     ScalarField,
     VectorField,
-    _own,
     contract,
     cov_accel,
     div_sym2,
@@ -147,7 +146,8 @@ def _phi_laplacian(fr, sj):
 
 
 def grid_frame(ch, grid=None):
-    """Cached curvature frame on a chart's quadrature nodes.
+    """Cached curvature frame on a chart's quadrature nodes, on its own batch
+    (see ``geometry``).
 
     ``grid=None`` means ``default_grid(ch)`` and shares its cache entry.
     """
@@ -162,6 +162,18 @@ def _grid_frame(ch, grid):
 
 grid_frame.cache_info = _grid_frame.cache_info
 grid_frame.cache_clear = _grid_frame.cache_clear
+
+
+def full_grid_frame(fr, batch):
+    """The frame ``fr`` as read-only views expanded to the grid's ``batch``.
+
+    Only the fit reads it: ``FitProblem`` concatenates its Jacobian columns
+    on the full grid, and a fitted soliton's ``Workspace.fr``, with f's jets
+    expanded in ``Workspace.sj``, keeps the cold fit from ending before the
+    benchmark's first sample.  With ``Workspace.from_hessian`` it is what is
+    left of ROADMAP item 4 once item 3a lands."""
+    return type(fr)(**{k: v if k == "chart" else np.broadcast_to(
+        v, batch + v.shape[len(batch):]) for k, v in vars(fr).items()})
 
 
 def integral(fr, w, values):
@@ -188,9 +200,8 @@ class Workspace:
     one bare ScalarField/VectorField or a bare Chart (only ``fr``) on one
     grid.  Each is computed the first time it is read; the residual and its
     maximum need a SolitonSpec.  ``fr``, which every report maximum reduces
-    on, and the field's jets keep their own batches (``geometry._own``),
-    but not in a fitted soliton's workspace: a faster post-fit check would
-    end a cold fit before the benchmark's first sample (ROADMAP item 3)."""
+    on, and the field's jets are on their own batches (see ``geometry``),
+    except a fitted soliton's frame and jets (``full_grid_frame``)."""
 
     def __init__(self, target, grid):
         self.target = target
@@ -198,9 +209,10 @@ class Workspace:
             self.field = target.potential if target.is_gradient else target.vector
         else:
             self.field = target
+        self.grid = grid
         self.x, self.w = grid_nodes(target.chart, grid)
-        self.full_fr = grid_frame(target.chart, grid)
-        # L_grad f g = 2 Hess f; a FitProblem's result keeps the Lie route.
+        # L_grad f g = 2 Hess f; a FitProblem's result keeps the Lie route
+        # (with ``full_grid_frame``, what is left of ROADMAP item 4).
         self.from_hessian = isinstance(self.field, ScalarField)
 
     def integral(self, values):
@@ -208,17 +220,21 @@ class Workspace:
 
     @cached_property
     def fr(self):
+        fr = grid_frame(self.target.chart, self.grid)
         if isinstance(self.field, ScalarField) and not self.from_hessian:
-            return self.full_fr  # a fitted soliton's workspace
-        return type(self.full_fr)(**{k: v if k == "chart" else _own(
-            [v], self.x.ndim - 1)[0] for k, v in vars(self.full_fr).items()})
+            return full_grid_frame(fr, self.x.shape[:-1])  # a fitted soliton's
+        return fr
 
     @cached_property
     def sj(self):
-        """f's jets; only ``dU``, which a SolitonSpec's gates read, needs d4f."""
+        """f's jets; only ``dU``, which a SolitonSpec's gates read, needs d4f.
+        A fitted soliton's are read-only full-grid views, as its frame."""
         order = 4 if isinstance(self.target, SolitonSpec) else 3
         sj = scalar_jets(self.field, self.x, order=order)
-        return _own(sj, self.x.ndim - 1) if self.from_hessian else sj
+        if self.from_hessian:
+            return sj
+        batch = self.x.shape[:-1]
+        return [np.broadcast_to(a, batch + a.shape[len(batch):]) for a in sj]
 
     @cached_property
     def vj(self):
@@ -226,7 +242,7 @@ class Workspace:
         if isinstance(self.field, ScalarField):
             return gradient_vector_jets(
                 self.fr, self.sj[:4] if self.from_hessian else self.sj)
-        return _own(vector_jets(self.field, self.x), self.x.ndim - 1)
+        return vector_jets(self.field, self.x)
 
     @cached_property
     def Tjets(self):

@@ -89,15 +89,17 @@ def test_describe_torus_flat(capsys):
 def test_describe_and_frame_leaves_read_the_frame_on_its_own_batch(
         monkeypatch, capsys):
     # The flat torus's metric is one node's numbers.  describe's maxima and
-    # volume, and the integrand leaves r, gradr, ric and g, read it as a
-    # (1, 1) frame rather than as a copy per grid node.
+    # volume, and the integrand leaves r, gradr, ric and g, read the cached
+    # (1, 1) frame rather than a copy per grid node.
     frames = []
     for name in ("max_norm", "integral"):
         original = getattr(cli, name)
         monkeypatch.setattr(cli, name, lambda fr, *args, original=original:
-                            frames.append(fr.r.shape) or original(fr, *args))
+                            frames.append(fr) or original(fr, *args))
     report(capsys, "describe", "torus2")
-    assert frames == [(1, 1), (1, 1)]
+    fr = solitons.grid_frame(bundled("torus2").chart)
+    assert fr.r.shape == (1, 1)
+    assert len(frames) == 2 and all(f is fr for f in frames)
     leaves, original_values = {}, cli.eval_values
 
     def recording(node, x, leaf=None):

@@ -22,7 +22,7 @@ from hypothesis import given, strategies as st
 
 from solitonlab.geometry import (
     GeometryError,
-    _own,
+    _node_label,
     chart,
     contract,
     cov_accel,
@@ -51,7 +51,7 @@ from solitonlab.geometry import (
 )
 from solitonlab.manifest import bundled
 from solitonlab.quadrature import default_grid, grid_nodes
-from solitonlab.solitons import Workspace
+from solitonlab.solitons import full_grid_frame
 
 TAU = 2 * math.pi
 
@@ -135,10 +135,10 @@ def test_sphere_christoffels():
     x = mesh(ch, (9, 11))
     fr = frame(ch, x)
     th = x[..., 0]
-    want = np.zeros_like(fr.Gamma)
+    want = np.zeros(x.shape[:-1] + (2, 2, 2))
     want[..., 0, 1, 1] = -np.sin(th) * np.cos(th)
     want[..., 1, 0, 1] = want[..., 1, 1, 0] = np.cos(th) / np.sin(th)
-    assert max_abs(fr.Gamma - want) < 1e-12
+    assert max_abs(np.broadcast_to(fr.Gamma, want.shape) - want) < 1e-12
 
 
 def test_sphere_curvature():
@@ -164,12 +164,12 @@ def test_hopf_three_sphere():
     fr = frame(ch, x)
     eta = x[..., 0]
     c, s = np.cos(eta), np.sin(eta)
-    want = np.zeros_like(fr.Gamma)
+    want = np.zeros(x.shape[:-1] + (3, 3, 3))
     want[..., 0, 1, 1] = c * s
     want[..., 0, 2, 2] = -s * c
     want[..., 1, 0, 1] = want[..., 1, 1, 0] = -s / c
     want[..., 2, 0, 2] = want[..., 2, 2, 0] = c / s
-    assert max_abs(fr.Gamma - want) < 1e-11
+    assert max_abs(np.broadcast_to(fr.Gamma, want.shape) - want) < 1e-11
     assert max_abs(fr.Ric - 2.0 * fr.g) < 1e-10
     assert max_abs(fr.r - 6.0) < 1e-10
     assert max_abs(fr.sqrtg - c * s) < 1e-13
@@ -192,10 +192,10 @@ def test_product_metric_block_ricci():
     x = mesh(ch, (7, 6, 5))
     fr = frame(ch, x)
     th = x[..., 0]
-    want = np.zeros_like(fr.Ric)
+    want = np.zeros(x.shape[:-1] + (3, 3))
     want[..., 0, 0] = 1.0
     want[..., 1, 1] = np.sin(th) ** 2
-    assert max_abs(fr.Ric - want) < 1e-11
+    assert max_abs(np.broadcast_to(fr.Ric, want.shape) - want) < 1e-11
     assert max_abs(fr.r - 2.0) < 1e-11
 
 
@@ -391,7 +391,11 @@ def test_hessian_rejects_a_short_list(k):
     x = mesh(ch, (3, 3))
     fr = frame(ch, x)
     sj = scalar_jets(scalar_field(ch, "cos(th)"), x, order=4)
-    assert hessian(fr, sj[:k + 3], k).shape == (3, 3) + (2,) * (k + 2)
+    want = hessian(full_grid_frame(fr, (3, 3)), [
+        np.broadcast_to(a, (3, 3) + a.shape[2:]) for a in sj[:k + 3]], k)
+    assert want.shape == (3, 3) + (2,) * (k + 2)
+    assert np.array_equal(
+        np.broadcast_to(hessian(fr, sj[:k + 3], k), want.shape), want)
     with pytest.raises(ValueError, match=fr"needs d\^{k + 2} f"):
         hessian(fr, sj[:k + 2], k)
 
@@ -576,7 +580,7 @@ FRAME_FIELDS = ("g", "ginv", "sqrtg", "dg", "d2g", "d3g", "dginv", "d2ginv",
 def test_mesh_evaluation_matches_point_list(name):
     # On a mesh each expression runs only over the axes it depends on; the
     # same points as a flat list take every coordinate on all points.  Both
-    # must give the same bits.
+    # must give the same bits on every node.
     ch = generic_torus() if name == "generic_torus" else bundled(name).chart
     x, _ = grid_nodes(ch, default_grid(ch))
     pts = x.reshape(-1, ch.dim)
@@ -590,12 +594,53 @@ def test_mesh_evaluation_matches_point_list(name):
         pairs += zip(scalar_jets(f, x, order=order),
                      scalar_jets(f, pts, order=order))
     pairs += zip(vector_jets(v, x), vector_jets(v, pts))
+    nodes = (len(pts),)
     for got, want in pairs:
-        assert got.shape == x.shape[:-1] + want.shape[1:]
-        assert np.array_equal(got.reshape(want.shape), want)
+        assert got.ndim == want.ndim + ch.dim - 1
+        full = np.broadcast_to(got, x.shape[:-1] + want.shape[1:])
+        assert np.array_equal(full.reshape(nodes + want.shape[1:]),
+                              np.broadcast_to(want, nodes + want.shape[1:]))
     for key in FRAME_FIELDS:
         with pytest.raises(ValueError, match="read-only"):
             getattr(on_mesh, key)[...] = 0.0
+
+
+@pytest.mark.parametrize("name, as_list", [
+    ("sphere2", False), ("torus2", False), ("sphere3", False), ("sphere3", True)])
+def test_producers_return_the_entries_own_batch(name, as_list):
+    # Each producer's batch has x's number of axes, of size 1 along each
+    # axis no entry reads: the round metrics read their first coordinate,
+    # the flat torus's none, f its last and the constant vector field none.
+    # A point list reads every coordinate on every point.  A non-finite
+    # value on that batch is named at the first node of the full grid where
+    # it holds.
+    ch = bundled(name).chart
+    x, _ = grid_nodes(ch, default_grid(ch))
+    if as_list:
+        x = x.reshape(-1, ch.dim)
+    nb = x.ndim - 1
+
+    def own(*axes):
+        if as_list:
+            return (len(x),) if axes else (1,)
+        return tuple(m if i in axes else 1 for i, m in enumerate(x.shape[:-1]))
+
+    f = scalar_field(ch, f"sin({ch.coords[-1]})")
+    arrays = {"frame": ([getattr(frame(ch, x), k) for k in FRAME_FIELDS],
+                        own() if name == "torus2" else own(0)),
+              "scalar_jets": (scalar_jets(f, x, order=4), own(ch.dim - 1)),
+              "vector_jets": (vector_jets(vector_field(
+                  ch, ("1",) + ("0",) * (ch.dim - 1)), x), own()),
+              "stacked_scalar_jets": (stacked_scalar_jets(
+                  [f, scalar_field(ch, "1")], x), (2,) + own(ch.dim - 1))}
+    for producer, (got, batch) in arrays.items():
+        for a in got:
+            assert a.shape[:len(batch)] == batch, producer
+    r = np.array(frame(ch, x).r)
+    r[(-1,) * nb] = np.nan
+    full = np.broadcast_to(r, x.shape[:-1])
+    assert (_node_label(ch, x, int(np.argmin(np.isfinite(r))), r.shape)
+            == _node_label(ch, x, int(np.argmin(np.isfinite(full))), full.shape))
 
 
 def seeded_potential(ch, seed=4):
@@ -611,42 +656,26 @@ def seeded_potential(ch, seed=4):
 @pytest.mark.parametrize("potential", ["seeded", "constant"])
 @pytest.mark.parametrize("name", BASE_CHARTS)
 def test_hessian_contracts_the_christoffels_on_the_frames_batch(name, potential):
-    # hessian hands leibniz the Christoffel jets on the frame's own batch,
-    # which the einsum broadcasts against f's full-grid jets; that must give
-    # the bits of the contraction of the frame's full broadcast views.  The
-    # constant is the f = 0 of the bundled trivial solitons.
+    # hessian contracts the Christoffel jets on the frame's own batch
+    # against f's jets on theirs; that must give the bits of the contraction
+    # of both expanded to the grid.  The constant is the f = 0 of the
+    # bundled trivial solitons.
     ch = bundled(name).chart
     x, _ = grid_nodes(ch, default_grid(ch))
     fr = frame(ch, x)
     f = seeded_potential(ch) if potential == "seeded" else scalar_field(ch, "0")
     sj = scalar_jets(f, x, order=4)
+    batch = x.shape[:-1]
+    full = full_grid_frame(fr, batch)
+    full_sj = [np.broadcast_to(a, batch + a.shape[len(batch):]) for a in sj]
     for k in range(3):
         got = hessian(fr, sj, k)
-        want = sj[2 + k] - leibniz("...kij,...k->...ij",
-                                   [fr.Gamma, fr.dGamma, fr.d2Gamma], sj[1:], k=k)
-        assert got.shape == x.shape[:-1] + (ch.dim,) * (k + 2)
+        want = full_sj[2 + k] - leibniz(
+            "...kij,...k->...ij", [full.Gamma, full.dGamma, full.d2Gamma],
+            full_sj[1:], k=k)
+        assert want.shape == batch + (ch.dim,) * (k + 2)
         assert got.flags.writeable
-        assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("name", ("sphere2", "warped_sphere", "sphere3"))
-def test_frame_batch_views_leave_a_point_list_unchanged(name):
-    # The metrics of these charts read only their first coordinate, so on a
-    # mesh the Christoffels are broadcast along every other axis, and those
-    # axes are cut to length 1.  On a point list every coordinate is read at
-    # every point, so nothing is cut.
-    ch = bundled(name).chart
-    x, _ = grid_nodes(ch, default_grid(ch))
-    nb = x.ndim - 1
-    arrays = lambda fr: [fr.Gamma, fr.dGamma, fr.d2Gamma]
-    on_mesh = arrays(frame(ch, x))
-    for got, full in zip(_own(on_mesh, nb), on_mesh):
-        assert got.shape == x.shape[:1] + (1,) * (nb - 1) + full.shape[nb:]
-        assert np.array_equal(np.broadcast_to(got, full.shape), full)
-    on_points = arrays(frame(ch, x.reshape(-1, ch.dim)))
-    for got, a in zip(_own(on_points, 1), on_points):
-        assert (got.shape, got.strides) == (a.shape, a.strides)
-        assert got.__array_interface__["data"] == a.__array_interface__["data"]
+        assert np.array_equal(np.broadcast_to(got, want.shape), want)
 
 
 def test_second_hessian_jet_does_not_copy_d2gamma_to_the_grid():
@@ -679,8 +708,8 @@ def test_stacked_scalar_jets_match_one_field_at_a_time():
         single = scalar_jets(f, x)
         assert len(stacked) == len(single) == 4
         for got, want in zip(stacked, single):
-            assert got.shape == (len(fields),) + want.shape
-            assert np.array_equal(got[k], want)
+            assert got.ndim == want.ndim + 1 and len(got) == len(fields)
+            assert np.array_equal(got[k], np.broadcast_to(want, got.shape[1:]))
 
 
 def test_gradient_vector_jets_requires_order_four():
@@ -688,7 +717,8 @@ def test_gradient_vector_jets_requires_order_four():
     ch = sphere2()
     x = mesh(ch, (3, 3))
     vj = gradient_vector_jets(frame(ch, x), scalar_jets(scalar_field(ch, "cos(th)"), x))
-    assert len(vj) == 3 and vj[2].shape == (3, 3, 2, 2, 2)
+    # cos(th) and the round metric read th only, so the batch is (3, 1).
+    assert len(vj) == 3 and vj[2].shape == (3, 1, 2, 2, 2)
 
 
 def test_algebra_helpers():
@@ -761,13 +791,14 @@ CONTRACTIONS = {
 @pytest.mark.parametrize("route", ["own", "full"])
 @pytest.mark.parametrize("op", CONTRACTIONS)
 def test_contractions_match_the_plain_einsum_loop(op, route):
-    # The check route contracts sphere3's frame cut to its own batch
-    # (16, 1, 1) against full-grid fields; the fitted route reads the frame's
+    # The check route contracts sphere3's frame on its own batch (16, 1, 1)
+    # against full-grid fields; the fitted route reads the frame's
     # full-grid views.  The optimized path only reorders sums.
     ch = bundled("sphere3").chart
-    grid = default_grid(ch)
-    x, _ = grid_nodes(ch, grid)
-    fr = Workspace(ch, grid).fr if route == "own" else frame(ch, x)
+    x, _ = grid_nodes(ch, default_grid(ch))
+    fr = frame(ch, x)
+    if route == "full":
+        fr = full_grid_frame(fr, x.shape[:-1])
     assert fr.r.shape == ((16, 1, 1) if route == "own" else (16, 16, 16))
     rng = np.random.default_rng(7)
     n, batch = ch.dim, x.shape[:-1]
