@@ -19,10 +19,14 @@ times the ``FitProblem`` set-up, one ``residual_stack`` at a seeded start
 and a whole fit from that start, set-up and the final full-grid objective
 included (the workspace cache is cleared first, so each repeat builds it).
 
-``--layer import`` (``BENCH_4.json``): the script times ``import
-solitonlab.cli`` after ``import numpy`` in fresh interpreters, after one
-untimed run, and records whether every module's bytecode was cached, that
-is whether the interpreters read ``__pycache__`` or compiled the sources.
+``--layer import`` (``BENCH_4.json``; ``BENCH_12.json`` holds the sets
+with the first command): the script times ``import solitonlab.cli`` after
+``import numpy`` in fresh interpreters, after one untimed run, and records
+whether every module's bytecode was cached, that is whether the
+interpreters read ``__pycache__`` or compiled the sources.  In the same
+interpreters it then times the first command, ``cli.main(["describe",
+"sphere2"])`` on a chart with a polar axis, and records the modules that
+command imports beyond ``import solitonlab.cli``.
 
 ``--layer workspace`` (``BENCH_5.json``; ``BENCH_8.json`` to
 ``BENCH_10.json`` hold the sets with the check suites): in fresh
@@ -267,8 +271,20 @@ start = time.perf_counter()
 import numpy
 middle = time.perf_counter()
 import solitonlab.cli
-print(middle - start, time.perf_counter() - middle)
+end = time.perf_counter()
+import io, json, sys
+from contextlib import redirect_stdout
+before = set(sys.modules)
+with redirect_stdout(io.StringIO()):
+    begin = time.perf_counter()
+    solitonlab.cli.main(json.loads(sys.argv[1]))
+    main_s = time.perf_counter() - begin
+print(json.dumps({"numpy_s": middle - start, "import_s": end - middle,
+                  "main_s": main_s,
+                  "main_imports": sorted(set(sys.modules) - before)}))
 """
+# The first command of a cold process: a chart with a polar axis.
+FIRST_COMMAND = ["describe", "sphere2"]
 
 
 def bytecode_cached(package):
@@ -289,17 +305,24 @@ def import_cases(repeats):
     env = dict(os.environ, PYTHONPATH=str(package.parent))
 
     def child():
-        run = subprocess.run([sys.executable, "-c", IMPORT_CHILD], env=env,
+        run = subprocess.run([sys.executable, "-c", IMPORT_CHILD,
+                              json.dumps(FIRST_COMMAND)], env=env,
                              capture_output=True, text=True, check=True)
-        return [float(v) for v in run.stdout.split()]
+        return json.loads(run.stdout)
 
     child()  # writes bytecode wherever this interpreter may
     times = [child() for _ in range(repeats)]
+    imports = {tuple(t["main_imports"]) for t in times}
+    if len(imports) != 1:
+        raise RuntimeError(f"the first command's imports differ between runs: {imports}")
     return [{
         "module": "solitonlab.cli",
         "bytecode_cached": bytecode_cached(package),
-        "numpy_ms": 1e3 * statistics.median(t[0] for t in times),
-        "import_ms": 1e3 * statistics.median(t[1] for t in times),
+        "numpy_ms": 1e3 * statistics.median(t["numpy_s"] for t in times),
+        "import_ms": 1e3 * statistics.median(t["import_s"] for t in times),
+        "main_command": FIRST_COMMAND,
+        "main_ms": 1e3 * statistics.median(t["main_s"] for t in times),
+        "main_imports": list(imports.pop()),
         "host_kernel_ms": median_ms(host_kernel, repeats),
     }]
 
@@ -432,7 +455,9 @@ LAYERS = {  # layer -> (case timer, default output, line per case)
     "import": (import_cases, "BENCH_4.json",
                lambda c: f"import {c['module']} after numpy "
                          f"{c['import_ms']:.2f} ms (numpy {c['numpy_ms']:.2f} ms, "
-                         f"bytecode {'cached' if c['bytecode_cached'] else 'compiled'})"),
+                         f"bytecode {'cached' if c['bytecode_cached'] else 'compiled'}), "
+                         f"then {' '.join(c['main_command'])} {c['main_ms']:.2f} ms "
+                         f"importing {len(c['main_imports'])} modules"),
     "workspace": (workspace_cases, "BENCH_5.json",
                   lambda c: (f"library loop on {len(c['charts'])} charts "
                              if "charts" in c else

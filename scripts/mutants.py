@@ -43,6 +43,7 @@ SUBSET = ("tests/test_solitons.py",
 
 SOLITONS = "src/solitonlab/solitons.py"
 GEOMETRY = "src/solitonlab/geometry.py"
+QUADRATURE = "src/solitonlab/quadrature.py"
 T = "tests/test_solitons.py::"
 CRITERION_4 = "tests/test_acceptance.py::test_criterion_4_theorem_verdicts"
 WORKERS = 2  # mutants run at once, each in its own copy
@@ -220,6 +221,13 @@ REGISTER = [
         "text": '- contract("...lij->...ijl", D) for D in DG]',
         "replacement": '+ contract("...lij->...ijl", D) for D in DG]',
         "killed_by": T + "test_bochner_pinned_on_sphere",
+    },
+    {
+        "name": "cosine-rule weights from P_(m-2) instead of P_(m-1)",
+        "file": QUADRATURE,
+        "text": "fm = _legval(x, p_m[1:])",
+        "replacement": "fm = _legval(x, p_m[2:])",
+        "killed_by": T + "test_tc_integral_hypothesis_on_nonsoliton",
     },
 ]
 

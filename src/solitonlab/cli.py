@@ -193,6 +193,8 @@ def _select_checks(man, ids):
             raise SolitonError(
                 f"unknown check id {cid!r}; valid ids: {', '.join(CHECK_IDS)}"
             )
+        if ids.count(cid) > 1:
+            raise SolitonError(f"check id {cid!r} is given more than once")
     return ids
 
 

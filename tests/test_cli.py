@@ -281,6 +281,12 @@ def test_unknown_check_id_lists_valid_ids(capsys):
         assert cid in err
 
 
+def test_repeated_check_id_exits_2(capsys):
+    code, out, err = run(capsys, "check", "sphere2_yamabe_trivial", "T-1", "T-1")
+    assert code == 2 and out == ""
+    assert "'T-1'" in err and "more than once" in err
+
+
 def test_check_without_soliton_block_exits_2(capsys):
     code, out, err = run(capsys, "check", "sphere2", "T-C")
     assert code == 2

@@ -7,6 +7,10 @@ accuracy, exactly when polynomial of low enough degree.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from solitonlab.geometry import (
 from solitonlab.quadrature import (
     GridSpec,
     QuadratureError,
+    _gauss_legendre,
     axis_rule,
     axis_rules,
     default_grid,
@@ -175,6 +180,43 @@ def test_axis_rules():
          2 / 5, rel=1e-14
     )
     assert np.all(weights > 0)
+
+
+GL_COUNTS = (8, 9, 16, 64, 127, 128, 512, 1024)
+
+
+@pytest.mark.parametrize("m", GL_COUNTS)
+def test_gauss_legendre_is_numpys_leggauss(m):
+    # Bit-equal with numpy 2.4; the tolerance only covers a numpy whose
+    # legval rounds differently.
+    x, w = _gauss_legendre(m)
+    want_x, want_w = np.polynomial.legendre.leggauss(m)
+    np.testing.assert_allclose(x, want_x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(w, want_w, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("m", GL_COUNTS)
+def test_gauss_legendre_degree_of_exactness(m):
+    # m nodes integrate every polynomial of degree 2m - 1 over [-1, 1].
+    x, w = _gauss_legendre(m)
+    assert abs(np.sum(w * x ** (2 * m - 1))) < 1e-13
+    assert abs(np.sum(w * x ** (2 * m - 2)) - 2 / (2 * m - 1)) < 1e-13
+
+
+def test_describe_on_a_polar_chart_does_not_import_numpy_polynomial():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from solitonlab.cli import main\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    assert main(['describe', 'sphere2']) == 0\n"
+            "print('numpy.polynomial' in sys.modules)\n")
+    child = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "False"
 
 
 def test_sphere_grid_takes_its_rules_from_the_chart():
