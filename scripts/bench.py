@@ -314,7 +314,8 @@ def import_cases(repeats):
     times = [child() for _ in range(repeats)]
     imports = {tuple(t["main_imports"]) for t in times}
     if len(imports) != 1:
-        raise RuntimeError(f"the first command's imports differ between runs: {imports}")
+        raise RuntimeError(
+            f"the first command's imports differ between runs: {imports}")
     return [{
         "module": "solitonlab.cli",
         "bytecode_cached": bytecode_cached(package),

@@ -73,7 +73,7 @@ def _legval(x, c):
     nd, c0, c1 = len(c), c[-2], c[-1]
     for i in range(3, len(c) + 1):
         tmp, nd = c0, nd - 1
-        c0 = c[-i] - c1 * ((nd - 1) / nd)
+        c0 = c[-i] - c1 * ((nd - 1) / nd)  # numpy 2.4's grouping
         c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
     return c0 + c1 * x
 
