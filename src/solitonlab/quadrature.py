@@ -85,7 +85,7 @@ def _gauss_legendre(m):
     off = np.arange(1, m) * s[:-1] * s[1:]  # the symmetric Jacobi matrix
     x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
     p_m = 1.0 * (np.arange(m + 1) == m)
-    df = _legval(x, (m - k) % 2 * (2.0 * k + 1))  # P'_m = sum (2k+1) P_k
+    df = _legval(x, (m - k) % 2 * (2.0 * k + 1))  # P'_m: (2k+1) P_k, m-k odd
     x -= _legval(x, p_m) / df  # one Newton step
     fm = _legval(x, p_m[1:])
     w = 1 / ((fm / np.abs(fm).max()) * (df / np.abs(df).max()))
