@@ -8,16 +8,20 @@ owns.
 
 The script first checks that every entry's text occurs exactly once, and
 names each one that does not in a single error, before it runs any mutant.
-It then copies the package, the tests and what they read into two temporary
-directories.  The unmutated copy runs first and must pass.  Then each entry,
-two at a time, is applied to one copy, which runs the fast subset:
-``tests/test_solitons.py`` plus acceptance criterion 4.  A mutant is killed
-when that run fails.
+It then copies the package, the tests and what they read into a temporary
+directory.  There the fast subset, ``tests/test_solitons.py`` plus
+acceptance criterion 4, and every named test run first without a mutant,
+and must pass; a named test that pytest cannot find stops the script too.
+Then each entry in turn is applied to the copy, which runs the test the
+entry names.  The subset runs only when that test passes or the entry names
+none (``survives:``), so that a mutant killed only by other tests shows
+apart from a survivor.  A mutant is killed when a run fails.
 
     python scripts/mutants.py [--out MUTANTS.json]
 
 The report holds the git sha of the checkout, whether its sources differed
-from that commit, and each entry's outcome with the tests that failed.
+from that commit, and each entry's outcome with the tests that failed in
+the run that killed it.
 The script exits 1 when a mutant expected to be killed survives, or is
 killed only by other tests than the one the register names.  A survivor
 that gets killed is reported, so that the register can be updated, but
@@ -27,13 +31,11 @@ does not fail the run.  Standard library only.
 import argparse
 import json
 import os
-import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,7 +48,6 @@ GEOMETRY = "src/solitonlab/geometry.py"
 QUADRATURE = "src/solitonlab/quadrature.py"
 T = "tests/test_solitons.py::"
 CRITERION_4 = "tests/test_acceptance.py::test_criterion_4_theorem_verdicts"
-WORKERS = 2  # mutants run at once, each in its own copy
 
 REGISTER = [
     {
@@ -127,7 +128,7 @@ REGISTER = [
         "file": SOLITONS,
         "text": "rhs = ((n - 2) / (n - 1)) * ws.hess2",
         "replacement": "rhs = ((n - 1) / n) * ws.hess2",
-        "survives": "item 1",
+        "killed_by": T + "test_flat_box_soliton_pins_prop_p2",
     },
     {
         "name": "T-C without its trace-free gate",
@@ -229,6 +230,22 @@ REGISTER = [
         "replacement": "fm = _legval(x, p_m[2:])",
         "killed_by": T + "test_tc_integral_hypothesis_on_nonsoliton",
     },
+    {
+        "name": "fitting._jacobian's lambda column 2 T instead of T",
+        "file": "src/solitonlab/fitting.py",
+        "text": "T[None],",
+        "replacement": "2 * T[None],",
+        "killed_by": "tests/test_fitting.py::"
+                     "test_exact_jacobian_matches_central_differences",
+    },
+    {
+        "name": "jets.sin's third derivative +sin instead of -sin",
+        "file": "src/solitonlab/jets.py",
+        "text": "table = [s, c, -s, -c]",
+        "replacement": "table = [s, c, s, -c]",
+        "killed_by": "tests/test_jets.py::"
+                     "test_elementary_against_finite_differences[sin-sin-points0]",
+    },
 ]
 
 
@@ -248,13 +265,16 @@ def copy_tree(target):
             shutil.copy2(source, target / name)
 
 
-def run_subset(tree):
-    """Failed test ids of the subset in ``tree``; None if it fails to run."""
+def run_tests(tree, ids):
+    """Failed test ids of a pytest run of ``ids`` in ``tree``; None if the
+    run does not complete, as when pytest cannot find an id (exit 4)."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                PYTHONDONTWRITEBYTECODE="1")
+    # Plain asserts pass and fail alike; rewriting them would also rewrite
+    # every module of the hypothesis plugin, half of each run's time.
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "--tb=no", "-rf", *SUBSET],
+         "--assert=plain", "--tb=no", "-rf", *ids],
         cwd=tree, env=env, capture_output=True, text=True)
     failed = [line.split()[1] for line in proc.stdout.splitlines()
               if line.startswith("FAILED ")]
@@ -286,24 +306,25 @@ def misplaced(register):
 
 
 def evaluate(entry, tree):
+    """Run the named test on the mutant, and the subset when there is no
+    named test or it passes, so that a mutant killed only by other tests
+    shows apart from a survivor."""
     path = tree / entry["file"]
     original = path.read_text(encoding="utf-8")
     path.write_text(original.replace(entry["text"], entry["replacement"]),
                     encoding="utf-8")
+    named = "killed_by" in entry
     try:
-        failed = run_subset(tree)
+        failed = run_tests(tree, [entry["killed_by"]]) if named else []
+        killed_by_name = bool(failed)
+        if failed == []:
+            failed = run_tests(tree, SUBSET)
     finally:
         path.write_text(original, encoding="utf-8")
     if failed is None:
         raise SystemExit(f"{entry['name']}: the test run did not complete")
-    outcome = "killed" if failed else "survived"
-    if "killed_by" in entry:
-        name = entry["killed_by"]
-        as_expected = any(f == name or f.startswith(name + "[")
-                          for f in failed)
-    else:
-        as_expected = not failed
-    return {**entry, "outcome": outcome, "as_expected": as_expected,
+    return {**entry, "outcome": "killed" if failed else "survived",
+            "as_expected": killed_by_name if named else not failed,
             "failed": failed}
 
 
@@ -316,34 +337,27 @@ def main(argv=None):
     stale = misplaced(REGISTER)
     if stale:
         raise SystemExit("\n".join(stale))
+    named_ids = dict.fromkeys(e["killed_by"] for e in REGISTER
+                              if "killed_by" in e)
+    results = []
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
-        trees = queue.SimpleQueue()
-        for k in range(WORKERS):
-            tree = Path(tmp) / str(k)
-            copy_tree(tree)
-            trees.put(tree)
+        tree = Path(tmp)
+        copy_tree(tree)
         if tree.resolve() not in imported_from(tree).parents:
             raise SystemExit("the copy imports solitonlab from outside itself")
-        if run_subset(tree) != []:
-            raise SystemExit("the unmutated subset does not pass")
-
-        def run(entry):
-            tree = trees.get()
-            try:
-                return evaluate(entry, tree)
-            finally:
-                trees.put(tree)
-
-        results = []
-        with ThreadPoolExecutor(WORKERS) as pool:
-            for entry, result in zip(REGISTER, pool.map(run, REGISTER)):
-                results.append(result)
-                expect = (f"killed by {entry['killed_by']}"
-                          if "killed_by" in entry
-                          else f"survives: {entry['survives']}")
-                flag = "ok" if result["as_expected"] else "UNEXPECTED"
-                print(f"{flag:10} {result['outcome']:8} {entry['name']} "
-                      f"(expected: {expect})", flush=True)
+        failed = run_tests(tree, [*SUBSET, *named_ids])
+        if failed != []:
+            raise SystemExit("without a mutant, the subset and the named "
+                             f"tests do not all pass: {failed}")
+        for entry in REGISTER:
+            result = evaluate(entry, tree)
+            results.append(result)
+            expect = (f"killed by {entry['killed_by']}"
+                      if "killed_by" in entry
+                      else f"survives: {entry['survives']}")
+            flag = "ok" if result["as_expected"] else "UNEXPECTED"
+            print(f"{flag:10} {result['outcome']:8} {entry['name']} "
+                  f"(expected: {expect})", flush=True)
     report = {
         "sha": git("rev-parse", "HEAD"),
         "dirty": bool(git("status", "--porcelain", "--", "src", "tests")),

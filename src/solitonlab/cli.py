@@ -350,7 +350,15 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    # argparse stops filling check ids at the first option, so ids after
+    # one, as in `check NAME --grid 8,8 schur`, come back as leftovers.
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "check":
+        args.ids += [token for token in rest if not token.startswith("-")]
+        rest = [token for token in rest if token.startswith("-")]
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     try:
         man = _resolve_manifest(args.manifest)
         grid = _parse_grid(args.grid, man.chart)

@@ -287,6 +287,17 @@ def test_repeated_check_id_exits_2(capsys):
     assert "'T-1'" in err and "more than once" in err
 
 
+def test_check_ids_may_follow_an_option(capsys):
+    rep = report(capsys, "check", "sphere2_yamabe_trivial", "T-1",
+                 "--grid", "8,8", "schur", "div_lie")
+    assert [c["check_id"] for c in rep["checks"]] == ["T-1", "schur", "div_lie"]
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "sphere2_yamabe_trivial", "--grid", "8,8", "schur",
+              "--bogus"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
 def test_check_without_soliton_block_exits_2(capsys):
     code, out, err = run(capsys, "check", "sphere2", "T-C")
     assert code == 2

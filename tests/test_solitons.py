@@ -20,6 +20,7 @@ from hypothesis import given, strategies as st
 
 from solitonlab.geometry import (
     ScalarField,
+    chart,
     div_sym2,
     frame,
     gradient_vector_jets,
@@ -742,6 +743,33 @@ def test_tc_integral_hypothesis_on_nonsoliton():
         - 8 * math.pi / 3
     ) < 1e-10
 
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["yamabe", "ricci"])
+def test_flat_box_soliton_pins_prop_p2(kind, n):
+    # On [-1,1]^n with the identity metric, f = a|x|^2/2 has Hess f = a g,
+    # grad f = a x and L_xi L_xi g = 4a^2 g, so it is an exact soliton of
+    # either kind with mu = 4a^2 + 2 lambda a.  tr L_xi L_xi g = 4a^2 n gates
+    # prop_p2, but its residual keeps a closed form: (1/2) lap |grad f|^2 =
+    # |Hess f|^2 = div(nabla_{grad f} grad f) = a^2 n, which leaves
+    # 2a^2 n/(n-1) for yamabe and 2a^2 n for ricci.
+    a, lam = 0.3, 1.0
+    coords = ("x", "y", "z")[:n]
+    box = chart(f"box{n}", coords, (-1.0,) * n, (1.0,) * n, (False,) * n,
+                [["1" if i == j else "0" for j in range(n)]
+                 for i in range(n)])
+    f = scalar_field(box, f"{a}*({'+'.join(c + '^2' for c in coords)})/2")
+    spec = scratch_soliton(f, kind, lam=lam, mu=4 * a * a + 2 * lam * a)
+    rep = run_check(spec, "prop_p2", default_grid(box, (8,) * n))
+    tol = rep.tolerances["pointwise"]
+    hyp = rep.hypothesis_residuals
+    assert rep.verdict == "hypothesis-not-met"
+    assert hyp["soliton_residual"] <= 1e-12
+    assert hyp["div_lie2_max"] <= 1e-12
+    assert abs(hyp["trace_lie2_max"] - 4 * a * a * n) <= tol
+    want = 2 * a * a * n / (n - 1) if kind == "yamabe" else 2 * a * a * n
+    assert abs(rep.residuals["prop_p2"] - want) <= tol
 
 # Each check's premises, read from its statement's docstring, as the
 # hypothesis keys of its report: a dropped gate shows here even where every
