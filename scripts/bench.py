@@ -13,11 +13,13 @@ in the chart's coordinates.  On those jets it times ``hessian`` for k = 0,
 1 and 2, and records the tracemalloc peak of one ``hessian`` with k = 2,
 its result included, next to the result's size.
 
-``--layer fit`` (``BENCH_3.json``): for each problem of ``FIT_CASES`` (a
-bundled chart and grid, a soliton kind and a basis of K terms), the script
-times the ``FitProblem`` set-up, one ``residual_stack`` at a seeded start
-and a whole fit from that start, set-up and the final full-grid objective
-included (the workspace cache is cleared first, so each repeat builds it).
+``--layer fit`` (``BENCH_3.json``; ``BENCH_13.json`` holds the sets next
+to a prototype whose set-up takes T_k = 2 Hess f_k on the frame's own
+batch): for each problem of ``FIT_CASES`` (a bundled chart and grid, a
+soliton kind and a basis of K terms), the script times the ``FitProblem``
+set-up, one ``residual_stack`` at a seeded start and a whole fit from that
+start, set-up and the final full-grid objective included (the workspace
+cache is cleared first, so each repeat builds it).
 
 ``--layer import`` (``BENCH_4.json``; ``BENCH_12.json`` holds the sets
 with the first command): the script times ``import solitonlab.cli`` after

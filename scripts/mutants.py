@@ -19,9 +19,10 @@ apart from a survivor.  A mutant is killed when a run fails.
 
     python scripts/mutants.py [--out MUTANTS.json]
 
-The report holds the git sha of the checkout, whether its sources differed
-from that commit, and each entry's outcome with the tests that failed in
-the run that killed it.
+The report holds the git sha of the checkout and whether its sources
+differed from that commit, both read before the first mutant and both null
+outside a git checkout, and each entry's outcome with the tests that failed
+in the run that killed it.
 The script exits 1 when a mutant expected to be killed survives, or is
 killed only by other tests than the one the register names.  A survivor
 that gets killed is reported, so that the register can be updated, but
@@ -249,10 +250,18 @@ REGISTER = [
 ]
 
 
-def git(*args):
-    out = subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
-                         text=True, check=True)
-    return out.stdout.strip()
+def source_tree():
+    """Git sha of the checkout and whether its sources differ from it, both
+    None outside a git checkout, as in a copy made by ``git archive``."""
+    def git(*args):
+        run = subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                             text=True)
+        return run.stdout.strip() if run.returncode == 0 else None
+
+    sha = git("rev-parse", "HEAD")
+    if sha is None:
+        return None, None
+    return sha, bool(git("status", "--porcelain", "--", "src", "tests"))
 
 
 def copy_tree(target):
@@ -337,6 +346,7 @@ def main(argv=None):
     stale = misplaced(REGISTER)
     if stale:
         raise SystemExit("\n".join(stale))
+    sha, dirty = source_tree()
     named_ids = dict.fromkeys(e["killed_by"] for e in REGISTER
                               if "killed_by" in e)
     results = []
@@ -359,8 +369,8 @@ def main(argv=None):
             print(f"{flag:10} {result['outcome']:8} {entry['name']} "
                   f"(expected: {expect})", flush=True)
     report = {
-        "sha": git("rev-parse", "HEAD"),
-        "dirty": bool(git("status", "--porcelain", "--", "src", "tests")),
+        "sha": sha,
+        "dirty": dirty,
         "subset": list(SUBSET),
         "killed": sum(r["outcome"] == "killed" for r in results),
         "survived": sum(r["outcome"] == "survived" for r in results),

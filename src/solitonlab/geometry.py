@@ -83,8 +83,8 @@ def chart(name, coords, lo, hi, periodic, metric_texts, grid_hint=None):
     """
     coords = tuple(coords)
     n = len(coords)
-    if not 1 <= n <= 4:
-        raise GeometryError(f"chart {name!r} has dimension {n}, supported is 1..4")
+    if not 2 <= n <= 4:
+        raise GeometryError(f"chart {name!r} has dimension {n}, supported is 2..4")
     lo = tuple(float(v) for v in lo)
     hi = tuple(float(v) for v in hi)
     periodic = tuple(bool(p) for p in periodic)

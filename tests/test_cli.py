@@ -139,6 +139,25 @@ def test_describe_rejects_indefinite_metric(tmp_path, capsys):
     assert "at node (64, 0) (x=3.14159, y=0)" in err
 
 
+def test_one_dimensional_manifest_exits_2_at_manifold(tmp_path, capsys):
+    # Every statement and all curvature need n >= 2; (n - 2)/(n - 1) in
+    # prop_p2 used to divide by zero on a circle.
+    data = {
+        "manifold": {
+            "name": "circle", "dim": 1, "coords": ["x"],
+            "domain": [[0, "2*pi"]], "periodic": [True], "metric": [["1"]],
+        },
+        "soliton": {"kind": "yamabe", "potential": {"gradient": "sin(x)"},
+                    "lambda": 1, "mu": 0},
+    }
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: manifold: chart 'circle' has dimension 1, "
+                   "supported is 2..4\n")
+
+
 @pytest.mark.parametrize("metric,grid,label", [
     # The bad entry depends on the second coordinate of a two-axis mesh...
     ([["2 + cos(y)", "0"], ["0", "cos(y)"]], [],

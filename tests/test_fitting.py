@@ -15,10 +15,10 @@ from solitonlab.fitting import (
     FitInit,
     FitProblem,
 )
-from solitonlab.geometry import chart
+from solitonlab.geometry import chart, hessian, scalar_field, scalar_jets
 from solitonlab.manifest import bundled
-from solitonlab.quadrature import default_grid
-from solitonlab.solitons import SolitonError, Workspace, workspace
+from solitonlab.quadrature import default_grid, grid_nodes
+from solitonlab.solitons import SolitonError, Workspace, grid_frame, workspace
 
 from test_geometry import generic_torus, sphere2, torus2
 
@@ -147,6 +147,22 @@ def test_fit_leaves_no_state_on_the_problem():
         assert problem.history == fresh.history
     assert np.array_equal(problem.residual_stack(coeffs, 1.1, 0.4), y)
     assert np.array_equal(problem._jacobian(coeffs, 1.1), A)
+
+
+def test_setup_T_is_twice_each_terms_hessian_on_the_frames_own_batch():
+    # The set-up takes T_k = L_{xi_k} g from d2xi_k on the full-grid frame;
+    # the checks' workspace takes T = 2 Hess f on the frame's own batch.
+    # sphere2's frame varies with th only, so that batch is not the grid's.
+    ch = sphere2()
+    problem = small_problem(ch)
+    fr = grid_frame(ch, problem.fit_grid)
+    x, _ = grid_nodes(ch, problem.fit_grid)
+    assert fr.g.shape[:-2] != x.shape[:-1]
+    for k, text in enumerate(problem.terms):
+        sj = scalar_jets(scalar_field(ch, text), x)
+        for got, want in ((problem.T[k], 2 * hessian(fr, sj)),
+                          (problem.dT[k], 2 * hessian(fr, sj, k=1))):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_fit_result_workspace_keeps_the_vector_route():

@@ -820,9 +820,10 @@ def test_contractions_match_the_plain_einsum_loop(op, route):
 
 
 def test_chart_validation_errors():
-    with pytest.raises(GeometryError):
-        chart("bad", ("x",) * 5, (0,) * 5, (1,) * 5, (True,) * 5,
-              [["1"] * 5] * 5)
+    for n in (1, 5):
+        with pytest.raises(GeometryError, match="supported is 2..4"):
+            chart("bad", ("x",) * n, (0,) * n, (1,) * n, (True,) * n,
+                  [["1"] * n] * n)
     with pytest.raises(GeometryError):
         chart("bad", ("x", "y"), (0, 1), (1, 0), (True, True),
               [["1", "0"], ["0", "1"]])
