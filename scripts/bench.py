@@ -1,9 +1,13 @@
 """Time the jet, geometry, fit or import layer, parent and change side by side.
 
-``--layer jets`` (``BENCH_1.json``): for each case of ``CASES`` (dimension,
-order, node count: the default grids of torus2, sphere2 and the 16^3
-charts), the script times ``a * b`` for two dense jets and ``sin(a)``, which
-runs ``Jet.compose`` and its powers.
+``--layer jets`` (``BENCH_1.json``; ``BENCH_14.json`` holds the sets with
+the tensor-mesh product): for each case of ``CASES`` (dimension, order,
+node count: the default grids of torus2, sphere2 and the 16^3 charts), the
+script times ``a * b`` for two dense jets and ``sin(a)``, which runs
+``Jet.compose`` and its powers.  It also times the tensor-mesh product
+``sin(x_0) * cos(x_1)`` on the mesh of ``mesh_counts``, each seed on its
+own axis, as ``geometry`` seeds a grid: each factor depends on one
+coordinate, so most pairs of the whole convolution multiply exact zeros.
 
 ``--layer geometry`` (``BENCH_2.json``; ``BENCH_7.json`` holds the sets
 with ``hessian``): for each bundled chart of ``GEOMETRY_CASES`` on its
@@ -157,6 +161,28 @@ def dense_jets(dim, order, nodes):
     return a, b
 
 
+def mesh_counts(dim, nodes):
+    """The node count, a power of two, split over ``dim`` axes as evenly as
+    it goes, the larger counts last: 8192 nodes in 2-D give sphere2's
+    64 x 128."""
+    bits = nodes.bit_length() - 1
+    if nodes != 1 << bits:
+        raise ValueError(f"a mesh case needs a power of two nodes, got {nodes}")
+    return tuple(1 << (bits // dim + (k >= dim - bits % dim)) for k in range(dim))
+
+
+def mesh_jets(order, counts):
+    """sin(x_0) and cos(x_1) on the tensor mesh of ``counts``, each seeded
+    with its axis nodes only, in shape (m_0, 1, ..) and (1, m_1, ..)."""
+    dim = len(counts)
+    x = np.stack(np.meshgrid(*(np.linspace(0.2, 1.0, m) for m in counts),
+                             indexing="ij"), axis=-1)
+    x0, x1 = (jets.seed(dim, x[tuple(slice(None) if a == i else slice(1)
+                                     for a in range(dim))], i, order)
+              for i in (0, 1))
+    return jets.sin(x0), jets.cos(x1)
+
+
 def source_tree():
     """Git commit of the source tree that solitonlab was imported from, and
     whether that tree has uncommitted changes."""
@@ -196,10 +222,13 @@ def jet_cases(repeats):
     cases = []
     for dim, order, nodes in CASES:
         a, b = dense_jets(dim, order, nodes)
+        counts = mesh_counts(dim, nodes)
+        u, v = mesh_jets(order, counts)
         cases.append({
-            "dim": dim, "order": order, "nodes": nodes,
+            "dim": dim, "order": order, "nodes": nodes, "grid": list(counts),
             "mul_ms": median_ms(lambda: a * b, repeats),
             "sin_ms": median_ms(lambda: jets.sin(a), repeats),
+            "mesh_mul_ms": median_ms(lambda: u * v, repeats),
             "host_kernel_ms": median_ms(host_kernel, repeats),
         })
     return cases
@@ -441,7 +470,8 @@ def workspace_cases(repeats):
 LAYERS = {  # layer -> (case timer, default output, line per case)
     "jets": (jet_cases, "BENCH_1.json",
              lambda c: f"dim {c['dim']} order {c['order']} nodes {c['nodes']}: "
-                       f"mul {c['mul_ms']:.2f} ms, sin {c['sin_ms']:.2f} ms"),
+                       f"mul {c['mul_ms']:.2f} ms, sin {c['sin_ms']:.2f} ms, "
+                       f"mesh mul {c['mesh_mul_ms']:.2f} ms"),
     "geometry": (geometry_cases, "BENCH_2.json",
                  lambda c: f"{c['chart']} nodes {c['nodes']}: frame "
                            f"{c['frame_ms']:.2f} ms, {POTENTIALS} field jets "

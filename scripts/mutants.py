@@ -247,6 +247,14 @@ REGISTER = [
         "killed_by": "tests/test_jets.py::"
                      "test_elementary_against_finite_differences[sin-sin-points0]",
     },
+    {
+        "name": "Jet.__add__ keeps only its own support",
+        "file": "src/solitonlab/jets.py",
+        "text": "return self._new(a + b, self.support | other.support)",
+        "replacement": "return self._new(a + b, self.support)",
+        "killed_by": "tests/test_jets.py::"
+                     "test_support_restricted_jets_match_full_support_bit_for_bit[2-3]",
+    },
 ]
 
 

@@ -23,7 +23,13 @@ pairs (i, j) with alpha_i + alpha_j = alpha_k (a Cauchy convolution;
 Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
 Batch axes are right-aligned behind the coefficient axis: jets whose batch
 shapes differ, an unbatched jet or a constant included, broadcast as numpy
-arrays of those batch shapes would.
+arrays of those batch shapes would.  Each jet carries its support, the
+bitmask of the coordinates it may depend on: a seed has its own bit, a
+constant none, a sum or product the union of its operands', and a jet built
+from raw coefficients every bit.  A row whose multi-index leaves the support
+is an exact zero, so a product skips the pairs outside its operands'
+supports (most, for a tensor-mesh term such as `cos(eta)*sin(x2)`), and
+every nonzero coefficient keeps its bits.
 
 Derivatives are read back through one rule, d^alpha f = alpha! c_alpha:
 `Jet.derivative(k)` gathers the coefficient of every index tuple's
@@ -86,6 +92,8 @@ class _Tables:
                 if sum(ai) + sum(aj) <= order:
                     k = self.index[tuple(x + y for x, y in zip(ai, aj))]
                     self.mul_pairs[k].append((i, j))
+        self.bits = [sum(1 << t for t, p in enumerate(a) if p) for a in self.alphas]
+        self.support_pairs = {}
 
         # d^k f = k-th derivative tensor = coeffs[pos] * fac, where each
         # entry's multi-index alpha sits at pos and fac = alpha!.
@@ -99,6 +107,18 @@ class _Tables:
             shape = (dim,) * k
             self.derivs.append((np.reshape(pos, shape),
                                 np.reshape(fac, shape).astype(float)))
+
+    def pairs(self, sa, sb):
+        """(k, pairs) for each row k of a product of jets with supports sa and
+        sb that keeps some of mul_pairs[k] inside them (bits[i] has bit t when
+        alpha_i holds x_t), and the rows that keep none."""
+        if (sa, sb) not in self.support_pairs:
+            rows = [[(i, j) for i, j in pairs
+                     if not (self.bits[i] & ~sa or self.bits[j] & ~sb)]
+                    for pairs in self.mul_pairs]
+            self.support_pairs[sa, sb] = ([(k, p) for k, p in enumerate(rows) if p],
+                                          [k for k, p in enumerate(rows) if not p])
+        return self.support_pairs[sa, sb]
 
 
 _TABLES: dict[tuple[int, int], _Tables] = {}
@@ -123,7 +143,7 @@ class Jet:
     broadcast through every operation.
     """
 
-    __slots__ = ("dim", "order", "coeffs")
+    __slots__ = ("dim", "order", "coeffs", "support")
 
     def __init__(self, dim, coeffs, order=DEFAULT_ORDER):
         tab = _tables(dim, order)
@@ -136,6 +156,7 @@ class Jet:
         self.dim = dim
         self.order = order
         self.coeffs = coeffs
+        self.support = (1 << dim) - 1
 
     # -- constructors ------------------------------------------------------
 
@@ -147,8 +168,10 @@ class Jet:
     def value(self):
         return self.coeffs[0]
 
-    def _new(self, coeffs):
-        return Jet(self.dim, coeffs, self.order)
+    def _new(self, coeffs, support):
+        out = Jet(self.dim, coeffs, self.order)
+        out.support = support
+        return out
 
     # -- derivative extraction ---------------------------------------------
 
@@ -176,28 +199,30 @@ class Jet:
 
     def _aligned(self, other):
         """Both coefficient arrays with as many batch axes, the shorter
-        batch padded on the left (views, no copies)."""
-        a, b = self.coeffs, self._coerce(other).coeffs
+        batch padded on the left (views, no copies), and the other jet."""
+        other = self._coerce(other)
+        a, b = self.coeffs, other.coeffs
         nd = max(a.ndim, b.ndim)
         return (a.reshape(a.shape[:1] + (1,) * (nd - a.ndim) + a.shape[1:]),
-                b.reshape(b.shape[:1] + (1,) * (nd - b.ndim) + b.shape[1:]))
+                b.reshape(b.shape[:1] + (1,) * (nd - b.ndim) + b.shape[1:]),
+                other)
 
     def __add__(self, other):
-        a, b = self._aligned(other)
-        return self._new(a + b)
+        a, b, other = self._aligned(other)
+        return self._new(a + b, self.support | other.support)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = self._aligned(other)
-        return self._new(a - b)
+        a, b, other = self._aligned(other)
+        return self._new(a - b, self.support | other.support)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         return other.__sub__(self)
 
     def __neg__(self):
-        return self._new(-self.coeffs)
+        return self._new(-self.coeffs, self.support)
 
     def __mul__(self, other):
         if np.isscalar(other) or isinstance(other, np.ndarray):
@@ -206,18 +231,19 @@ class Jet:
             c = np.asarray(other, dtype=float)
             a = self.coeffs
             a = a.reshape(a.shape[:1] + (1,) * (c.ndim - a.ndim + 1) + a.shape[1:])
-            return self._new(a * c)
-        a, b = self._aligned(other)
+            return self._new(a * c, self.support)
+        a, b, other = self._aligned(other)
+        rows, zeros = self._tab.pairs(self.support, other.support)
         out = np.empty((a.shape[0],) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+        out[zeros] = 0.0  # the skipped products are exact zeros
         tmp = np.empty(out.shape[1:])
-        for k, pairs in enumerate(self._tab.mul_pairs):
+        for k, ((i, j), *rest) in rows:
             row = out[k, ...]
-            (i, j), *rest = pairs
             np.multiply(a[i, ...], b[j, ...], out=row)
             for i, j in rest:
                 np.multiply(a[i, ...], b[j, ...], out=tmp)
                 np.add(row, tmp, out=row)
-        return self._new(out)
+        return self._new(out, self.support | other.support)
 
     __rmul__ = __mul__
 
@@ -240,7 +266,7 @@ class Jet:
             raise ValueError("need order+1 derivative values for composition")
         ubar = self.coeffs.copy()
         ubar[0] = 0.0
-        ubar = self._new(ubar)
+        ubar = self._new(ubar, self.support)
         out = np.zeros_like(self.coeffs)
         out[0] = derivs[0]
         term = np.empty_like(out)
@@ -253,7 +279,7 @@ class Jet:
             out[rows] += term[rows]
             if k < self.order:
                 power = power * ubar
-        return self._new(out)
+        return self._new(out, self.support)
 
 
 def seed(dim, x, i, order=DEFAULT_ORDER):
@@ -270,7 +296,9 @@ def seed(dim, x, i, order=DEFAULT_ORDER):
     coeffs = np.zeros((tab.size,) + x.shape[:-1])
     coeffs[0] = x[..., i]
     coeffs[tab.derivs[1][0][i]] = 1.0
-    return Jet(dim, coeffs, order)
+    jet = Jet(dim, coeffs, order)
+    jet.support = 1 << i
+    return jet
 
 
 def constant(dim, value, order=DEFAULT_ORDER):
@@ -278,7 +306,9 @@ def constant(dim, value, order=DEFAULT_ORDER):
     value = np.asarray(value, dtype=float)
     coeffs = np.zeros((tab.size,) + value.shape)
     coeffs[0] = value
-    return Jet(dim, coeffs, order)
+    jet = Jet(dim, coeffs, order)
+    jet.support = 0
+    return jet
 
 
 def _check_domain(bad, v, message):

@@ -22,7 +22,9 @@ def test_sets_sit_side_by_side(tmp_path, monkeypatch, capsys):
         assert {"git_sha", "git_dirty", "nproc", "numpy", "python"} <= set(entry)
         assert [(c["dim"], c["order"], c["nodes"]) for c in entry["cases"]] == [
             (2, 4, 64), (3, 3, 32)]
-        assert all(c["mul_ms"] > 0 and c["sin_ms"] > 0 for c in entry["cases"])
+        assert all(c["mul_ms"] > 0 and c["sin_ms"] > 0 and c["mesh_mul_ms"] > 0
+                   for c in entry["cases"])
+        assert [c["grid"] for c in entry["cases"]] == [[8, 8], [2, 4, 4]]
     assert "parent: dim 2 order 4 nodes 64" in capsys.readouterr().out
 
 

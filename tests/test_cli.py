@@ -270,6 +270,18 @@ def test_non_finite_field_names_its_node(tmp_path, capsys, monkeypatch):
     assert len(calls) < 64
 
 
+def test_overflowing_mesh_factor_names_its_node(tmp_path, capsys):
+    # exp(800 sin x) overflows at x = pi/2, and the product's other factor
+    # depends on y only, so its support skips the pairs that would multiply
+    # that inf by an exact zero (nan in the whole convolution, inf here).
+    # The first non-finite node is the same either way.
+    path = torus_manifest(tmp_path, "1", "exp(800*sin(x))*cos(y)")
+    code, out, err = run(capsys, "check", path, "--grid", "8,8")
+    assert code == 2
+    assert ("'exp(800*sin(x))*cos(y)' not defined at node (2, 0) "
+            "(x=1.5708, y=0): non-finite value or derivative") in err
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_missing_manifest_exits_2(capsys):
@@ -468,6 +480,19 @@ def test_integrate_scalar_curvature_and_laplacian(capsys):
     assert rep["value"] == pytest.approx(8 * math.pi, abs=1e-7)
     rep = report(capsys, "integrate", "sphere2_nonsoliton_yamabe", "lap(f)")
     assert abs(rep["value"]) <= 1e-10
+
+
+def test_integrate_expression_with_a_leading_minus_follows_double_dash(capsys):
+    # argparse reads "-r" as an option, so the expression is missing;
+    # after "--" every token is positional.
+    with pytest.raises(SystemExit) as exc:
+        main(["integrate", "sphere2", "-r"])
+    assert exc.value.code == 2
+    assert ("the following arguments are required: expression"
+            in capsys.readouterr().err)
+    rep = report(capsys, "integrate", "sphere2", "--", "-r")
+    assert rep["expression"] == "-r"
+    assert rep["value"] == pytest.approx(-8 * math.pi, abs=1e-7)
 
 
 def test_integrate_hessian_norm_closed_form(capsys):

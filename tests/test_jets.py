@@ -7,6 +7,7 @@ Neither shares code with the jet engine.
 """
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -444,3 +445,108 @@ def test_apply_unary_dispatch():
     assert np.allclose(jets.apply_unary("sin", x).coeffs, jets.sin(x).coeffs)
     with pytest.raises(ValueError):
         jets.apply_unary("tan", x)
+
+
+# ---------------------------------------------------------------------------
+# supports: a product skips only pairs whose products are exact zeros
+
+
+def mesh_seeds(dim, order):
+    """Coordinate jets on a small tensor mesh, each seeded with its own axis
+    nodes in shape (1, .., m_i, .., 1), as ``geometry`` seeds a grid."""
+    counts = (3, 2, 4, 2)[:dim]
+    x = np.stack(np.meshgrid(*(np.linspace(0.3, 1.1, m) for m in counts),
+                             indexing="ij"), axis=-1)
+    return [seed(dim, x[tuple(slice(None) if a == i else slice(1)
+                              for a in range(dim))], i, order)
+            for i in range(dim)]
+
+
+def full(a):
+    """``a`` with every bit of support set, as a jet built from raw
+    coefficients has; numbers pass through."""
+    return Jet(a.dim, a.coeffs, a.order) if isinstance(a, Jet) else a
+
+
+def support_of(a):
+    return a.support if isinstance(a, Jet) else 0
+
+
+BINARY = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b,
+}
+UNARY = {
+    "sin": jets.sin, "cos": jets.cos, "exp": jets.exp, "log": jets.log,
+    "sqrt": jets.sqrt,
+    **{f"powc {c}": (lambda a, c=c: jets.powc(a, c)) for c in (2, 3, -2, 0.5, 2.5)},
+}
+
+
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_support_restricted_jets_match_full_support_bit_for_bit(dim, order):
+    # Operands of every support shape: one coordinate, a sum and a product
+    # of two, a constant (batched along the last axis, unbatched, or a
+    # plain number) and an unbatched jet, all positive so that every
+    # operation is defined.  Each result must equal, bit for bit, the same
+    # operation on full-support copies, and carry its operands' union.
+    xs = mesh_seeds(dim, order)
+    last = xs[-1].value.shape[-1]
+    a, b = jets.sin(xs[0]), jets.cos(xs[1])
+    s = a + b
+    p = jets.exp(xs[-1]) * a
+    q = xs[1] * constant(dim, np.linspace(0.8, 1.2, last), order)
+    u = jets.sin(seed(dim, np.full(dim, 0.4), dim - 1, order))
+    pos = 2.0 + a * b - p * 0.1
+    operands = [a, b, s, p, q, u, pos, constant(dim, 1.7, order), 2.5,
+                np.linspace(0.5, 1.5, last)]
+    for x, y in product(operands, repeat=2):
+        # An array on the left would take the jet as an array element.
+        if not (isinstance(x, Jet) or isinstance(y, Jet) and np.isscalar(x)):
+            continue
+        for name, op in BINARY.items():
+            got = op(x, y)
+            assert got.support == support_of(x) | support_of(y), name
+            for want in (op(full(x), full(y)), op(x, full(y)), op(full(x), y)):
+                assert np.array_equal(got.coeffs, want.coeffs), name
+    for x in (a, s, p, q, u, pos):
+        for name, op in UNARY.items():
+            got = op(x)
+            assert got.support == x.support, name
+            assert np.array_equal(got.coeffs, op(full(x)).coeffs), name
+
+
+def test_support_algebra():
+    dim, order = 3, 4
+    x0, x1, x2 = mesh_seeds(dim, order)
+    assert (x0.support, x1.support, x2.support) == (0b001, 0b010, 0b100)
+    assert constant(dim, np.ones(3), order).support == 0
+    assert Jet(dim, x0.coeffs, order).support == 0b111
+    assert (x0 + x1).support == (x1 + x0).support == 0b011
+    assert (x0 - x2).support == (x2 - x0).support == 0b101
+    assert (x1 * x2).support == (x1 / x2).support == 0b110
+    assert (x0 + 1.0).support == (1.0 - x0).support == (2.0 * x0).support == 1
+    assert (-x1).support == jets.sin(x1).support == jets.powc(x1, 3).support == 2
+    assert (x0 * x1 + x2).support == 0b111
+
+
+def test_overflowing_mesh_factor_is_flagged_where_the_convolution_is():
+    # exp(800 sin x) overflows at the last x node (800 sin 1.1 > 709.8).
+    # The whole convolution multiplies that inf by the exact zeros of
+    # cos(y)'s x-rows and gets nan; the support skips those pairs and
+    # leaves inf.  The nodes that are not finite are the same.
+    x, y = mesh_seeds(2, 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = jets.exp(jets.sin(x) * 800.0)
+        got, want = factor * jets.cos(y), full(factor) * full(jets.cos(y))
+    bad = ~np.isfinite(got.coeffs).all(axis=0)
+    assert np.array_equal(bad, ~np.isfinite(want.coeffs).all(axis=0))
+    assert bad[-1].all() and not bad[:-1].any()
+    assert np.isnan(want.coeffs).any()
+    for jet in (got, want):
+        with pytest.raises(JetDomainError) as err:
+            jets.check_finite(jet)
+        assert (err.value.index, err.value.shape) == (4, (3, 2))
