@@ -51,10 +51,10 @@ Each figure is the median of ``--repeats`` runs.  A fixed numpy kernel that
 no change to solitonlab can move is timed next to every case, so a reader
 can tell a slow host from slow code.
 
-Only the public API is used (``jets.seed``, ``jets.sin``, ``*``, the bundled
-manifests, ``grid_nodes``, ``frame``, ``scalar_jets``, ``hessian``,
-``FitProblem`` and its ``residual_stack`` and ``fit``), so the same script
-times any source tree: it imports whichever ``solitonlab`` is on
+Only the public API is used (``jets.seed``, ``jets.sin``, ``jets.cos``,
+``*``, the bundled manifests, ``grid_nodes``, ``frame``, ``scalar_jets``,
+``hessian``, ``FitProblem`` and its ``residual_stack`` and ``fit``), so the
+same script times any source tree: it imports whichever ``solitonlab`` is on
 ``PYTHONPATH``.  The set is stored under ``--label`` in ``--out``; sets under
 other labels stay, so two trees sit side by side in one file::
 

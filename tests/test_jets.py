@@ -3,7 +3,8 @@
 Two oracles back these tests: a dict-based truncated polynomial calculus
 (shift a polynomial to the expansion point and read off Taylor
 coefficients), and central finite differences for the elementary functions.
-Neither shares code with the jet engine.
+Neither shares code with the jet engine.  The support tests at the end take
+the engine's whole convolution, on full-support copies, as their reference.
 """
 
 import math
